@@ -8,8 +8,8 @@ Measures sustained events/s on the discard-heavy realistic stream for
   flattened whole-stream scan driver over decoded events, and
 * the **byte backends** — ``fleet.run_buffer(batch, timing="off")``
   over a raw :class:`~repro.logsim.stream.ByteRecordBatch` for the
-  ``bytes``, ``numpy`` and ``native`` kernels (rejected lines never
-  decoded; ``native`` is the compiled C walk), and
+  ``bytes`` and ``native`` kernels (rejected lines never decoded;
+  ``native`` is the compiled C walk), and
 * the **fused native path** — ``fleet.run_lines(blob, timing="off")``
   with a native scanner: record split, header check and scan in one C
   pass over the raw blob,
@@ -28,7 +28,7 @@ Run standalone::
     PYTHONPATH=src python benchmarks/emit_bench.py --backend bytes  # one backend
     PYTHONPATH=src python benchmarks/emit_bench.py --smoke  # CI regression gate
 
-``--backend str|bytes|numpy|native|all`` restricts which scan kernels
+``--backend str|bytes|native|all`` restricts which scan kernels
 the full run measures (default ``all``; ``str`` is always measured — it
 is the baseline every ratio is computed against).
 
@@ -48,6 +48,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from repro.codegen import SCAN_BACKENDS
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -91,8 +93,6 @@ SMOKE_SLACK = 0.3
 # LogEvent.from_line loop on a clean stream.
 DECODER_FLOOR = 0.97
 
-SCAN_BACKENDS = ("str", "bytes", "numpy", "native")
-
 
 def discard_heavy_stream(gen, n_events: int = 20_000):
     """The throughput bench's realistic mixed window: >99% of lines are
@@ -110,11 +110,11 @@ def measure_hotpath(
     gen,
     n_events: int = 20_000,
     rounds: int = 5,
-    backends: tuple = ("bytes", "numpy"),
+    backends: tuple = ("bytes",),
 ) -> dict:
     """Best-of-``rounds`` events/s for every scan path.
 
-    Rounds are interleaved (per-event, str batched, bytes, numpy, …) so
+    Rounds are interleaved (per-event, str batched, bytes, native, …) so
     all paths sample the same machine conditions; each round uses a
     fresh fleet (cold memo, cold chain state).  The byte backends are
     driven through :meth:`PredictorFleet.run_buffer` over a pre-built
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
     from repro.logsim import ClusterLogGenerator, system_by_name
 
     if args.backend == "all":
-        backends = ("bytes", "numpy", "native")
+        backends = ("bytes", "native")
     elif args.backend == "str":
         backends = ()
     else:

@@ -41,6 +41,7 @@ import time
 from statistics import mean
 from typing import List, Optional, Sequence
 
+from .codegen import SCAN_BACKENDS
 from .core import PredictorFleet, build_rules, pair_predictions
 from .logsim import (
     ERROR_POLICIES,
@@ -121,6 +122,14 @@ def _add_system_arg(parser: argparse.ArgumentParser) -> None:
         help="which Table II system to simulate",
     )
     parser.add_argument("--seed", type=int, default=7)
+
+
+def _add_scan_backend_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scan-backend", default="str", choices=SCAN_BACKENDS,
+        help="scan kernel family: str (decoded text), bytes (mmap byte "
+             "pipeline), native (compiled C kernel; falls back to bytes "
+             "without a C compiler)")
 
 
 def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
@@ -384,7 +393,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     fleet = PredictorFleet.from_store(
         gen.chains, gen.store, timeout=gen.recommended_timeout,
         backend=args.backend, obs=obs,
-        scan_backend=getattr(args, "scan_backend", "str"),
+        scan_backend=args.scan_backend,
     )
     try:
         if getattr(args, "watch", False):
@@ -793,7 +802,7 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
     fleet = PredictorFleet.from_store(
         gen.chains, gen.store, timeout=gen.recommended_timeout,
         backend=args.backend, obs=obs,
-        scan_backend=getattr(args, "scan_backend", "str"),
+        scan_backend=args.scan_backend,
     )
     ingest = IngestStats()
     events = _read_events(args, ingest)
@@ -910,7 +919,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             bundle,
             n_shards=args.shards,
             on_error=args.on_error,
-            scan_backend=getattr(args, "scan_backend", "str"),
+            scan_backend=args.scan_backend,
             chunk_lines=args.chunk_lines,
             high_water_chunks=args.high_water,
             reorder_horizon=args.reorder_horizon,
@@ -1046,13 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_arg(p)
     p.add_argument("--log", required=True)
     p.add_argument("--backend", default="matcher", choices=["matcher", "lalr"])
-    p.add_argument("--scan-backend", default="str",
-                   choices=["str", "bytes", "numpy", "native"],
-                   help="scan kernel family: str (decoded text), bytes "
-                        "(mmap byte pipeline), numpy (vectorized sweep; "
-                        "falls back to bytes without numpy), native "
-                        "(compiled C kernel; falls back to bytes without "
-                        "a C compiler)")
+    _add_scan_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON instead of a table")
     p.add_argument("--watch", action="store_true",
@@ -1122,9 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--backend", default="matcher",
                    choices=["matcher", "lalr"])
-    p.add_argument("--scan-backend", default="str",
-                   choices=["str", "bytes", "numpy", "native"],
-                   help="scan kernel family (see predict --scan-backend)")
+    _add_scan_backend_arg(p)
     p.add_argument("--truth", default=None, metavar="TRUTH.jsonl",
                    help="ground-truth failures (enables /quality scoring)")
     p.add_argument("--host", default="127.0.0.1")
@@ -1183,9 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high-water", type=int, default=32,
                    help="unacked chunks per shard before ingest stalls "
                         "(backpressure; default 32)")
-    p.add_argument("--scan-backend", default="str",
-                   choices=["str", "bytes", "numpy", "native"],
-                   help="scan kernel family (see predict --scan-backend)")
+    _add_scan_backend_arg(p)
     p.add_argument("--out", default=None, metavar="PRED.jsonl",
                    help="write the session's predictions here on exit")
     p.add_argument("--metrics", metavar="OUT.prom", default=None,

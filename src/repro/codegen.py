@@ -50,10 +50,6 @@ _MEMO_MISS = object()  # cache sentinel: None is a legitimate cached value
 #: * ``"bytes"`` — byte-alphabet kernels over raw UTF-8 records
 #:   (:class:`~repro.regexlib.dfa.ByteAlphabet`): messages are scanned
 #:   without ever being decoded;
-#: * ``"numpy"`` — the byte kernels plus a vectorized ``scan_hits``
-#:   that steps every memo-missing line through the transition table in
-#:   lockstep (``table[state, cls]`` gathers with early dead-state
-#:   retirement).  Falls back to ``"bytes"`` when numpy is absent.
 #: * ``"native"`` — the same renumbered accept-threshold tables rendered
 #:   as C (:func:`emit_native_scan_kernels_source`), compiled at runtime
 #:   with the system ``cc`` into a cached shared object and driven
@@ -61,25 +57,7 @@ _MEMO_MISS = object()  # cache sentinel: None is a legitimate cached value
 #:   splits, header-checks and scans raw record blobs in one pass.
 #:   Falls back to ``"bytes"`` when no compiler is found, the compile
 #:   fails, or the catalog needs the non-exact decode fallback.
-SCAN_BACKENDS = ("str", "bytes", "numpy", "native")
-
-_NUMPY = None  # lazy import cache: module, or False when unavailable
-
-
-def _numpy():
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-
-            _NUMPY = numpy
-        except ImportError:
-            _NUMPY = False
-    return _NUMPY if _NUMPY is not False else None
-
-
-def numpy_available() -> bool:
-    return _numpy() is not None
+SCAN_BACKENDS = ("str", "bytes", "native")
 
 
 def native_available() -> bool:
@@ -90,17 +68,14 @@ def native_available() -> bool:
 
 
 def resolve_backend(backend: str) -> str:
-    """Validate a backend name, degrading the optional backends to
-    ``"bytes"`` when their prerequisite is missing: ``"numpy"`` without
-    numpy installed, ``"native"`` without a working C compiler.  The
-    fast path stays byte-level either way; only the vectorized sweep or
-    the compiled walk is lost.  A *compile* failure with a present
-    compiler degrades later, inside :func:`compile_scan_kernels`."""
+    """Validate a backend name, degrading ``"native"`` to ``"bytes"``
+    when no working C compiler is found.  The fast path stays
+    byte-level either way; only the compiled walk is lost.  A *compile*
+    failure with a present compiler degrades later, inside
+    :func:`compile_scan_kernels`."""
     if backend not in SCAN_BACKENDS:
         raise ValueError(
             f"unknown scan backend {backend!r}; expected one of {SCAN_BACKENDS}")
-    if backend == "numpy" and not numpy_available():
-        return "bytes"
     if backend == "native" and not native_available():
         return "bytes"
     return backend
@@ -120,7 +95,7 @@ class ScanKernels(NamedTuple):
 
     ``backend`` names the kernel family actually built (see
     :data:`SCAN_BACKENDS`).  Str kernels take ``str`` messages; the
-    byte-level kernels (bytes/numpy/native) take ``bytes`` records, and
+    byte-level kernels (bytes/native) take ``bytes`` records, and
     ``match_span`` then reports the end offset in bytes.
 
     ``scan_records`` is the native backend's fused ingest+scan entry
@@ -367,7 +342,7 @@ def _make_kernels(transitions, accept_token, translate, first_ok, memo, miss,
             return None, 0
         return _accept[best], end
 
-    return tokenize, scan_hits, match_span, _fb_tokenize
+    return tokenize, scan_hits, match_span
 '''
 
 # Fallback-mode fragments for the byte template.  The decode path runs
@@ -494,8 +469,7 @@ def emit_byte_scan_kernels_source(
     shape = {"start": start, "stride": stride, "capacity": capacity,
              "marker": marker, "athresh": athresh}
     if exact:
-        f_tok = f_hits = f_span = ""
-        f_def = "    _fb_tokenize = None\n\n"
+        f_def = f_tok = f_hits = f_span = ""
     else:
         c_fbm1 = c_fbm2 = ""
         if counting:
@@ -1048,169 +1022,6 @@ def _try_native_kernels(
         scan_records, scan_hits_view)
 
 
-class _Pending:
-    """Memo placeholder for a line queued in the vectorized sweep.
-
-    The numpy backend probes and fills the memo at exactly the same
-    points as the scalar kernels — including the clear-at-capacity
-    policy and intra-batch duplicates — so the funnel counters are
-    bit-identical across backends.  A duplicate arriving while its
-    first occurrence is still queued finds this placeholder: that is a
-    memo *hit* (no second DFA run), resolved after the sweep.
-    """
-
-    __slots__ = ("slot",)
-
-    def __init__(self, slot: int):
-        self.slot = slot
-
-
-# Bound on the padded class matrix one lockstep sweep materializes;
-# bigger pending sets sweep in row chunks.
-_SWEEP_MAX_CELLS = 1 << 22
-
-
-def _make_numpy_scan_hits(
-    dfa: DFA,
-    accept_token: Sequence[int],
-    memo: dict,
-    counts: List[int],
-    *,
-    capacity: int,
-    memo_len: Optional[int],
-    counting: bool,
-    fb_tokenize: Optional[Callable],
-) -> Callable:
-    """Vectorized ``scan_hits``: every memo-missing line in the batch
-    steps through the transition table in lockstep.
-
-    Per character position ``j`` one gather ``table[state, cls[:, j]]``
-    advances every still-live line at once; lines whose state goes dead
-    are retired from the active set immediately (the overwhelming
-    majority die within a few steps — first-char survivors that match
-    no template).  Rows are padded with the dead class, so ragged
-    batches need no per-row length bookkeeping.
-    """
-    np = _numpy()
-    assert np is not None
-    alpha = dfa.byte_alphabet
-    btab = alpha.table
-    first = alpha.first_ok
-    exact = alpha.exact
-    marker = alpha.marker
-    start = dfa.start
-    dead_class = dfa.n_classes
-    table2d = np.asarray(dfa.walk_transitions, dtype=np.int32).reshape(
-        dfa.n_states, dfa.n_classes + 1
-    )
-    accept_np = np.asarray(accept_token, dtype=np.int32)
-    miss = _MEMO_MISS
-    if not exact:
-        memo_len = None  # match the scalar fallback kernels' key policy
-
-    def _sweep(rows: List[bytes]) -> List[Optional[int]]:
-        n = len(rows)
-        lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-        length = int(lens.max())
-        mat = np.full((n, length), dead_class, dtype=np.uint8)
-        mat[np.arange(length) < lens[:, None]] = np.frombuffer(
-            b"".join(rows), dtype=np.uint8
-        )
-        state = np.full(n, start, dtype=np.int32)
-        best = np.full(n, -1, dtype=np.int32)
-        active = np.arange(n)
-        for j in range(length):
-            s = table2d[state[active], mat[active, j]]
-            alive = s >= 0
-            if not alive.all():
-                active = active[alive]
-                if not active.size:
-                    break
-                s = s[alive]
-            state[active] = s
-            t = accept_np[s]
-            upd = t >= 0
-            if upd.any():
-                best[active[upd]] = t[upd]
-        return [None if b < 0 else int(b) for b in best]
-
-    def _sweep_chunked(rows: List[bytes]) -> List[Optional[int]]:
-        out: List[Optional[int]] = []
-        lo = 0
-        n = len(rows)
-        while lo < n:
-            hi = lo + 1
-            longest = len(rows[lo])
-            while hi < n:
-                cand = max(longest, len(rows[hi]))
-                if cand * (hi + 1 - lo) > _SWEEP_MAX_CELLS:
-                    break
-                longest = cand
-                hi += 1
-            out.extend(_sweep(rows[lo:hi]))
-            lo = hi
-        return out
-
-    def scan_hits(messages) -> List:
-        hits: List = []
-        pending_rows: List[bytes] = []  # translated class rows to sweep
-        pending_keys: List = []
-        pending_refs: List = []  # (line index, slot) resolved post-sweep
-        n_pass = n_scan = n_match = 0
-        i = -1
-        for message in messages:
-            i += 1
-            if not message or not first[message[0]]:
-                continue
-            n_pass += 1
-            key = message if memo_len is None else message[:memo_len]
-            token = memo.get(key, miss)
-            if token is miss:
-                n_scan += 1
-                classes = key.translate(btab)
-                if not exact and marker in classes:
-                    token = fb_tokenize(key)
-                    if token is not None:
-                        n_match += 1
-                    if len(memo) >= capacity:
-                        memo.clear()
-                    memo[key] = token
-                    if token is not None:
-                        hits.append((i, token))
-                    continue
-                slot = len(pending_rows)
-                pending_rows.append(classes)
-                pending_keys.append(key)
-                if len(memo) >= capacity:
-                    memo.clear()
-                memo[key] = _Pending(slot)
-                pending_refs.append((i, slot))
-            elif token.__class__ is _Pending:
-                pending_refs.append((i, token.slot))
-            elif token is not None:
-                hits.append((i, token))
-        if pending_rows:
-            tokens = _sweep_chunked(pending_rows)
-            for slot, key in enumerate(pending_keys):
-                cur = memo.get(key, miss)
-                if cur.__class__ is _Pending and cur.slot == slot:
-                    memo[key] = tokens[slot]
-            for idx, slot in pending_refs:
-                token = tokens[slot]
-                if token is not None:
-                    hits.append((idx, token))
-            hits.sort()
-            if counting:
-                n_match += sum(1 for t in tokens if t is not None)
-        if counting:
-            counts[0] += n_pass
-            counts[1] += n_scan
-            counts[2] += n_match
-        return hits
-
-    return scan_hits
-
-
 def compile_scan_kernels(
     dfa: DFA,
     rule_tokens: Sequence[int],
@@ -1287,7 +1098,7 @@ def compile_scan_kernels(
         )
     else:
         alpha = dfa.byte_alphabet
-        tokenize, scan_hits, match_span, fb_tokenize = namespace["_make_kernels"](
+        tokenize, scan_hits, match_span = namespace["_make_kernels"](
             byte_trans,
             byte_accept,
             alpha.table,
@@ -1297,17 +1108,6 @@ def compile_scan_kernels(
             counts,
             dfa.translate_table,
         )
-        if backend == "numpy":
-            scan_hits = _make_numpy_scan_hits(
-                dfa,
-                accept_token,
-                memo,
-                counts,
-                capacity=capacity,
-                memo_len=dfa.max_match_length,
-                counting=counting,
-                fb_tokenize=fb_tokenize,
-            )
     return ScanKernels(tokenize, scan_hits, match_span, memo, counts, backend)
 
 

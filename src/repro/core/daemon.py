@@ -261,7 +261,7 @@ class FleetDaemon:
         self.throttle_s = throttle_s
         self.timeout = timeout if timeout is not None else bundle.timeout
         self.obs = obs if obs is not None else Observability()
-        # Parent-resolved backend (numpy/native degrade here, once) so
+        # Parent-resolved backend (native degrades here, once) so
         # every worker generation compiles the same kernel family.
         self.scan_backend = resolve_backend(scan_backend)
         self._bundle_dict = bundle.to_dict()
@@ -403,12 +403,7 @@ class FleetDaemon:
         shard = self._shards[shard_idx]
         chunk = self._buffers[shard_idx]
         self._buffers[shard_idx] = []
-        if self.scan_backend != "str":
-            # Byte-backend payload: one newline-joined blob per chunk,
-            # exactly as ParallelFleet ships them.
-            payload: object = "\n".join(chunk).encode("utf-8", "replace")
-        else:
-            payload = chunk
+        payload = _par.chunk_payload(chunk, self.scan_backend)
         seq = shard.next_seq
         shard.next_seq += 1
         shard.pending[seq] = payload

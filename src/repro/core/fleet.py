@@ -310,8 +310,8 @@ class PredictorFleet:
         the fleet without decoding rejected lines.
 
         This is the byte-pipeline terminus: one batched byte-kernel
-        ``scan_hits`` call over the raw records, then per-hit routing
-        identical to :meth:`_run_flat`.  Node ids are decoded lazily —
+        ``scan_hits`` call over the raw records, then the shared
+        :meth:`_route_hits` loop.  Node ids are decoded lazily —
         only for the rare matching lines, through a persistent
         ``bytes → str`` cache — so a discarded record costs zero Python
         objects beyond its slice.
@@ -336,7 +336,6 @@ class PredictorFleet:
             return self.run(batch.decode_events(), timing=timing, _span=span)
         obs = self.obs
         t_run = _time.perf_counter() if obs is not None else 0.0
-        report = FleetReport()
         times = batch.times
         nodes = batch.nodes
         hits = None
@@ -351,25 +350,203 @@ class PredictorFleet:
             hits = scan_hits(batch.messages)
         if span is not None:
             span.lap(STAGE_SCAN, len(batch))
+        node_name = self._node_name
+        report = self._route_hits(
+            ((node_name(nodes[i]), times[i], token) for i, token in hits),
+            timing, span)
+        n_records = len(batch)
+        self._scanned_unattributed += n_records
+        report.stats.lines_seen = n_records
+        if obs is not None:
+            self._record_run(obs, report, _time.perf_counter() - t_run,
+                             [n_records] if n_records else [],
+                             times[-1] if n_records else None, span)
+        return report
+
+    def _run_fused(
+        self,
+        source,
+        *,
+        on_error: str,
+        stats,
+        span: Optional[SpanTimer] = None,
+    ) -> FleetReport:
+        """Native fused ingest+scan: one C pass over the raw blob.
+
+        The kernel's ``scan_records`` returns, in record order, only
+        the records Python must look at: template *hits* (header
+        already validated in C) and *suspects* (records that failed the
+        strict C header check — malformed, odd timestamp shape, or an
+        escaped message).  Suspects re-run the tolerant Python parser,
+        so quarantine decisions, counts, and warn-policy logging are
+        identical to :func:`~repro.logsim.stream.read_record_batch`;
+        decoded suspects are tokenized through the scanner like any
+        other line, and both feed :meth:`_route_hits` in record order.
+        So the per-node chain engines see the exact feed sequence of the
+        unfused pipeline — predictions are byte-identical (asserted by
+        the fused-equivalence tests).
+        """
+        from ..logsim.stream import WARN_LINE_CAP, _log, open_byte_buffer
+        from .events import LogDecodeError, parse_record_bytes
+
+        obs = self.obs
+        t_run = _time.perf_counter() if obs is not None else 0.0
+        warn = on_error == "warn"
+        node_name = self._node_name
+        tokenize = self.scanner.tokenize
+        quarantined = 0
+        by_reason: Dict[str, int] = {}
+        suspect_decoded = 0
+        tail_t: Optional[float] = None  # last decoded suspect (stream order)
+        tail_off = -1
+        last_time: Optional[float] = None
+        with open_byte_buffer(source) as blob:
+            if span is not None:
+                span.lap(STAGE_INGEST)  # open/mmap; the read is the scan
+            n_records, n_ok, items, last_ok = self.scanner.scan_records(blob)
+            if span is not None:
+                span.lap(STAGE_SCAN, n_records)
+
+            def routed():
+                nonlocal quarantined, suspect_decoded, tail_t, tail_off
+                for off, length, token in items:
+                    record = blob[off:off + length]
+                    if type(record) is not bytes:  # bytearray source
+                        record = bytes(record)
+                    if token < 0:  # suspect: the tolerant Python parse path
+                        try:
+                            t, raw, message = parse_record_bytes(record)
+                        except LogDecodeError as exc:
+                            quarantined += 1
+                            reason = exc.reason
+                            by_reason[reason] = by_reason.get(reason, 0) + 1
+                            if warn and quarantined <= WARN_LINE_CAP:
+                                _log.warning("quarantined record (%s)", exc)
+                            continue
+                        suspect_decoded += 1
+                        tail_t, tail_off = t, off
+                        token = tokenize(message)
+                        if token is None:
+                            continue
+                    else:  # hit: C validated the header, the parse cannot fail
+                        t, raw, message = parse_record_bytes(record)
+                    yield node_name(raw), t, token
+
+            report = self._route_hits(routed(), "off", span)
+            # Stream-order last event time: the later of the last
+            # C-accepted record and the last decoded suspect.
+            if last_ok is not None and last_ok[0] > tail_off:
+                lo, ll = last_ok
+                rec = blob[lo:lo + ll]
+                if type(rec) is not bytes:
+                    rec = bytes(rec)
+                last_time = parse_record_bytes(rec)[0]
+            elif tail_off >= 0:
+                last_time = tail_t
+        if warn and quarantined > WARN_LINE_CAP:
+            _log.warning(
+                "quarantined %d further records (suppressed per-record "
+                "warnings after the first %d)",
+                quarantined - WARN_LINE_CAP, WARN_LINE_CAP)
+        decoded = n_ok + suspect_decoded
+        stats.lines_read += n_records
+        stats.decoded += decoded
+        stats.quarantined += quarantined
+        for reason, n in by_reason.items():
+            stats.quarantined_by_reason[reason] = (
+                stats.quarantined_by_reason.get(reason, 0) + n)
+        self._scanned_unattributed += decoded
+        report.stats.lines_seen = decoded
+        if obs is not None:
+            obs.record_ingest(stats)
+            self._record_run(obs, report, _time.perf_counter() - t_run,
+                             [decoded] if decoded else [], last_time, span)
+        return report
+
+    def _run_flat(
+        self,
+        events: Iterable[LogEvent],
+        timing: Timing,
+        scan_hits: Callable,
+        span: Optional[SpanTimer] = None,
+    ) -> FleetReport:
+        """Whole-stream scan: one batched kernel call, per-hit routing."""
+        obs = self.obs
+        t_run = _time.perf_counter() if obs is not None else 0.0
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        # Per-node line accounting in one C-speed pass (map/attrgetter/
+        # Counter all run without per-event bytecode), so per-predictor
+        # stats match per-event processing exactly.
+        node_counts = Counter(map(_node_of, events))
+        predictor_for = self.predictor_for
+        for node, n in node_counts.items():
+            predictor_for(node).stats.lines_seen += n
+        messages = list(map(_message_of, events))
+        if getattr(self.scanner, "backend", "str") != "str":
+            # Byte-backend kernels scan raw bytes; pre-decoded events
+            # re-encode here (the zero-decode win belongs to run_buffer).
+            messages = [m.encode("utf-8", "replace") for m in messages]
+        if span is not None:
+            # Node accounting + message extraction (+ re-encode) is the
+            # in-memory analog of the decode stage.
+            span.lap(STAGE_DECODE, len(events))
+        hits = scan_hits(messages)
+        if span is not None:
+            span.lap(STAGE_SCAN, len(events))
+        report = self._route_hits(
+            ((events[i].node, events[i].time, token) for i, token in hits),
+            timing, span)
+        report.stats.lines_seen = len(events)
+        if obs is not None:
+            self._record_run(obs, report, _time.perf_counter() - t_run,
+                             list(node_counts.values()),
+                             events[-1].time if len(events) else None, span)
+        return report
+
+    def _node_name(self, raw: bytes) -> str:
+        """Decoded node id of a byte-path record, through a persistent
+        ``bytes → str`` cache — only hit records ever get here."""
+        node = self._node_names.get(raw)
+        if node is None:
+            node = self._node_names[raw] = str(raw, "utf-8", "replace")
+        return node
+
+    def _route_hits(
+        self,
+        hits: Iterable[tuple],
+        timing: Timing,
+        span: Optional[SpanTimer],
+    ) -> FleetReport:
+        """Feed ``(node, event time, token)`` scan hits, in stream order,
+        to their per-node engines: the routing half of every batched
+        path (:meth:`_run_flat`, :meth:`run_buffer`, :meth:`_run_fused`).
+
+        Tokens no chain uses are dropped.  Each surviving hit counts
+        toward its predictor's ``lines_tokenized``; under
+        ``timing="sampled"`` its chain check is clocked into
+        ``feed_seconds`` and the running chain cost, which becomes the
+        ``prediction_time`` of the prediction that completes the chain.
+        Predictions pass the predictor's obs emit hook, and their emit
+        cost is carved out of the match stage.  The returned report
+        carries this run's predictions, ``lines_tokenized``,
+        ``predictions``, ``feed_seconds`` and node count; ``lines_seen``
+        is the caller's, which alone knows what it scanned.
+        """
+        report = FleetReport()
         is_relevant = self.chains.is_relevant
         predictor_for = self.predictor_for
-        node_names = self._node_names
         predictions = report.predictions
         sampled = timing == "sampled"
         tokenized = 0
         n_predictions = 0
         feed_seconds = 0.0
-        for i, token in hits:
+        for node, event_time, token in hits:
             if not is_relevant(token):
                 continue
-            raw = nodes[i]
-            node = node_names.get(raw)
-            if node is None:
-                node = node_names[raw] = str(raw, "utf-8", "replace")
             predictor = predictor_for(node)
             predictor.stats.lines_tokenized += 1
             tokenized += 1
-            event_time = times[i]
             if sampled:
                 clock = predictor._clock
                 t0 = clock()
@@ -407,243 +584,10 @@ class PredictorFleet:
                            _time.perf_counter() - t_emit, 1)
         if span is not None:
             span.lap(STAGE_MATCH, tokenized)
-        n_records = len(batch)
-        self._scanned_unattributed += n_records
-        report.stats.lines_seen = n_records
         report.stats.lines_tokenized = tokenized
         report.stats.predictions = n_predictions
         report.stats.feed_seconds = feed_seconds
         report.nodes = len(self._predictors)
-        if obs is not None:
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             [n_records] if n_records else [],
-                             times[-1] if n_records else None, span)
-        return report
-
-    def _run_fused(
-        self,
-        source,
-        *,
-        on_error: str,
-        stats,
-        span: Optional[SpanTimer] = None,
-    ) -> FleetReport:
-        """Native fused ingest+scan: one C pass over the raw blob.
-
-        The kernel's ``scan_records`` returns, in record order, only
-        the records Python must look at: template *hits* (header
-        already validated in C) and *suspects* (records that failed the
-        strict C header check — malformed, odd timestamp shape, or an
-        escaped message).  Suspects re-run the tolerant Python parser,
-        so quarantine decisions, counts, and warn-policy logging are
-        identical to :func:`~repro.logsim.stream.read_record_batch`;
-        decoded suspects are tokenized through the scanner like any
-        other line.  Because emissions arrive in stream order, the
-        per-node chain engines see the exact feed sequence of the
-        unfused pipeline — predictions are byte-identical (asserted by
-        the fused-equivalence tests).
-        """
-        from ..logsim.stream import WARN_LINE_CAP, _log, open_byte_buffer
-        from .events import LogDecodeError, parse_record_bytes
-
-        obs = self.obs
-        t_run = _time.perf_counter() if obs is not None else 0.0
-        warn = on_error == "warn"
-        report = FleetReport()
-        is_relevant = self.chains.is_relevant
-        predictor_for = self.predictor_for
-        node_names = self._node_names
-        predictions = report.predictions
-        tokenize = self.scanner.tokenize
-        tokenized = 0
-        n_predictions = 0
-        quarantined = 0
-        by_reason: Dict[str, int] = {}
-        suspect_decoded = 0
-        tail_t: Optional[float] = None  # last decoded suspect (stream order)
-        tail_off = -1
-        last_time: Optional[float] = None
-        with open_byte_buffer(source) as blob:
-            if span is not None:
-                span.lap(STAGE_INGEST)  # open/mmap; the read is the scan
-            n_records, n_ok, items, last_ok = self.scanner.scan_records(blob)
-            if span is not None:
-                span.lap(STAGE_SCAN, n_records)
-            for off, length, token in items:
-                record = blob[off:off + length]
-                if type(record) is not bytes:  # bytearray source
-                    record = bytes(record)
-                if token < 0:  # suspect: the tolerant Python parse path
-                    try:
-                        t, raw, message = parse_record_bytes(record)
-                    except LogDecodeError as exc:
-                        quarantined += 1
-                        reason = exc.reason
-                        by_reason[reason] = by_reason.get(reason, 0) + 1
-                        if warn and quarantined <= WARN_LINE_CAP:
-                            _log.warning("quarantined record (%s)", exc)
-                        continue
-                    suspect_decoded += 1
-                    tail_t, tail_off = t, off
-                    token = tokenize(message)
-                    if token is None:
-                        continue
-                else:  # hit: C validated the header, the parse cannot fail
-                    t, raw, message = parse_record_bytes(record)
-                if not is_relevant(token):
-                    continue
-                node = node_names.get(raw)
-                if node is None:
-                    node = node_names[raw] = str(raw, "utf-8", "replace")
-                predictor = predictor_for(node)
-                predictor.stats.lines_tokenized += 1
-                tokenized += 1
-                match = predictor._engine.feed(token, t)
-                if match is None:
-                    continue
-                predictor.stats.predictions += 1
-                n_predictions += 1
-                t_emit = _time.perf_counter() if span is not None else 0.0
-                prediction = Prediction(
-                    node=node,
-                    chain_id=match.chain_id,
-                    flagged_at=match.end_time,
-                    prediction_time=0.0,
-                    matched_tokens=match.tokens,
-                )
-                if predictor._obs_emit is not None:
-                    predictor._obs_emit(prediction)
-                predictions.append(prediction)
-                if span is not None:
-                    span.carve(STAGE_MATCH, STAGE_EMIT,
-                               _time.perf_counter() - t_emit, 1)
-            # Stream-order last event time: the later of the last
-            # C-accepted record and the last decoded suspect.
-            if last_ok is not None and last_ok[0] > tail_off:
-                lo, ll = last_ok
-                rec = blob[lo:lo + ll]
-                if type(rec) is not bytes:
-                    rec = bytes(rec)
-                last_time = parse_record_bytes(rec)[0]
-            elif tail_off >= 0:
-                last_time = tail_t
-        if span is not None:
-            span.lap(STAGE_MATCH, tokenized)
-        if warn and quarantined > WARN_LINE_CAP:
-            _log.warning(
-                "quarantined %d further records (suppressed per-record "
-                "warnings after the first %d)",
-                quarantined - WARN_LINE_CAP, WARN_LINE_CAP)
-        decoded = n_ok + suspect_decoded
-        stats.lines_read += n_records
-        stats.decoded += decoded
-        stats.quarantined += quarantined
-        for reason, n in by_reason.items():
-            stats.quarantined_by_reason[reason] = (
-                stats.quarantined_by_reason.get(reason, 0) + n)
-        self._scanned_unattributed += decoded
-        report.stats.lines_seen = decoded
-        report.stats.lines_tokenized = tokenized
-        report.stats.predictions = n_predictions
-        report.nodes = len(self._predictors)
-        if obs is not None:
-            obs.record_ingest(stats)
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             [decoded] if decoded else [], last_time, span)
-        return report
-
-    def _run_flat(
-        self,
-        events: Iterable[LogEvent],
-        timing: Timing,
-        scan_hits: Callable,
-        span: Optional[SpanTimer] = None,
-    ) -> FleetReport:
-        """Whole-stream scan: one batched kernel call, per-hit routing."""
-        obs = self.obs
-        t_run = _time.perf_counter() if obs is not None else 0.0
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        report = FleetReport()
-        # Per-node line accounting in one C-speed pass (map/attrgetter/
-        # Counter all run without per-event bytecode), so per-predictor
-        # stats match per-event processing exactly.
-        node_counts = Counter(map(_node_of, events))
-        predictor_for = self.predictor_for
-        for node, n in node_counts.items():
-            predictor_for(node).stats.lines_seen += n
-        messages = list(map(_message_of, events))
-        if getattr(self.scanner, "backend", "str") != "str":
-            # Byte-backend kernels scan raw bytes; pre-decoded events
-            # re-encode here (the zero-decode win belongs to run_buffer).
-            messages = [m.encode("utf-8", "replace") for m in messages]
-        if span is not None:
-            # Node accounting + message extraction (+ re-encode) is the
-            # in-memory analog of the decode stage.
-            span.lap(STAGE_DECODE, len(events))
-        hits = scan_hits(messages)
-        if span is not None:
-            span.lap(STAGE_SCAN, len(events))
-        is_relevant = self.chains.is_relevant
-        predictors = self._predictors
-        predictions = report.predictions
-        sampled = timing == "sampled"
-        tokenized = 0
-        n_predictions = 0
-        feed_seconds = 0.0
-        for i, token in hits:
-            if not is_relevant(token):
-                continue
-            event = events[i]
-            predictor = predictors[event.node]
-            predictor.stats.lines_tokenized += 1
-            tokenized += 1
-            if sampled:
-                clock = predictor._clock
-                t0 = clock()
-                match = predictor._engine.feed(token, event.time)
-                cost = clock() - t0
-                predictor.stats.feed_seconds += cost
-                feed_seconds += cost
-                predictor._chain_cost += cost
-            else:
-                match = predictor._engine.feed(token, event.time)
-            if match is None:
-                continue
-            if sampled:
-                prediction_time = predictor._chain_cost
-                predictor._chain_cost = 0.0
-            else:
-                prediction_time = 0.0
-            predictor.stats.predictions += 1
-            n_predictions += 1
-            # Predictions are rare, so per-hit clock reads for the emit
-            # stage only run on sampled runs and cost nothing upstream.
-            t_emit = _time.perf_counter() if span is not None else 0.0
-            prediction = Prediction(
-                node=event.node,
-                chain_id=match.chain_id,
-                flagged_at=match.end_time,
-                prediction_time=prediction_time,
-                matched_tokens=match.tokens,
-            )
-            if predictor._obs_emit is not None:
-                predictor._obs_emit(prediction)
-            predictions.append(prediction)
-            if span is not None:
-                span.carve(STAGE_MATCH, STAGE_EMIT,
-                           _time.perf_counter() - t_emit, 1)
-        if span is not None:
-            span.lap(STAGE_MATCH, tokenized)
-        report.stats.lines_seen = len(events)
-        report.stats.lines_tokenized = tokenized
-        report.stats.predictions = n_predictions
-        report.stats.feed_seconds = feed_seconds
-        report.nodes = len(predictors)
-        if obs is not None:
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             list(node_counts.values()),
-                             events[-1].time if len(events) else None, span)
         return report
 
     def _run_grouped(

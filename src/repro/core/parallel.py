@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time as _time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..core.events import LogEvent, Prediction
 from ..obs import (
@@ -76,6 +76,19 @@ def route_key(line: str) -> str:
     stream-vs-batch prediction equivalence to hold."""
     parts = line.split(" ", 2)
     return parts[1] if len(parts) == 3 else line
+
+
+def chunk_payload(
+    lines: List[str], scan_backend: str
+) -> Union[List[str], bytes]:
+    """The wire form of one worker chunk: the line list itself on the
+    ``str`` backend, else one newline-joined UTF-8 blob — a single bytes
+    pickle, split and header-checked worker-side by the byte ingest.
+    Shared by :class:`ParallelFleet` and the live daemon, which must
+    ship identical chunks for stream-vs-batch equivalence to hold."""
+    if scan_backend == "str":
+        return lines
+    return "\n".join(lines).encode("utf-8", "replace")
 
 
 def partition_events(
@@ -214,7 +227,7 @@ class ParallelFleet:
         self.obs = obs
         self.timing = timing
         self.on_error = on_error
-        # Resolved in the parent (numpy-absent → "bytes") so the cache
+        # Resolved in the parent (compiler-absent → "bytes") so the cache
         # digest, the shipped artifact, and every worker kernel agree.
         self.scan_backend = resolve_backend(scan_backend)
         # Fleet-wide cumulative stats, merged back from worker diffs via
@@ -293,9 +306,7 @@ class ParallelFleet:
         shards: List[List[str]] = [[] for _ in range(self.n_workers)]
         n_shards = self.n_workers
         for line in lines:
-            parts = line.split(" ", 2)
-            key = parts[1] if len(parts) == 3 else line
-            shards[shard_of(key, n_shards)].append(line)
+            shards[shard_of(route_key(line), n_shards)].append(line)
         return self._run_shards(
             shards,
             n_events=sum(len(s) for s in shards),
@@ -315,7 +326,6 @@ class ParallelFleet:
         self._run_seq += 1
         run_seq = self._run_seq
         chunk_lines = self.chunk_lines
-        as_bytes = self.scan_backend != "str"
         pending = []
         chunk_sizes: List[int] = []
         for shard_idx, shard in enumerate(line_shards):
@@ -325,12 +335,7 @@ class ParallelFleet:
             for chunk_idx, start in enumerate(
                     range(0, len(shard), chunk_lines)):
                 chunk = shard[start : start + chunk_lines]
-                if as_bytes:
-                    # One newline-joined blob per chunk: a single bytes
-                    # pickle, split worker-side by the byte ingest.
-                    payload = "\n".join(chunk).encode("utf-8", "replace")
-                else:
-                    payload = chunk
+                payload = chunk_payload(chunk, self.scan_backend)
                 chunk_sizes.append(len(chunk))
                 # Trace context rides the payload and is echoed back in
                 # the result, tying each completion to its submission.

@@ -217,7 +217,7 @@ def scanner_cache_dir(cache: Optional[bool] = None) -> Optional[Path]:
 def scanner_alphabet_mode(backend: str) -> str:
     """The alphabet family a kernel backend walks: byte backends share
     byte-class translate tables, the str backend keeps codepoint ones."""
-    return "byte" if backend in ("bytes", "numpy", "native") else "str"
+    return "byte" if backend in ("bytes", "native") else "str"
 
 
 def scanner_digest(

@@ -149,13 +149,11 @@ class TemplateStore:
         the NFA→DFA→Hopcroft pipeline is skipped entirely and the
         scanner is rebuilt from the stored tables.
 
-        ``backend`` selects the kernel family (``"str"``, ``"bytes"``,
-        ``"numpy"``, or ``"native"``; see
-        :data:`repro.codegen.SCAN_BACKENDS`).  It is resolved *before*
-        the cache probe — ``"numpy"`` degrades to ``"bytes"`` when
-        numpy is absent, ``"native"`` when no C compiler is found — so
-        the artifact-cache key always reflects the backend actually
-        compiled.  The scanner's ``requested_backend`` keeps the
+        ``backend`` selects the kernel family (``"str"``, ``"bytes"``
+        or ``"native"``; see :data:`repro.codegen.SCAN_BACKENDS`).  It
+        is resolved *before* the cache probe — ``"native"`` degrades to
+        ``"bytes"`` when no C compiler is found — so the artifact-cache
+        key always reflects the backend actually compiled.  The scanner's ``requested_backend`` keeps the
         pre-resolution name, which is how obs detects degradation.
         """
         from .. import persistence  # late: persistence imports this module
@@ -204,7 +202,7 @@ class TemplateScanner:
     * ``match_span(message) -> (token | None, end)`` — longest-match
       span, for differential testing against per-template matching.
 
-    With ``backend="bytes"``, ``"numpy"`` or ``"native"`` the kernels
+    With ``backend="bytes"`` or ``"native"`` the kernels
     take raw ``bytes`` records instead of ``str`` (see
     :func:`repro.codegen.emit_byte_scan_kernels_source`); callers that
     only have decoded text should go through ``tokenize_text``, which

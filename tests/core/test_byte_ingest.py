@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from repro.codegen import native_available, numpy_available
+from repro.codegen import native_available
 from repro.core import PredictorFleet
 from repro.logsim import (
     HPC3,
@@ -28,9 +28,7 @@ from repro.logsim import (
 )
 from repro.persistence import PredictorBundle
 
-BACKENDS = ["str", "bytes"] \
-    + (["numpy"] if numpy_available() else []) \
-    + (["native"] if native_available() else [])
+BACKENDS = ["str", "bytes"] + (["native"] if native_available() else [])
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 """Differential equivalence suite for the batched hot path.
 
 The batched drivers (:meth:`AarohiPredictor.process_batch`,
-:meth:`PredictorFleet.run` with its ``timing`` modes) are pure
-performance restructurings: under a constant clock they must produce
-**byte-identical** predictions and stats to the per-event
-:meth:`AarohiPredictor.process` loop, for both backends, with and
-without timeout pressure, on multi-node interleaved streams with
-benign noise.
+:meth:`PredictorFleet.run` with its ``timing`` modes, and the byte
+entry points :meth:`PredictorFleet.run_buffer` and the fused native
+:meth:`PredictorFleet.run_lines`) are pure performance restructurings:
+under a constant clock they must produce **byte-identical** predictions
+and stats to the per-event :meth:`AarohiPredictor.process` loop, for
+both backends, with and without timeout pressure, on multi-node
+interleaved streams with benign noise.
 """
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
 from repro.core.predictor import AarohiPredictor
+from repro.logsim.stream import read_byte_batch
 from repro.templates import TemplateStore
 
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 — constant clock: timings byte-compare
@@ -56,6 +58,26 @@ def mixed_stream(n_nodes=4, repeats=6, gap_every=5):
     return events
 
 
+def chain_stream(start=0.0, n_nodes=3, rounds=4):
+    """Interleaved multi-node stream whose chains complete: each round
+    walks every node through FC_x then FC_y, one phrase per node in
+    turn, with benign noise in between; odd rounds stall 5 s after
+    ``beta`` so a 3 s timeout drops the pending FC_x matches."""
+    phrases = ["alpha fault a", "beta warn b", "gamma err c",
+               "delta panic d", "epsilon trap e"]
+    events = []
+    t = start
+    for r in range(rounds):
+        for phrase in phrases:
+            for k in range(n_nodes):
+                t += 0.5
+                events.append(LogEvent(t, f"node-{(k + r) % n_nodes}", phrase))
+                events.append(LogEvent(t, f"node-{k}", "benign chatter one"))
+            if r % 2 and phrase.startswith("beta"):
+                t += 5.0
+    return events
+
+
 def run_per_event(fleet, events):
     """The reference path: one process() call per event, stream order."""
     out = []
@@ -75,27 +97,73 @@ def fleet_stats(fleet):
     }
 
 
+# (entry point, timing) pairs: every public fleet entry point in every timing
+# mode it accepts.  ``run_buffer`` cannot time per-line tokenization,
+# and the fused native ``run_lines`` path only serves ``timing="off"``.
+ENTRY_TIMINGS = [
+    ("run", "full"), ("run", "sampled"), ("run", "off"),
+    ("run_buffer", "sampled"), ("run_buffer", "off"),
+    ("run_lines", "off"),
+]
+
+
+def drive(entry, store, chains, events, timing, **kwargs):
+    """Run ``events`` through one fleet entry point: ``run`` on a str
+    fleet, ``run_buffer`` over a byte batch on a bytes fleet, or the
+    fused ``run_lines`` blob path on a native fleet."""
+    if entry == "run":
+        fleet = PredictorFleet.from_store(chains, store, **kwargs)
+        return fleet, fleet.run(events, timing=timing)
+    blob = "\n".join(e.to_line() for e in events).encode()
+    if entry == "run_buffer":
+        fleet = PredictorFleet.from_store(
+            chains, store, scan_backend="bytes", **kwargs)
+        return fleet, fleet.run_buffer(read_byte_batch(blob), timing=timing)
+    fleet = PredictorFleet.from_store(
+        chains, store, scan_backend="native", **kwargs)
+    if fleet.scanner.backend != "native":
+        pytest.skip("no C compiler: the fused path needs the native kernel")
+    return fleet, fleet.run_lines(blob, timing=timing)
+
+
 @pytest.mark.parametrize("backend", ["matcher", "lalr"])
 @pytest.mark.parametrize("timeout", [100.0, 3.0])
-@pytest.mark.parametrize("timing", ["full", "sampled", "off"])
+@pytest.mark.parametrize("entry,timing", ENTRY_TIMINGS)
 class TestFleetBatchedEquivalence:
     def test_identical_predictions_and_stats(
-        self, store, chains, backend, timeout, timing
+        self, store, chains, backend, timeout, entry, timing
     ):
         events = mixed_stream()
+        events += chain_stream(start=events[-1].time + 1000.0)
         reference = PredictorFleet.from_store(
             chains, store, timeout=timeout, backend=backend, clock=ZERO_CLOCK)
         expected = run_per_event(reference, events)
 
-        batched = PredictorFleet.from_store(
-            chains, store, timeout=timeout, backend=backend, clock=ZERO_CLOCK)
-        report = batched.run(events, timing=timing)
+        batched, report = drive(
+            entry, store, chains, events, timing,
+            timeout=timeout, backend=backend, clock=ZERO_CLOCK)
 
+        assert len(expected) >= 18  # chains complete on every node
         assert report.predictions == expected  # dataclass eq: every field
-        assert fleet_stats(batched) == fleet_stats(reference)
         assert report.lines_seen == len(events)
         assert report.lines_tokenized == sum(
             p.stats.lines_tokenized for p in reference._predictors.values())
+        assert report.stats.predictions == len(expected)
+        assert report.stats.feed_seconds == sum(
+            p.stats.feed_seconds for p in reference._predictors.values())
+        if entry == "run":
+            assert fleet_stats(batched) == fleet_stats(reference)
+            return
+        # The byte paths deliberately skip per-node lines_seen, and only
+        # nodes with a relevant hit ever get a predictor.
+        hit_nodes = {node for node, p in reference._predictors.items()
+                     if p.stats.lines_tokenized}
+        assert set(batched._predictors) == hit_nodes
+        for node in hit_nodes:
+            got, want = batched._predictors[node].stats, \
+                reference._predictors[node].stats
+            assert (got.lines_tokenized, got.predictions, got.feed_seconds) \
+                == (want.lines_tokenized, want.predictions, want.feed_seconds)
 
 
 @pytest.mark.parametrize("backend", ["matcher", "lalr"])

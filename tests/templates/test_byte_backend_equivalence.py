@@ -1,14 +1,13 @@
-"""Differential equivalence: byte/numpy/native backends vs the str kernel.
+"""Differential equivalence: byte/native backends vs the str kernel.
 
-The byte-alphabet kernels (the numpy lockstep sweep and the compiled C
-walk both ride on them) must be observationally identical to the
-established str translate walk — token ids, match spans, batched hits,
-and the funnel counters — over all four platform catalogs, under the
-seeded random-template property suite, and on corrupted streams
-containing invalid UTF-8.  The compiled-artifact cache must key on the
-backend (a str artifact must never satisfy a bytes probe, and vice
-versa), ``"numpy"`` must degrade to ``"bytes"`` when numpy is absent,
-and ``"native"`` must degrade the same way without a C compiler.
+The byte-alphabet kernels (the compiled C walk rides on their tables)
+must be observationally identical to the established str translate
+walk — token ids, match spans, batched hits, and the funnel counters —
+over all four platform catalogs, under the seeded random-template
+property suite, and on corrupted streams containing invalid UTF-8.
+The compiled-artifact cache must key on the backend (a str artifact
+must never satisfy a bytes probe, and vice versa), and ``"native"``
+must degrade to ``"bytes"`` without a C compiler.
 """
 
 import random
@@ -16,12 +15,7 @@ import random
 import pytest
 
 from repro import codegen, persistence
-from repro.codegen import (
-    SCAN_BACKENDS,
-    native_available,
-    numpy_available,
-    resolve_backend,
-)
+from repro.codegen import SCAN_BACKENDS, native_available, resolve_backend
 from repro.logsim import HPC1, HPC2, HPC3, HPC4, ClusterLogGenerator
 from repro.regexlib.dfa import TranslateTable
 from repro.templates import TemplateStore
@@ -30,10 +24,10 @@ from repro.templates.masking import MASK
 from test_merged_scanner_equivalence import probe_messages, random_store
 
 PLATFORMS = [("HPC1", HPC1), ("HPC2", HPC2), ("HPC3", HPC3), ("HPC4", HPC4)]
-# "numpy" and "native" degrade to "bytes" when their prerequisite is
-# missing, so the differential holds either way — the equality just
-# becomes (vacuously) bytes-vs-bytes on a stripped machine.
-BYTE_BACKENDS = ("bytes", "numpy", "native")
+# "native" degrades to "bytes" without a C compiler, so the
+# differential holds either way — the equality just becomes
+# (vacuously) bytes-vs-bytes on a stripped machine.
+BYTE_BACKENDS = ("bytes", "native")
 
 
 def encode(messages):
@@ -76,10 +70,9 @@ class TestBackendDifferential:
         hits = {"str": scanners["str"].scan_hits(messages)}
         for be in BYTE_BACKENDS:
             hits[be] = scanners[be].scan_hits(raw)
-        assert hits["str"] == hits["bytes"] == hits["numpy"] == hits["native"]
+        assert hits["str"] == hits["bytes"] == hits["native"]
         counts = {be: list(s._counts) for be, s in scanners.items()}
-        assert counts["str"] == counts["bytes"] == counts["numpy"] \
-            == counts["native"]
+        assert counts["str"] == counts["bytes"] == counts["native"]
 
     @pytest.mark.parametrize("name,platform", PLATFORMS[:2])
     def test_match_span_agrees(self, name, platform):
@@ -179,28 +172,13 @@ class TestInvalidUtf8:
 
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("simd")
+        # The retired numpy backend is rejected like any unknown name.
+        for name in ("simd", "numpy"):
+            with pytest.raises(ValueError):
+                resolve_backend(name)
 
     def test_backends_registry(self):
-        assert SCAN_BACKENDS == ("str", "bytes", "numpy", "native")
-
-    def test_numpy_degrades_to_bytes_when_absent(self, monkeypatch):
-        monkeypatch.setattr(codegen, "_NUMPY", False)
-        assert not numpy_available()
-        assert resolve_backend("numpy") == "bytes"
-        store = TemplateStore()
-        store.add("link failed " + MASK)
-        scanner = store.compile_scanner(cache=False, backend="numpy")
-        assert scanner.backend == "bytes"
-        assert scanner.tokenize(b"link failed x") is not None
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_backend_reports_numpy(self):
-        store = TemplateStore()
-        store.add("link failed " + MASK)
-        scanner = store.compile_scanner(cache=False, backend="numpy")
-        assert scanner.backend == "numpy"
+        assert SCAN_BACKENDS == ("str", "bytes", "native")
 
     def test_native_degrades_to_bytes_when_no_compiler(self, monkeypatch):
         monkeypatch.setattr(codegen, "native_available", lambda: False)
@@ -229,12 +207,8 @@ class TestArtifactCacheBackendKey:
         spec = gen.store.lex_spec()
         assert persistence.scanner_digest(spec, backend="str") != \
             persistence.scanner_digest(spec, backend="bytes")
-        # bytes and numpy share the byte alphabet mode but still key
-        # separately on the backend name.
-        assert persistence.scanner_digest(spec, backend="bytes") != \
-            persistence.scanner_digest(spec, backend="numpy")
-        # native shares the byte alphabet mode too, and still keys apart
-        # from both of its siblings.
+        # native shares the byte alphabet mode with bytes, and still
+        # keys apart from both of its siblings.
         digests = {persistence.scanner_digest(spec, backend=be)
                    for be in SCAN_BACKENDS}
         assert len(digests) == len(SCAN_BACKENDS)

@@ -16,6 +16,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rules", "--system", "HPC9"])
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--log", "w.log"],
+        ["obs-serve", "--log", "w.log"],
+        ["serve"],
+    ])
+    def test_scan_backend_choices(self, argv, capsys):
+        parser = build_parser()
+        assert parser.parse_args(argv).scan_backend == "str"
+        for backend in ("str", "bytes", "native"):
+            args = parser.parse_args(argv + ["--scan-backend", backend])
+            assert args.scan_backend == backend
+        # The retired numpy backend is an argparse error (exit 2).
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--scan-backend", "numpy"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'numpy'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_generates_log_file(self, tmp_path, capsys):
@@ -102,7 +119,7 @@ class TestJsonOutput:
         assert stats["lines_seen"] == len(log.read_text().splitlines())
         assert 0.0 <= stats["fc_related_fraction"] <= 1.0
         scanner = payload["scanner"]
-        assert scanner["backend"] in ("str", "bytes", "numpy")
+        assert scanner["backend"] == "str"  # the --scan-backend default
         assert scanner["translate_evictions"] >= 0
 
     def test_pipeline_json(self, capsys):
