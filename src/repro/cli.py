@@ -126,10 +126,11 @@ def _add_system_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_scan_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scan-backend", default="str", choices=SCAN_BACKENDS,
-        help="scan kernel family: str (decoded text), bytes (mmap byte "
-             "pipeline), native (compiled C kernel; falls back to bytes "
-             "without a C compiler)")
+        "--scan-backend", default="native", choices=SCAN_BACKENDS,
+        help="scan kernel family: native (default: compiled C kernel; "
+             "falls back to bytes without a C compiler), bytes (mmap "
+             "byte pipeline; falls back to str past 254 byte classes), "
+             "str (decoded text)")
 
 
 def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
@@ -375,7 +376,7 @@ def _run_watched(
     size = max(1, math.ceil(len(events) / n_slices)) if events else 1
     clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
     for start in range(0, len(events), size):
-        report = fleet.run(events[start:start + size])
+        report = fleet.run(events[start:start + size], timing="sampled")
         total.predictions.extend(report.predictions)
         total.stats.add(report.stats)
         total.nodes = report.nodes
@@ -402,20 +403,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
             report = _run_watched(fleet, events, obs, args.slices)
             if obs is not None and ingest.lines_read:
                 obs.record_ingest(ingest)
-        elif getattr(fleet.scanner, "backend", "str") != "str":
-            # Byte pipeline: mmap → byte kernels, rejected lines never
-            # decoded; run_lines folds ingest into obs itself.
+        else:
+            # Sampled timing clocks only the FC-related chain checks,
+            # so the native fleet keeps its fused single-pass scan;
+            # run_lines folds ingest into obs itself.
             report = fleet.run_lines(
                 args.log, on_error=args.on_error,
-                reorder_horizon=args.reorder_horizon, timing="off",
+                reorder_horizon=args.reorder_horizon, timing="sampled",
             )
             ingest = report.ingest
-        else:
-            ingest = IngestStats()
-            events = _read_events(args, ingest)
-            report = fleet.run(events)
-            if obs is not None and ingest.lines_read:
-                obs.record_ingest(ingest)
     except _Terminated as term:
         # Graceful drain: everything processed so far is accounted —
         # shutdown capsule + final metrics snapshot, then the

@@ -38,6 +38,7 @@ The generated module exposes:
 from __future__ import annotations
 
 import types
+from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .regexlib.dfa import DFA
@@ -57,6 +58,10 @@ _MEMO_MISS = object()  # cache sentinel: None is a legitimate cached value
 #:   splits, header-checks and scans raw record blobs in one pass.
 #:   Falls back to ``"bytes"`` when no compiler is found, the compile
 #:   fails, or the catalog needs the non-exact decode fallback.
+#:
+#: ``"bytes"`` (and so ``"native"``) falls back to ``"str"`` when the
+#: catalog's DFA has more than 254 character classes, which a byte
+#: translate table cannot hold.
 SCAN_BACKENDS = ("str", "bytes", "native")
 
 
@@ -514,13 +519,10 @@ def _accept_threshold_tables(dfa: DFA, accept_token: Sequence[int]):
     perm = [0] * n_states
     for new, old in enumerate(order):
         perm[old] = new
-    renumbered = [0] * len(trans)
-    for old in range(n_states):
-        base = old * stride
-        new_base = perm[old] * stride
-        for c in range(stride):
-            v = trans[base + c]
-            renumbered[new_base + c] = -1 if v < 0 else perm[v]
+    # Rows in new-id order; the dead target (-1) indexes the appended
+    # -1, so one lookup renumbers every cell, dead or live.
+    renumbered = list(map((perm + [-1]).__getitem__, chain.from_iterable(
+        trans[old * stride:(old + 1) * stride] for old in order)))
     accept_by_state = tuple(accept_token[old] for old in order)
     return renumbered, accept_by_state, perm[dfa.start], athresh
 
@@ -971,12 +973,20 @@ def emit_native_scan_kernels_source(
         capacity=capacity,
         n_slots=n_slots,
         memo_len="SIZE_MAX" if memo_len is None else str(memo_len),
-        walk=",".join(map(str, walk)),
-        accept=",".join(map(str, accept)),
-        classes=",".join(map(str, classes)),
-        first_ok=",".join(map(str, first_ok)),
+        walk=_c_list(walk),
+        accept=_c_list(accept),
+        classes=_c_list(classes),
+        first_ok=_c_list(first_ok),
     )
     return header + _NATIVE_BODY
+
+
+def _c_list(values: Sequence[int]) -> str:
+    """Comma-separated decimal literals, each distinct value formatted
+    once: a walk table repeats a few hundred state ids, and every warm
+    native load renders its source for the cache digest at start-up."""
+    text = {v: str(v) for v in set(values)}
+    return ",".join(map(text.__getitem__, values))
 
 
 def _try_native_kernels(
@@ -1038,7 +1048,9 @@ def compile_scan_kernels(
     ``[lines past first-char, DFA runs, DFA matches]``.  ``backend``
     selects the kernel family (:data:`SCAN_BACKENDS`); the byte-level
     backends take raw ``bytes`` records and never decode a line the
-    funnel rejects.
+    funnel rejects.  A backend the catalog or the machine cannot serve
+    degrades (``native`` → ``bytes`` → ``str``), and the returned
+    kernels' ``backend`` names the family actually built.
     """
     backend = resolve_backend(backend)
     accept_token = tuple(
@@ -1052,6 +1064,10 @@ def compile_scan_kernels(
         # Compile failed or the catalog shape is out of native's range:
         # degrade to the byte kernels, same as a missing compiler.
         backend = "bytes"
+    if backend == "bytes" and dfa.byte_alphabet is None:
+        # Class ids past 254 do not fit a byte translate table; the str
+        # kernels index classes by codepoint, so they still compile.
+        backend = "str"
     if backend == "str":
         source = emit_scan_kernels_source(
             start=dfa.start,
@@ -1062,10 +1078,6 @@ def compile_scan_kernels(
         )
     else:
         alpha = dfa.byte_alphabet
-        if alpha is None:
-            raise ValueError(
-                "catalog alphabet too large for the byte backend "
-                f"({dfa.n_classes} classes; byte translate caps at 254)")
         byte_trans, byte_accept, byte_start, athresh = (
             _accept_threshold_tables(dfa, accept_token))
         source = emit_byte_scan_kernels_source(

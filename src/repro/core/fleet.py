@@ -53,6 +53,12 @@ class FleetReport:
     predictor that participated — **this run only**, so repeated
     ``run()`` calls on a long-lived fleet never double-count earlier
     windows.
+
+    ``nodes`` counts the predictor instances the fleet holds after the
+    run.  The event paths create one per node that sent any line; the
+    byte paths (:meth:`PredictorFleet.run_buffer`, fused
+    :meth:`PredictorFleet.run_lines`) only for a node that sent an
+    FC-related line.
     """
 
     predictions: List[Prediction] = field(default_factory=list)
@@ -238,18 +244,21 @@ class PredictorFleet:
         # Fused native path: the compiled kernel splits, header-checks
         # and scans the raw blob in a single C pass — Python sees only
         # the hits and the rare suspect records.  Restricted to the
-        # plain replay shape: no per-line timing, no reorder buffer,
-        # and a tolerant policy (strict must attribute the *first* bad
-        # record, which means classifying every record in order).
+        # plain replay shape: no per-line timing ("sampled" clocks only
+        # the hits' chain checks, so it stays fused), no reorder
+        # buffer, and a tolerant policy (strict must attribute the
+        # *first* bad record, which means classifying every record in
+        # order).
         if (
-            timing == "off"
+            timing != "full"
             and reorder_horizon == 0
             and on_error != "strict"
             and getattr(self.scanner, "scan_records", None) is not None
             and isinstance(source, (str, Path, bytes, bytearray, memoryview))
         ):
             report = self._run_fused(
-                source, on_error=on_error, stats=stats, span=span)
+                source, timing=timing, on_error=on_error, stats=stats,
+                span=span)
             report.ingest = stats
             return report
         # Byte fast path: a byte-backend scanner reading from a file or
@@ -367,6 +376,7 @@ class PredictorFleet:
         self,
         source,
         *,
+        timing: Timing,
         on_error: str,
         stats,
         span: Optional[SpanTimer] = None,
@@ -384,7 +394,10 @@ class PredictorFleet:
         other line, and both feed :meth:`_route_hits` in record order.
         So the per-node chain engines see the exact feed sequence of the
         unfused pipeline — predictions are byte-identical (asserted by
-        the fused-equivalence tests).
+        the fused-equivalence tests).  ``timing`` is ``"off"`` or
+        ``"sampled"``; under ``"sampled"`` the routing loop clocks each
+        FC-related hit's chain check, so every prediction carries its
+        measured ``prediction_time``.
         """
         from ..logsim.stream import WARN_LINE_CAP, _log, open_byte_buffer
         from .events import LogDecodeError, parse_record_bytes
@@ -432,7 +445,7 @@ class PredictorFleet:
                         t, raw, message = parse_record_bytes(record)
                     yield node_name(raw), t, token
 
-            report = self._route_hits(routed(), "off", span)
+            report = self._route_hits(routed(), timing, span)
             # Stream-order last event time: the later of the last
             # C-accepted record and the last decoded suspect.
             if last_ok is not None and last_ok[0] > tail_off:

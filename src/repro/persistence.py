@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -383,6 +384,12 @@ def save_cached_scanner(
     return path
 
 
+def _build_tmp(directory: Path, name: str) -> Path:
+    """A temp path private to one build, so concurrent builds —
+    threads of one process included — never write the same file."""
+    return directory / f".{name}.{os.getpid()}.{secrets.token_hex(8)}.tmp"
+
+
 def single_flight(
     directory: Path,
     name: str,
@@ -398,13 +405,16 @@ def single_flight(
     publishes it atomically via ``os.replace`` and every waiter picks
     up the published file.  Election is an ``O_CREAT | O_EXCL`` lock
     file — the portable atomic primitive — extending the temp-file +
-    rename idiom the JSON writes already use.  Waiters poll; a lock
-    older than ``stale_s`` (builder died mid-compile) is broken and
-    re-elected, and a waiter that exhausts ``timeout_s`` stops trusting
-    the lock entirely and builds into a private temp itself — progress
-    is never blocked on a wedged peer, the worst case is one redundant
-    build.  Returns the final artifact path, or ``None`` when the build
-    failed or the directory is unusable.
+    rename idiom the JSON writes already use.  The winner re-checks for
+    the artifact before building, since a peer may have published and
+    unlocked after this caller's last probe, and every build writes its
+    own temp file.  Waiters poll; a lock older than ``stale_s`` (its
+    holder died mid-compile) is broken and re-elected, and a waiter
+    that exhausts ``timeout_s`` stops trusting the lock entirely and
+    builds into a private temp itself — progress is never blocked on a
+    wedged peer, the worst case is one redundant build.  Returns the
+    final artifact path, or ``None`` when the build failed or the
+    directory is unusable.
     """
     final = directory / name
     if final.exists():
@@ -438,8 +448,12 @@ def single_flight(
         except OSError:
             return None
         os.close(fd)
-        tmp = directory / f".{name}.{os.getpid()}.tmp"
+        tmp = _build_tmp(directory, name)
         try:
+            if final.exists():
+                # A peer published and unlocked between our probe and
+                # our lock: its artifact stands, so build nothing.
+                return final
             if build(tmp) and tmp.exists():
                 os.replace(tmp, final)
                 return final
@@ -450,7 +464,7 @@ def single_flight(
                     leftover.unlink()
                 except OSError:
                     pass
-    tmp = directory / f".{name}.{os.getpid()}.wait.tmp"
+    tmp = _build_tmp(directory, name)
     try:
         if build(tmp) and tmp.exists():
             os.replace(tmp, final)

@@ -212,8 +212,9 @@ class TemplateScanner:
     ``backend`` is the kernel family actually running, which can sit
     below what the caller asked for: ``requested_backend`` preserves
     the request (``"native"`` whose compile failed runs ``"bytes"``
-    kernels), and :meth:`repro.obs.Obs.record_scanner` turns the
-    difference into a fallback counter.  ``scan_records`` (fused
+    kernels, and a catalog past 254 byte classes runs ``"str"``), and
+    :meth:`repro.obs.Obs.record_scanner` turns the difference into a
+    fallback counter.  ``scan_records`` (fused
     ingest+scan over a raw record blob) and ``scan_hits_view``
     (``scan_hits`` over an already-joined message blob) are the native
     backend's extra entry points, ``None`` elsewhere.

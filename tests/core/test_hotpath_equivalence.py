@@ -99,11 +99,11 @@ def fleet_stats(fleet):
 
 # (entry point, timing) pairs: every public fleet entry point in every timing
 # mode it accepts.  ``run_buffer`` cannot time per-line tokenization,
-# and the fused native ``run_lines`` path only serves ``timing="off"``.
+# so neither it nor the fused native ``run_lines`` path serves ``"full"``.
 ENTRY_TIMINGS = [
     ("run", "full"), ("run", "sampled"), ("run", "off"),
     ("run_buffer", "sampled"), ("run_buffer", "off"),
-    ("run_lines", "off"),
+    ("run_lines", "sampled"), ("run_lines", "off"),
 ]
 
 
@@ -200,31 +200,57 @@ class TestPredictorBatchEquivalence:
         assert got == expected
 
 
+def drive_clocked(monkeypatch, entry, store, chains, timing):
+    """Drive a chain-completing stream through ``entry`` under a
+    clock that counts its reads (each read returns the running count,
+    so a clocked chain check costs exactly 1).  A spy on ``_run_fused``
+    asserts that the fused native pass ran exactly for ``run_lines``.
+    Returns ``(report, clock reads)``."""
+    reads = []
+    fused = []
+
+    def counting_clock():
+        reads.append(1)
+        return float(len(reads))
+
+    real_fused = PredictorFleet._run_fused
+
+    def spy(self, *args, **kwargs):
+        fused.append(kwargs["timing"])
+        return real_fused(self, *args, **kwargs)
+
+    monkeypatch.setattr(PredictorFleet, "_run_fused", spy)
+    events = mixed_stream()
+    events += chain_stream(start=events[-1].time + 1000.0)
+    _, report = drive(entry, store, chains, events, timing,
+                      timeout=100.0, clock=counting_clock)
+    assert fused == ([timing] if entry == "run_lines" else [])
+    assert report.predictions  # the stream completes chains
+    return report, reads
+
+
+ENTRIES = ["run", "run_buffer", "run_lines"]
+
+
 class TestTimingModes:
-    def test_off_reads_no_clock(self, store, chains):
-        reads = []
-
-        def counting_clock():
-            reads.append(1)
-            return 0.0
-
-        fleet = PredictorFleet.from_store(
-            chains, store, timeout=100.0, clock=counting_clock)
-        fleet.run(mixed_stream(), timing="off")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_off_reads_no_clock(self, store, chains, entry, monkeypatch):
+        report, reads = drive_clocked(
+            monkeypatch, entry, store, chains, "off")
         assert not reads
+        assert all(p.prediction_time == 0.0 for p in report.predictions)
 
-    def test_sampled_skips_discarded_lines(self, store, chains):
-        reads = []
-
-        def counting_clock():
-            reads.append(1)
-            return 0.0
-
-        fleet = PredictorFleet.from_store(
-            chains, store, timeout=100.0, clock=counting_clock)
-        report = fleet.run(mixed_stream(), timing="sampled")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_sampled_skips_discarded_lines(
+        self, store, chains, entry, monkeypatch
+    ):
+        report, reads = drive_clocked(
+            monkeypatch, entry, store, chains, "sampled")
         # Exactly two reads per FC-related phrase, none for discards.
         assert len(reads) == 2 * report.lines_tokenized
+        assert report.stats.feed_seconds == report.lines_tokenized
+        # Each prediction's time is its chain's clocked checks.
+        assert all(p.prediction_time >= 1.0 for p in report.predictions)
 
     def test_unknown_timing_rejected(self, store, chains):
         fleet = PredictorFleet.from_store(chains, store, timeout=100.0)

@@ -170,6 +170,57 @@ class TestInvalidUtf8:
             assert s_nat.tokenize(b) == s_str.tokenize(m), m
 
 
+def large_alphabet_store(n=300):
+    """``n`` templates whose CJK literals give the merged DFA ``n + 6``
+    character classes, past the 254 a byte translate table holds."""
+    store = TemplateStore()
+    for i in range(n):
+        store.add(f"fault {chr(0x4E00 + i)} " + MASK)
+    return store
+
+
+class TestLargeAlphabetFallback:
+    """Past 254 classes the byte backends (and so native) degrade to
+    the str kernels instead of raising, and say so."""
+
+    @pytest.fixture(scope="class")
+    def scanners(self):
+        store = large_alphabet_store()
+        return {b: fresh_scanner(store, b) for b in SCAN_BACKENDS}
+
+    def test_byte_backends_run_str(self, scanners):
+        dfa = scanners["str"].compiled.dfa
+        assert dfa.n_classes > 254 and dfa.byte_alphabet is None
+        for backend in BYTE_BACKENDS:
+            assert scanners[backend].backend == "str"
+            assert scanners[backend].requested_backend == backend
+
+    def test_tokenize_like_str(self, scanners):
+        probes = [f"fault {chr(0x4E00 + i)} x{i}" for i in range(0, 300, 7)]
+        probes += [f"fault {chr(0x4E00 + 300)} x", "fault x y", "fault",
+                   "unrelated 行", ""]
+        s_str = scanners["str"]
+        want = [s_str.tokenize(m) for m in probes]
+        assert None in want and any(t is not None for t in want)
+        for backend in BYTE_BACKENDS:
+            s = scanners[backend]
+            assert [s.tokenize(m) for m in probes] == want
+            assert [s.tokenize_text(m) for m in probes] == want
+            assert [s.match_span(m) for m in probes] == \
+                [s_str.match_span(m) for m in probes]
+            assert s.scan_hits(probes) == s_str.scan_hits(probes)
+
+    def test_fallback_counter(self, scanners):
+        from repro.obs import SCANNER_BACKEND_FALLBACK, Observability
+
+        obs = Observability()
+        obs.record_scanner(scanners["native"], 0)
+        series = obs.registry.snapshot()[SCANNER_BACKEND_FALLBACK]["series"]
+        assert [(e["labels"]["requested"], e["labels"]["backend"], e["value"])
+                for e in series] == [("native", "str", 1)]
+        assert obs.scanner_info["fallback"] is True
+
+
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         # The retired numpy backend is rejected like any unknown name.

@@ -156,6 +156,36 @@ class TestSingleFlight:
         assert (tmp_path / "artifact.bin").read_text() == "artifact"
         assert not list(tmp_path.glob(".*"))  # no locks or temps left
 
+    def test_artifact_published_before_lock_is_not_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        """A peer publishes and unlocks between the caller's probe and
+        its lock acquisition: the caller wins the lock but must take the
+        peer's artifact instead of building it again."""
+        import os
+
+        final = tmp_path / "artifact.bin"
+        lock = str(tmp_path / ".artifact.bin.lock")
+        real_open = os.open
+
+        def peer_publishes_first(path, flags, *args, **kwargs):
+            if str(path) == lock and not final.exists():
+                final.write_text("peer")
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", peer_publishes_first)
+        builds = []
+
+        def build(tmp):
+            builds.append(tmp)
+            tmp.write_text("mine")
+            return True
+
+        path = persistence.single_flight(tmp_path, "artifact.bin", build)
+        assert builds == []
+        assert path == final and final.read_text() == "peer"
+        assert not list(tmp_path.glob(".*"))  # the lock was released
+
     def test_failed_build_returns_none_and_unlocks(self, tmp_path):
         assert persistence.single_flight(
             tmp_path, "bad.bin", lambda tmp: False) is None

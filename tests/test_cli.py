@@ -1,10 +1,12 @@
 """End-to-end tests for the ``aarohi`` CLI."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.native import native_available
 
 
 class TestParser:
@@ -23,7 +25,7 @@ class TestParser:
     ])
     def test_scan_backend_choices(self, argv, capsys):
         parser = build_parser()
-        assert parser.parse_args(argv).scan_backend == "str"
+        assert parser.parse_args(argv).scan_backend == "native"
         for backend in ("str", "bytes", "native"):
             args = parser.parse_args(argv + ["--scan-backend", backend])
             assert args.scan_backend == backend
@@ -119,7 +121,11 @@ class TestJsonOutput:
         assert stats["lines_seen"] == len(log.read_text().splitlines())
         assert 0.0 <= stats["fc_related_fraction"] <= 1.0
         scanner = payload["scanner"]
-        assert scanner["backend"] == "str"  # the --scan-backend default
+        # The --scan-backend default asks for native, which runs as
+        # bytes when there is no C compiler.
+        assert scanner["requested_backend"] == "native"
+        assert scanner["backend"] == (
+            "native" if native_available() else "bytes")
         assert scanner["translate_evictions"] >= 0
 
     def test_pipeline_json(self, capsys):
@@ -137,6 +143,95 @@ class TestJsonOutput:
             assert key in payload
         assert payload["system"] == "HPC4"
         assert payload["failures"] == 10
+
+
+class TestBackendDifferential:
+    """``predict --json`` answers the same on every scan backend, and
+    every backend reports a measured prediction time."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("logs")
+        paths = {"clean": root / "clean.log", "dirty": root / "dirty.log"}
+        for name, extra in (("clean", []), ("dirty", ["--corrupt", "0.05"])):
+            assert main([
+                "generate", "--system", "HPC3", "--seed", "5",
+                "--duration", "1800", "--nodes", "12", "--failures", "4",
+                "--out", str(paths[name]), *extra,
+            ]) == 0
+        return paths
+
+    @staticmethod
+    def predict(capsys, log, backend, flags):
+        capsys.readouterr()
+        assert main([
+            "predict", "--system", "HPC3", "--seed", "5", "--log", str(log),
+            "--json", "--scan-backend", backend, *flags,
+        ]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("backend", ["bytes", "native"])
+    @pytest.mark.parametrize("log,flags", [
+        ("clean", []),
+        ("dirty", ["--on-error", "quarantine"]),
+        ("dirty", ["--on-error", "quarantine", "--reorder-horizon", "10"]),
+    ], ids=["clean", "quarantine", "reorder"])
+    def test_backend_matches_str(self, logs, log, flags, backend, capsys):
+        if backend == "native" and not native_available():
+            pytest.skip("no C compiler: native runs as bytes")
+        want = self.predict(capsys, logs[log], "str", flags)
+        got = self.predict(capsys, logs[log], backend, flags)
+        assert got["scanner"]["backend"] == backend
+
+        def keys(payload):
+            return Counter((p["node"], p["chain"], p["flagged_at"])
+                           for p in payload["predictions"])
+
+        assert keys(want)  # chains complete in every input
+        assert keys(got) == keys(want)
+        assert got["ingest"] == want["ingest"]
+        for field in ("lines_seen", "lines_tokenized"):
+            assert got["stats"][field] == want["stats"][field]
+        assert all(p["prediction_time"] > 0
+                   for payload in (want, got)
+                   for p in payload["predictions"])
+
+
+class TestLargeAlphabetPredict:
+    def test_predict_json_falls_back_to_str(self, tmp_path, monkeypatch,
+                                            capsys):
+        """A catalog past 254 byte classes runs the default predict on
+        the str kernels, and the JSON says so."""
+        from types import SimpleNamespace
+
+        from repro import cli
+        from repro.core import ChainSet, FailureChain, LogEvent
+        from repro.templates import TemplateStore
+        from repro.templates.masking import MASK
+
+        store = TemplateStore()
+        tokens = [store.add(f"fault {chr(0x4E00 + i)} " + MASK).token
+                  for i in range(300)]
+        chains = ChainSet([FailureChain(f"FC_{k}", tuple(tokens[k:k + 3]))
+                           for k in range(0, 300, 3)])
+        bundle = SimpleNamespace(
+            chains=chains, store=store, recommended_timeout=600.0)
+        monkeypatch.setattr(cli, "ClusterLogGenerator",
+                            lambda config, seed: bundle)
+        events = [LogEvent(1.0, "n0", "boot ok")]
+        events += [LogEvent(2.0 + i, "n0", f"fault {chr(0x4E00 + i)} x")
+                   for i in range(3)]
+        log = tmp_path / "w.log"
+        log.write_text("".join(e.to_line() + "\n" for e in events))
+
+        assert main(["predict", "--log", str(log), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scanner"]["backend"] == "str"
+        assert payload["scanner"]["requested_backend"] == "native"
+        assert payload["scanner"]["fallback"] is True
+        assert [(p["node"], p["chain"], p["flagged_at"])
+                for p in payload["predictions"]] == [("n0", "FC_0", 4.0)]
+        assert payload["predictions"][0]["prediction_time"] > 0
 
 
 class TestObsReport:

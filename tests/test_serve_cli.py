@@ -213,18 +213,18 @@ class TestPredictSigterm:
         metrics = tmp_path / "out.prom"
         capsules = tmp_path / "capsules"
 
-        def terminated_mid_run(self, events, timing="off"):
+        def terminated_mid_run(self, source, **kwargs):
             signal.raise_signal(signal.SIGTERM)
             raise AssertionError("SIGTERM handler did not fire")
 
-        monkeypatch.setattr(PredictorFleet, "run", terminated_mid_run)
+        monkeypatch.setattr(PredictorFleet, "run_lines", terminated_mid_run)
         rc = main([
             "predict", "--system", "HPC3", "--seed", "5",
             "--log", str(log), "--metrics", str(metrics),
             "--flight-dir", str(capsules),
         ])
         assert rc == 143
-        # run() was patched out before any ingest, so the snapshot
+        # run_lines() was patched out before any ingest, so the snapshot
         # carries the flight series — capsule count proves the drain
         # both dumped and then wrote metrics.
         assert "aarohi_flight_capsules_total 1" in metrics.read_text()
