@@ -14,13 +14,12 @@
 from .adaptive import AdaptationEvent, AdaptiveFleet
 from .audit import AuditLog, AuditRecord, read_audit_log
 from .chains import ChainSet, FailureChain, common_subchains
-from .daemon import DaemonReport, FleetDaemon
+from .daemon import DaemonReport, FleetDaemon, shard_of
 from .events import LogEvent, NodeFailure, Prediction, Severity, TokenEvent
 from .fleet import FleetReport, PredictorFleet
 from .grammar_builder import build_chain_tables, factored_grammar, flat_grammar
 from .leadtime import LeadTimeRecord, LeadTimeReport, pair_predictions
 from .matcher import ChainMatcher, Match, MatcherStats, OracleTracker
-from .parallel import ParallelFleet, partition_events, shard_of
 from .predictor import AarohiPredictor, PredictorStats
 from .rules import ChainRule, FactoredRule, RuleSet, build_rules
 
@@ -45,7 +44,6 @@ __all__ = [
     "MatcherStats",
     "NodeFailure",
     "OracleTracker",
-    "ParallelFleet",
     "Prediction",
     "PredictorFleet",
     "PredictorStats",
@@ -58,7 +56,6 @@ __all__ = [
     "factored_grammar",
     "flat_grammar",
     "pair_predictions",
-    "partition_events",
     "shard_of",
     "read_audit_log",
 ]

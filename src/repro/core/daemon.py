@@ -1,26 +1,29 @@
 """Persistent sharded live-ingest daemon (``aarohi serve``).
 
-Everything before this module is batch-over-files; the daemon is the
-deployment shape the paper's HSS aggregation point actually has: a
-long-running service that *receives* a cluster's log traffic.  It
-accepts newline-delimited records over TCP and unix-socket connections
-(one syslog forwarder per connection), tails rotating files, routes
-every line to a worker shard by consistent node hash, and keeps
-predicting across worker death.
+The daemon is the deployment shape the paper's HSS aggregation point
+actually has: a long-running service that *receives* a cluster's log
+traffic.  It accepts newline-delimited records over TCP and
+unix-socket connections (one syslog forwarder per connection), tails
+rotating files, routes every line to a worker shard by consistent node
+hash, and keeps predicting across worker death.  It is the only
+sharded executor: per-node predictor state is independent (§III: one
+instance per node), so hashing nodes onto shards is all the
+parallelism prediction needs, and at 10⁵-node scale that is what turns
+the placement-model CPU budget (:mod:`repro.logsim.placement`) into
+real speedup past the GIL.
 
-The design deliberately reuses the batch machinery rather than
-reinventing it — the drill in ``tests/core/test_daemon.py`` asserts
-that a TCP-streamed run produces predictions identical to the
-equivalent :class:`~repro.core.parallel.ParallelFleet` batch run, and
-that identity only holds because the pieces *are* the same:
+The drills in ``tests/core/test_daemon.py`` assert that a TCP-streamed
+run produces predictions identical to a single-process
+:class:`~repro.core.fleet.PredictorFleet` over the same lines — an
+oracle that shares no code with the sharded path.  The pieces:
 
-* **routing** — :func:`~repro.core.parallel.route_key` +
-  :func:`~repro.core.parallel.shard_of`, the exact pair
-  ``ParallelFleet.run_lines`` uses;
-* **workers** — each shard process calls
-  :func:`repro.core.parallel._init_worker` /
-  :func:`repro.core.parallel._run_chunk` verbatim: tolerant
-  ``decode_lines`` under the fleet's ``on_error`` policy, per-chunk
+* **routing** — :func:`route_key` peels the node field off a line
+  without decoding it, and :func:`shard_of` hashes it (FNV-1a), so a
+  node's lines always reach the same shard in arrival order;
+* **workers** — each shard process (:func:`_daemon_worker_main`)
+  rebuilds the fleet from the bundle and the parent's compiled scanner
+  tables, then runs every chunk through :func:`_run_chunk`: tolerant
+  decode under the daemon's ``on_error`` policy, per-chunk
   ``IngestStats`` + shard-labeled obs registry deltas shipped with
   every result;
 * **reorder repair** — an optional per-connection
@@ -58,6 +61,9 @@ Backpressure is bounded by construction: each shard queues at most
 ``aarohi_daemon_backpressure_stalls_total``), which slows the socket
 reads and lets TCP flow control push back on the sender — memory never
 grows without bound.
+
+Workers are spawn-context processes, so a script that starts a daemon
+needs an ``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
@@ -71,7 +77,13 @@ from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..logsim.stream import ERROR_POLICIES, IngestStats, SortBuffer
+from ..logsim.stream import (
+    ERROR_POLICIES,
+    IngestStats,
+    SortBuffer,
+    decode_lines,
+    read_record_batch,
+)
 from ..obs import (
     DAEMON_BACKPRESSURE_STALLS,
     DAEMON_CHAINS_RESTORED,
@@ -87,10 +99,27 @@ from ..obs import (
     DAEMON_UPTIME_SECONDS,
     DAEMON_WORKER_DEATHS,
     Observability,
+    SpanClock,
+    diff_snapshots,
 )
 from .events import Prediction
 from .predictor import PredictorStats
-from . import parallel as _par
+
+
+def shard_of(node: str, n_shards: int) -> int:
+    """Stable node→shard assignment (cross-platform deterministic)."""
+    h = 2166136261
+    for ch in node.encode():
+        h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
+    return h % n_shards
+
+
+def route_key(line: str) -> str:
+    """The shard-routing key of one serialized line: the header's node
+    field when the line splits, else the whole line (so a malformed
+    line always lands on — and is quarantined by — the same worker)."""
+    parts = line.split(" ", 2)
+    return parts[1] if len(parts) == 3 else line
 
 
 class _TimedLine(NamedTuple):
@@ -119,12 +148,39 @@ def _parse_line_time(line: str) -> Optional[float]:
         return None
 
 
+def _run_chunk(
+    fleet, payload, on_error: str
+) -> Tuple[List[tuple], PredictorStats, IngestStats]:
+    """Run one chunk through a shard's fleet, with no clock reads.
+
+    A ``bytes`` payload (the byte backends' wire form) is split and
+    header-checked by the byte ingest, and its records are never
+    decoded unless they match; a line list (the ``str`` backend's) is
+    decoded.  Either way decoding is tolerant: a malformed line is
+    quarantined into the chunk's funnel instead of taking the shard's
+    predictor state down.  Predictions come back as plain tuples for
+    the trip through the result queue."""
+    ingest = IngestStats()
+    if isinstance(payload, bytes):
+        batch = read_record_batch(payload, on_error=on_error, stats=ingest)
+        report = fleet.run_buffer(batch, timing="off")
+    else:
+        events = list(decode_lines(payload, on_error=on_error, stats=ingest))
+        report = fleet.run(events, timing="off")
+    predictions = [
+        (p.node, p.chain_id, p.flagged_at, p.prediction_time,
+         p.matched_tokens)
+        for p in report.predictions
+    ]
+    return predictions, report.stats, ingest
+
+
 def _daemon_worker_main(
     shard: int,
     work_q,
     result_q,
     bundle_dict: dict,
-    scanner_tables: Optional[dict],
+    scanner_tables: dict,
     timeout: Optional[float],
     on_error: str,
     scan_backend: str,
@@ -132,27 +188,36 @@ def _daemon_worker_main(
     init_state: Optional[dict],
     throttle_s: float,
 ) -> None:
-    """One shard process: the ParallelFleet chunk machinery in a loop.
+    """One shard process: build the shard's fleet, then run chunks
+    until the ``None`` sentinel.
 
-    Reuses :func:`repro.core.parallel._init_worker` and
-    :func:`repro.core.parallel._run_chunk` verbatim — the daemon's
-    workers and the batch workers are the same code, which is what
-    makes stream-vs-batch prediction equivalence provable rather than
-    aspirational.  On top of that, every ack ships the fleet's current
-    state snapshot so the parent always holds a restore point no older
-    than the last acked chunk.
+    The scanner is rebuilt from the parent's compiled tables (no regex
+    compilation here, just kernel specialization).  The fleet reports
+    into a process-local registry whose ``shard`` label keeps
+    per-shard series distinct after the parent-side merge; a positive
+    ``spans_sample`` arms a span clock whose cumulative stage counters
+    ride the same deltas.  Every ack ships the registry delta since the
+    previous ack, plus the fleet's state snapshot so the parent always
+    holds a restore point no older than the last acked chunk.
 
     ``throttle_s`` is a drill knob (sleep per chunk) used by the
     backpressure tests to make a worker predictably slow; production
     paths leave it 0.
     """
-    _par._init_worker(
-        bundle_dict, scanner_tables, timeout, "off", shard, on_error,
-        scan_backend, spans_sample)
-    restored = 0
-    if init_state is not None:
-        restored = _par._WORKER_FLEET.restore_state(init_state)
+    from ..persistence import PredictorBundle, scanner_from_artifact
+    from ..templates.store import CountingTemplateScanner
+
+    obs = Observability(
+        labels={"shard": str(shard)},
+        spans=SpanClock(spans_sample) if spans_sample > 0.0 else None,
+    )
+    scanner = CountingTemplateScanner(
+        scanner_from_artifact(scanner_tables), backend=scan_backend)
+    fleet = PredictorBundle.from_dict(bundle_dict).make_fleet(
+        timeout=timeout, obs=obs, scanner=scanner)
+    restored = fleet.restore_state(init_state) if init_state is not None else 0
     result_q.put(("up", shard, restored))
+    last_snap: Optional[dict] = None
     while True:
         item = work_q.get()
         if item is None:
@@ -161,11 +226,15 @@ def _daemon_worker_main(
         seq, payload = item
         if throttle_s > 0.0:
             _time.sleep(throttle_s)
-        predictions, stats, obs_delta, ingest, _ = _par._run_chunk(payload)
-        state = _par._WORKER_FLEET.state_snapshot()
+        predictions, stats, ingest = _run_chunk(fleet, payload, on_error)
+        # Registries are cumulative; ship only this chunk's delta so the
+        # parent-side merge never double-counts earlier chunks.
+        snap = obs.registry.snapshot()
+        obs_delta = diff_snapshots(snap, last_snap)
+        last_snap = snap
         result_q.put(
             ("ack", shard, seq, predictions, stats, obs_delta, ingest,
-             state))
+             fleet.state_snapshot()))
 
 
 class _Shard:
@@ -370,7 +439,7 @@ class FleetDaemon:
         Blocks while the target shard is over its backpressure
         high-water mark."""
         stalled = False
-        shard_idx = _par.shard_of(_par.route_key(line), self.n_shards)
+        shard_idx = shard_of(route_key(line), self.n_shards)
         while True:
             with self._lock:
                 if self._stopping:
@@ -403,11 +472,21 @@ class FleetDaemon:
         shard = self._shards[shard_idx]
         chunk = self._buffers[shard_idx]
         self._buffers[shard_idx] = []
-        payload = _par.chunk_payload(chunk, self.scan_backend)
+        # The wire form: the line list itself on the ``str`` backend,
+        # else one newline-joined UTF-8 blob — a single bytes pickle,
+        # split and header-checked worker-side by the byte ingest.
+        if self.scan_backend == "str":
+            payload = chunk
+        else:
+            payload = "\n".join(chunk).encode("utf-8", "replace")
         seq = shard.next_seq
         shard.next_seq += 1
         shard.pending[seq] = payload
-        if shard.up and len(shard.queued) < self.window:
+        # Queue whether or not the worker has reported up: a booting
+        # worker reads its queue once ready, and the window refills
+        # only on acks, so a chunk held back here would wait for later
+        # traffic and then run after it.
+        if len(shard.queued) < self.window:
             shard.work_q.put((seq, payload))
             shard.queued.add(seq)
 
@@ -434,9 +513,6 @@ class FleetDaemon:
     def _handle_msg(self, shard_idx: int, generation: int, msg: tuple) -> None:
         kind = msg[0]
         obs = self.obs
-        flight_note: Optional[tuple] = None
-        chunk_ingest: Optional[IngestStats] = None
-        obs_delta: Optional[dict] = None
         with self._lock:
             shard = self._shards[shard_idx]
             if shard.generation != generation:
@@ -471,9 +547,6 @@ class FleetDaemon:
                     if nxt not in shard.queued:
                         shard.work_q.put((nxt, shard.pending[nxt]))
                         shard.queued.add(nxt)
-                flight_note = (
-                    "chunk_done", shard_idx, seq, len(predictions),
-                    chunk_ingest.quarantined or None)
             else:  # "bye" — clean worker exit during stop
                 return
         # Obs fold-in strictly after the daemon lock is released (the
@@ -481,17 +554,19 @@ class FleetDaemon:
         if kind == "up":
             self._publish_metrics()
             return
+        # One facade-locked block per chunk, so a scrape or a flight
+        # check never sees the registry, the funnel and the ring
+        # disagree about which chunks have landed.
         with obs.lock:
             if obs_delta:
                 obs.registry.merge(obs_delta)
-        if chunk_ingest is not None and chunk_ingest.lines_read:
-            obs.record_ingest(chunk_ingest)
-        if flight_note is not None and obs.flight is not None:
-            kind_, shard_id, seq, n_pred, quarantined = flight_note
-            with obs.lock:
+            if chunk_ingest.lines_read:
+                obs.record_ingest(chunk_ingest)
+            if obs.flight is not None:
                 obs.flight.note(
-                    kind_, shard=shard_id, chunk=seq, predictions=n_pred,
-                    quarantined=quarantined)
+                    "chunk_done", shard=shard_idx, chunk=seq,
+                    predictions=len(predictions),
+                    quarantined=chunk_ingest.quarantined or None)
 
     # -- supervision ----------------------------------------------------
     def _supervise_loop(self) -> None:
@@ -730,6 +805,10 @@ class FleetDaemon:
                 pass
             with self._lock:
                 self._connections_active -= 1
+                # A closed connection leaves no trace behind: stop()
+                # only ever has to close and join live ones.
+                self._conns.remove(conn)
+                self._conn_threads.remove(threading.current_thread())
                 # Fold the connection's reorder accounting into the
                 # daemon funnel (reordered/late only; the decode
                 # counters come from the workers).
@@ -846,8 +925,7 @@ class FleetDaemon:
     def stop(self, drain: bool = True, timeout: float = 60.0) -> DaemonReport:
         """Graceful shutdown: close sources, optionally drain, retire
         workers, and return the final accounting (predictions sorted by
-        flag time, exactly as :meth:`ParallelFleet.run` reports them).
-        """
+        flag time)."""
         deadline = _time.monotonic() + timeout
         with self._lock:
             self._accepting = False
@@ -869,6 +947,7 @@ class FleetDaemon:
         with self._lock:
             self._stopping = True
             conns = list(self._conns)
+            conn_threads = list(self._conn_threads)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -878,7 +957,7 @@ class FleetDaemon:
                 conn.close()
             except OSError:
                 pass
-        for thread in self._conn_threads:
+        for thread in conn_threads:
             thread.join(timeout=5.0)
         if drain and drained:
             # Connection teardown may have flushed reorder buffers.
@@ -935,4 +1014,4 @@ class FleetDaemon:
     def shard_for(self, node: str) -> int:
         """Which shard serves ``node`` — drills use this to aim a
         partial chain at the worker they are about to kill."""
-        return _par.shard_of(node, self.n_shards)
+        return shard_of(node, self.n_shards)

@@ -77,7 +77,7 @@ class PredictorStats:
 
     def add(self, other: "PredictorStats") -> None:
         """Accumulate another stats record in place (fleet aggregation,
-        worker→parent merging in :class:`~.parallel.ParallelFleet`)."""
+        worker→parent merging in :class:`~.daemon.FleetDaemon`)."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 

@@ -150,8 +150,6 @@ from .names import (  # noqa: F401  (canonical names, re-exported)
     LOGSIM_FAULTS,
     LOGSIM_WINDOWS,
     NEGATIVE_DELTA_T,
-    PARALLEL_CHUNK_EVENTS,
-    PARALLEL_QUEUE_DEPTH,
     PREDICTION_SECONDS,
     PREDICTIONS,
     QUALITY_ACTIONABLE_RATIO,
@@ -279,7 +277,7 @@ class Observability:
             # Tee sampled lifecycle records into the flight ring.
             tracer.mirror = flight.absorb
         # Default labels stamped on every recorded series — e.g.
-        # {"shard": "3"} inside a ParallelFleet worker, so per-shard
+        # {"shard": "3"} inside a daemon shard worker, so per-shard
         # series stay distinct after the parent-side merge.
         self.labels = dict(labels or {})
         # Ingest hardening (ISSUE 5): cumulative decode-funnel totals
@@ -411,7 +409,7 @@ class Observability:
         delta into the cumulative decode-funnel counters.
 
         Call once per read/replay (CLI, ``run_lines``) or per worker
-        chunk (:class:`~repro.core.parallel.ParallelFleet`) — the deltas
+        chunk (:class:`~repro.core.daemon.FleetDaemon`) — the deltas
         accumulate into :attr:`ingest`, whose totals back both the
         registry counters and the ``/healthz`` quarantine-burn gate.
         """
@@ -559,9 +557,8 @@ class Observability:
         """Fold one run into the live monitor (rate, lag, gauges).
 
         Per-prediction latencies reach the monitor through the
-        predictor's emit hook (serial) or explicit
-        ``live.observe_predictions`` (parallel parent), so this method
-        never touches them — double-feeding would skew the sketch."""
+        predictor's emit hook, so this method never touches them —
+        double-feeding would skew the sketch."""
         live = self.live
         if live is None:
             return
@@ -890,7 +887,7 @@ class Observability:
         }
         snapshot = self.registry.snapshot()
         if not payload["scanner"]:
-            # Parallel parent: record_scanner ran worker-side, but the
+            # Daemon parent: record_scanner ran worker-side, but the
             # shard-labeled identity gauge merged in — derive from it.
             family = snapshot.get(SCANNER_BACKEND_INFO)
             if family:

@@ -14,7 +14,7 @@ Storage model (why eviction round-trips exactly):
 
 * every captured snapshot is flattened to scalar points — a counter's
   value, a gauge's value, a histogram's total observation count — keyed
-  by ``(family, sorted-label-tuple)``, so ParallelFleet shard series
+  by ``(family, sorted-label-tuple)``, so the daemon's shard series
   (``{"shard": "3"}``) stay distinct in the ring;
 * cumulative kinds are **delta-compressed**: each ring sample stores
   only the series that moved since the previous capture (with negative

@@ -23,8 +23,9 @@ the pieces that watch a **running** fleet:
 
 :func:`DeadlineMonitor.evaluate_snapshot` renders the same verdict from
 a (possibly multi-shard, merged) registry snapshot by reading the
-``aarohi_prediction_seconds`` histogram — the path ``/healthz`` and the
-parallel fleet use, where per-shard P² state never leaves the worker.
+``aarohi_prediction_seconds`` histogram — the path ``/healthz`` uses
+for a sharded daemon, where per-shard P² state never leaves the
+worker.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ The :class:`Registry` is process-local.  :meth:`Registry.snapshot`
 returns a plain (picklable, JSON-able) dict, ``diff_snapshots`` turns
 two cumulative snapshots into a delta, and :meth:`Registry.merge` folds
 a snapshot (or delta) back into a registry — the worker→parent shipping
-path used by :class:`~repro.core.parallel.ParallelFleet`.
+path used by :class:`~repro.core.daemon.FleetDaemon`.
 
 When observability is disabled, callers either hold no registry at all
 (the instrumented branches are never wired) or use :data:`NULL_REGISTRY`

@@ -67,9 +67,6 @@ FLEET_EVENTS_PER_SECOND = "aarohi_fleet_events_per_second"
 FLEET_NODES = "aarohi_fleet_nodes"
 FLEET_BATCH_EVENTS = "aarohi_fleet_batch_events"
 
-PARALLEL_QUEUE_DEPTH = "aarohi_parallel_queue_depth"
-PARALLEL_CHUNK_EVENTS = "aarohi_parallel_chunk_events"
-
 LOGSIM_EVENTS = "aarohi_logsim_events_emitted_total"
 LOGSIM_FAULTS = "aarohi_logsim_faults_injected_total"
 LOGSIM_WINDOWS = "aarohi_logsim_windows_total"

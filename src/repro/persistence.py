@@ -33,8 +33,9 @@ warm starts skip regex compilation entirely:
   mechanism.
 
 :func:`scanner_artifact` / :func:`scanner_from_artifact` are also the
-wire format :class:`~repro.core.parallel.ParallelFleet` uses to ship
-prebuilt tables to pool workers instead of recompiling per process.
+wire format :class:`~repro.core.daemon.FleetDaemon` uses to ship
+prebuilt tables to its shard workers instead of recompiling per
+process.
 """
 
 from __future__ import annotations
@@ -486,9 +487,9 @@ def compile_scanner_cached(
 ) -> CompiledLexSpec:
     """Compile ``spec`` through the artifact cache with single-flight.
 
-    The load → compile → save sequence the store and the parallel fleet
-    used to inline raced under concurrent cold starts (every pool
-    worker compiled the catalog); here the compile itself runs under
+    The load → compile → save sequence the store and the sharded
+    executors used to inline raced under concurrent cold starts (every
+    pool worker compiled the catalog); here the compile itself runs under
     :func:`single_flight`, so one process builds and publishes while
     the rest reuse the artifact.  Falls back to a plain local compile
     whenever the cache is disabled or unusable — correctness never

@@ -5,7 +5,7 @@ socket-style buffers), the ingest equivalence contract against the
 text pipeline (quarantine decisions and counts line for line, invalid
 UTF-8 included), and the fleet wiring: ``run_lines``/``run_buffer``
 over byte records must produce the same predictions, ingest funnel,
-and scanner funnel as the decoded str path, serial and parallel.
+and scanner funnel as the decoded str path, in one fleet and sharded.
 """
 
 import io
@@ -315,14 +315,25 @@ class TestFusedNativePath:
 class TestParallelBytePath:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_parallel_matches_serial(self, gen, window, backend):
-        from repro.core.parallel import ParallelFleet
+        """A daemon on a byte backend ships each chunk as one bytes blob
+        and runs the byte ingest worker-side; it must predict exactly
+        what one str fleet predicts over the same lines."""
+        from repro.core.daemon import FleetDaemon
 
         bundle = PredictorBundle(
             store=gen.store, chains=gen.chains,
             timeout=gen.recommended_timeout, system="HPC3")
-        serial = make_fleet(gen, "str").run(window.events).predictions
-        with ParallelFleet(bundle, n_workers=2,
-                           scan_backend=backend) as parallel:
-            preds = parallel.run(window.events)
-        key = lambda p: (p.node, p.chain_id, round(p.flagged_at, 6))
-        assert sorted(map(key, serial)) == sorted(map(key, preds))
+        lines = [e.to_line() for e in window.events]
+        serial = make_fleet(gen, "str").run_lines(
+            lines, on_error="quarantine", timing="off").predictions
+        with FleetDaemon(bundle, n_shards=2,
+                         scan_backend=backend).start() as daemon:
+            assert daemon.scan_backend == backend
+            assert daemon.wait_ready(30.0)
+            for line in lines:
+                daemon.submit(line)
+            report = daemon.stop(drain=True)
+        assert report.drained
+        key = lambda p: (p.node, p.chain_id, p.flagged_at, p.matched_tokens)
+        assert serial
+        assert sorted(map(key, serial)) == sorted(map(key, report.predictions))

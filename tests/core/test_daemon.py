@@ -2,11 +2,11 @@
 
 The acceptance drill for the sharded daemon: stream a corrupted log
 over TCP, ``kill -9`` a worker mid-stream, and prove the service is
-*transparent* — predictions identical to the batch
-:class:`~repro.core.parallel.ParallelFleet` on the same lines, the
-ingest funnel identity intact across the takeover, the outage visible
-(and then resolved) on ``/healthz`` and the ``aarohi_daemon_*``
-series.
+*transparent* — predictions identical to a single-process
+:class:`~repro.core.fleet.PredictorFleet` on the same lines (an oracle
+that shares no code with the sharded path), the ingest funnel identity
+intact across the takeover, the outage visible (and then resolved) on
+``/healthz`` and the ``aarohi_daemon_*`` series.
 
 Everything here is numpy-free: the bundle is the handmade two-chain
 fixture from the state-handoff tests, so the drills also run on the
@@ -22,7 +22,7 @@ import urllib.request
 
 import pytest
 
-from repro.core import ChainSet, FailureChain, LogEvent, ParallelFleet
+from repro.core import ChainSet, FailureChain, LogEvent
 from repro.core.daemon import FleetDaemon
 from repro.core.events import Severity
 from repro.obs import Observability, ObsServer
@@ -75,13 +75,11 @@ def make_lines(nodes, reps=2, t0=1000.0, dt=0.25):
 
 
 def batch_predictions(bundle, lines):
-    """The batch ground truth the daemon must reproduce byte-for-byte."""
-    fleet = ParallelFleet(bundle, n_workers=2, chunk_lines=16)
-    try:
-        predictions = fleet.run_lines(list(lines))
-    finally:
-        fleet.close()
-    return pred_keys(predictions)
+    """The single-process ground truth the daemon must reproduce
+    exactly: one fleet over every line, in order."""
+    report = bundle.make_fleet().run_lines(
+        list(lines), on_error="quarantine", timing="off")
+    return pred_keys(report.predictions)
 
 
 def pred_keys(predictions):
@@ -191,8 +189,8 @@ class TestKillMinus9Drill:
                 daemon.stop(drain=False)
 
         assert report.drained
-        # Byte-identical predictions: daemon-over-TCP == batch fleet on
-        # the same decoded lines (replace-decoded, like the workers).
+        # Identical predictions: daemon-over-TCP == one fleet over the
+        # same lines (replace-decoded, like the socket reader).
         expected_lines = lines[:]
         expected_lines.insert(
             boundary, raw_garbage.decode("utf-8", "replace"))
@@ -306,6 +304,73 @@ class TestTailRotation:
         assert status["lines_received"] == len(lines)
         assert pred_keys(report.predictions) == batch_predictions(
             bundle, lines)
+
+
+class TestConnectionChurn:
+    def test_closed_connections_leave_no_trace(self):
+        """Many short-lived senders: each closed connection's socket and
+        reader thread leave the daemon's books, and every line they
+        carried is still predicted on."""
+        bundle = make_bundle()
+        lines = make_lines([f"n{i}" for i in range(8)], reps=2)
+        n_conns = 20
+        per_conn = len(lines) // n_conns
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+        ).start()
+        try:
+            assert daemon.wait_ready(30.0)
+            addr = daemon.listen_tcp()
+            for start in range(0, len(lines), per_conn):
+                send_all(addr, (
+                    "\n".join(lines[start:start + per_conn]) + "\n"
+                ).encode())
+                # One sender at a time keeps the stream in order.
+                assert wait_lines(daemon, start + per_conn)
+            deadline = time.monotonic() + 30.0
+            while (daemon.status()["connections"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            assert daemon.status()["connections"] == 0
+            with daemon._lock:
+                assert daemon._conns == []
+                assert daemon._conn_threads == []
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert report.drained
+        assert f"aarohi_daemon_connections_total {n_conns}" in (
+            daemon.obs.prometheus())
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert len(report.predictions) == 8 * 2
+
+
+class TestSubmitBeforeReady:
+    def test_chunks_dispatched_while_booting_still_run(self):
+        """Lines submitted before the workers report up are chunked
+        into shards that are still booting; they must reach the workers
+        once they are up, in order, without waiting for later
+        traffic."""
+        bundle = make_bundle()
+        lines = make_lines([f"n{i}" for i in range(4)], reps=2)
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+        ).start()
+        try:
+            for line in lines:
+                daemon.submit(line)
+            assert not daemon.status()["ok"]  # still booting
+            assert daemon.drain(30.0)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert report.drained
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert len(report.predictions) == 4 * 2
 
 
 class TestReorderRepair:

@@ -162,62 +162,52 @@ class TestPerKindReplay:
 
 
 class TestParallelTolerance:
-    """A malformed line in a worker chunk must not kill the worker."""
+    """A malformed line in a shard's chunk must not kill the shard."""
 
-    def test_worker_chunk_quarantines_garbage(self, gen):
-        from repro.core import parallel
+    @pytest.fixture(scope="class")
+    def bundle(self, gen):
         from repro.persistence import PredictorBundle
 
-        bundle = PredictorBundle(
+        return PredictorBundle(
             store=gen.store, chains=gen.chains,
             timeout=gen.recommended_timeout, system="HPC3")
-        saved = (parallel._WORKER_FLEET, parallel._WORKER_TIMING,
-                 parallel._WORKER_OBS, parallel._WORKER_LAST_SNAP,
-                 parallel._WORKER_ON_ERROR)
-        try:
-            # Drive the worker entry points in-process: same code path
-            # the spawn pool runs, without the process round-trip.
-            parallel._init_worker(bundle.to_dict(), None, None, "off")
-            window = gen.generate_window(
-                duration=900.0, n_nodes=8, n_failures=2, n_spurious=0)
-            lines = [e.to_line() for e in window.events]
-            lines.insert(3, "totally broken line")
-            lines.insert(10, "1970-01-01T00:00:09 short")
-            predictions, stats, _, ingest, trace = parallel._run_chunk(
-                lines, trace=(1, 0, 0))
-            assert trace == (1, 0, 0)
-            assert ingest.quarantined == 2
-            assert ingest.funnel_ok
-            assert stats.lines_seen == len(lines) - 2
-        finally:
-            (parallel._WORKER_FLEET, parallel._WORKER_TIMING,
-             parallel._WORKER_OBS, parallel._WORKER_LAST_SNAP,
-             parallel._WORKER_ON_ERROR) = saved
 
-    def test_parallel_fleet_accumulates_ingest(self, gen):
-        from repro.core.parallel import ParallelFleet
-        from repro.persistence import PredictorBundle
+    def test_worker_chunk_quarantines_garbage(self, gen, bundle):
+        # The daemon's chunk function, called in-process on fleets built
+        # here: both wire forms (a line list for str, one blob for the
+        # byte backends) quarantine the same records and agree.
+        from repro.core.daemon import _run_chunk
 
-        bundle = PredictorBundle(
-            store=gen.store, chains=gen.chains,
-            timeout=gen.recommended_timeout, system="HPC3")
         window = gen.generate_window(
             duration=900.0, n_nodes=8, n_failures=2, n_spurious=0)
-        with ParallelFleet(bundle, n_workers=2) as fleet:
-            fleet.run(window.events)
-            assert fleet.ingest.lines_read == len(window.events)
-            assert fleet.ingest.quarantined == 0
-            assert fleet.ingest.funnel_ok
+        lines = [e.to_line() for e in window.events]
+        lines.insert(3, "totally broken line")
+        lines.insert(10, "1970-01-01T00:00:09 short")
+        predictions, stats, ingest = _run_chunk(
+            bundle.make_fleet(), lines, "quarantine")
+        assert ingest.quarantined == 2
+        assert ingest.funnel_ok
+        assert stats.lines_seen == len(lines) - 2
+        blob = "\n".join(lines).encode()
+        blob_predictions, _, blob_ingest = _run_chunk(
+            bundle.make_fleet(scan_backend="bytes"), blob, "quarantine")
+        assert blob_ingest.quarantined == 2
+        assert blob_ingest.funnel_ok
+        assert predictions and blob_predictions == predictions
 
-    def test_strict_policy_rejected_values(self, gen):
-        from repro.core.parallel import ParallelFleet
-        from repro.persistence import PredictorBundle
+    def test_parallel_fleet_accumulates_ingest(self, gen, bundle):
+        from repro.core.daemon import FleetDaemon
 
-        bundle = PredictorBundle(
-            store=gen.store, chains=gen.chains,
-            timeout=gen.recommended_timeout, system="HPC3")
-        with pytest.raises(ValueError):
-            ParallelFleet(bundle, n_workers=1, on_error="lenient")
+        window = gen.generate_window(
+            duration=900.0, n_nodes=8, n_failures=2, n_spurious=0)
+        with FleetDaemon(bundle, n_shards=2).start() as daemon:
+            assert daemon.wait_ready(30.0)
+            for event in window.events:
+                daemon.submit(event.to_line())
+            report = daemon.stop(drain=True)
+        assert report.ingest.lines_read == len(window.events)
+        assert report.ingest.quarantined == 0
+        assert report.ingest.funnel_ok
 
 
 class TestStrictStillAvailable:

@@ -1,9 +1,15 @@
-"""Tests for the multiprocess sharded fleet."""
+"""Sharded execution: the FleetDaemon against a single-process fleet.
+
+The oracle is one :class:`~repro.core.fleet.PredictorFleet` over every
+line in order; it shares no code with the sharded path, so agreement on
+``(node, chain_id, flagged_at, matched_tokens)`` is the equivalence
+contract of node-hash sharding (§III: per-node state is independent).
+"""
 
 import pytest
 
-from repro.core import PredictorFleet, pair_predictions
-from repro.core.parallel import ParallelFleet, partition_events, shard_of
+from repro.core import pair_predictions
+from repro.core.daemon import FleetDaemon, shard_of
 from repro.logsim import ClusterLogGenerator, HPC3
 from repro.persistence import PredictorBundle
 
@@ -26,6 +32,25 @@ def window(gen):
         duration=3600.0, n_nodes=24, n_failures=8, n_spurious=0)
 
 
+def lines_of(window):
+    return [e.to_line() for e in window.events]
+
+
+def key(p):
+    return (p.node, p.chain_id, p.flagged_at, p.matched_tokens)
+
+
+def single_process(fleet, lines):
+    return fleet.run_lines(
+        lines, on_error="quarantine", timing="off").predictions
+
+
+def submit_all(daemon, lines):
+    for line in lines:
+        daemon.submit(line)
+    assert daemon.drain(60.0)
+
+
 class TestSharding:
     def test_shard_of_stable(self):
         assert shard_of("c0-0c2s0n2", 8) == shard_of("c0-0c2s0n2", 8)
@@ -34,46 +59,44 @@ class TestSharding:
         for i in range(50):
             assert 0 <= shard_of(f"c{i}-0c0s0n0", 7) < 7
 
-    def test_partition_preserves_order_and_coverage(self, window):
-        shards = partition_events(window.events, 4)
-        assert sum(len(s) for s in shards) == len(window.events)
-        for shard in shards:
-            times = [e.time for e in shard]
-            assert times == sorted(times)
-        # A node's events all land in one shard.
-        for shard_idx, shard in enumerate(shards):
-            for event in shard:
-                assert shard_of(event.node, 4) == shard_idx
 
-
-class TestParallelFleet:
-    def test_matches_serial_fleet(self, gen, bundle, window):
-        serial = PredictorFleet.from_store(
-            gen.chains, gen.store, timeout=gen.recommended_timeout)
-        serial_preds = serial.run(window.events).predictions
-        with ParallelFleet(bundle, n_workers=3) as parallel:
-            parallel_preds = parallel.run(window.events)
-        key = lambda p: (p.node, p.chain_id, round(p.flagged_at, 6))
-        assert sorted(map(key, serial_preds)) == sorted(map(key, parallel_preds))
+class TestShardedDaemon:
+    def test_matches_serial_fleet(self, bundle, window):
+        lines = lines_of(window)
+        with FleetDaemon(bundle, n_shards=3).start() as daemon:
+            assert daemon.wait_ready(30.0)
+            submit_all(daemon, lines)
+            report = daemon.stop(drain=True)
+        serial = single_process(bundle.make_fleet(), lines)
+        assert serial
+        assert sorted(map(key, report.predictions)) == sorted(map(key, serial))
 
     def test_predictions_pair_with_failures(self, bundle, window):
-        with ParallelFleet(bundle, n_workers=2) as parallel:
-            predictions = parallel.run(window.events)
-        pairing = pair_predictions(predictions, window.failures)
+        with FleetDaemon(bundle, n_shards=2).start() as daemon:
+            assert daemon.wait_ready(30.0)
+            submit_all(daemon, lines_of(window))
+            report = daemon.stop(drain=True)
+        pairing = pair_predictions(report.predictions, window.failures)
         detectable = sum(
             1 for i in window.injections if i.kind == "detectable")
         assert pairing.true_positives == detectable
 
     def test_reusable_across_windows(self, gen, bundle):
+        """Two windows through one daemon: shard state carries across
+        them exactly as one fleet's state does across two runs."""
         w1 = gen.generate_window(duration=900.0, n_nodes=8, n_failures=2,
                                  n_spurious=0)
         w2 = gen.generate_window(duration=900.0, n_nodes=8, n_failures=2,
                                  n_spurious=0)
-        with ParallelFleet(bundle, n_workers=2) as parallel:
-            p1 = parallel.run(w1.events)
-            p2 = parallel.run(w2.events)
-        assert len(p1) >= 1 and len(p2) >= 1
-
-    def test_invalid_workers(self, bundle):
-        with pytest.raises(ValueError):
-            ParallelFleet(bundle, n_workers=0)
+        with FleetDaemon(bundle, n_shards=2).start() as daemon:
+            assert daemon.wait_ready(30.0)
+            submit_all(daemon, lines_of(w1))
+            n_first = len(daemon.predictions)
+            submit_all(daemon, lines_of(w2))
+            report = daemon.stop(drain=True)
+        fleet = bundle.make_fleet()
+        first = single_process(fleet, lines_of(w1))
+        second = single_process(fleet, lines_of(w2))
+        assert n_first == len(first) >= 1 and len(second) >= 1
+        assert sorted(map(key, report.predictions)) == sorted(
+            map(key, first + second))

@@ -79,7 +79,7 @@ class TestCostAccounting:
 
 class TestSnapshotDiffAdd:
     """The windowed-accounting API (snapshot → work → diff → add) that
-    FleetReport and ParallelFleet worker merging are built on."""
+    FleetReport and the daemon's worker merging are built on."""
 
     def run_window(self, predictor):
         predictor.process(LogEvent(0.0, "n", "one alpha x"))

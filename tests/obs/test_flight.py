@@ -152,6 +152,42 @@ class TestFacadeTriggers:
         assert parsed["header"]["reason"] == TRIGGER_QUARANTINE
         assert parsed["snapshot"] is not None
 
+    def test_deadline_burn_capsules_exactly_once(self):
+        from repro.obs import LiveMonitor, Observability
+
+        # A budget no latency can meet: every prediction burns it.
+        obs = Observability(
+            live=LiveMonitor(1e-12), flight=FlightRecorder(capacity=16))
+        obs.live.observe_predictions([0.0003, 0.0004, 0.0005])
+        assert obs.check_flight() == [TRIGGER_DEADLINE]
+        assert obs.check_flight() == []  # sticky: one capsule per anomaly
+        assert obs.flight.capsules == 1
+        parsed = read_capsule(obs.flight.last_capsule_text)
+        assert parsed["header"]["reason"] == TRIGGER_DEADLINE
+        assert parsed["header"]["verdict"]["ok"] is False
+        assert parsed["header"]["verdict"]["burn_rate"] > 1.0
+        assert parsed["snapshot"] is not None
+
+    def test_discard_drift_capsules_exactly_once(self):
+        from repro.obs import Observability, QualityScoreboard
+
+        quality = QualityScoreboard()
+        # Calibrate the CUSUM on a healthy 99% discard fraction, then
+        # shift it to 50%: one batch is far past the threshold.
+        for _ in range(quality.drift.warmup):
+            quality.record_discard(99, 100)
+        quality.record_discard(50, 100)
+        assert quality.drift.tripped
+        obs = Observability(
+            quality=quality, flight=FlightRecorder(capacity=16))
+        assert obs.check_flight() == [TRIGGER_DRIFT]
+        assert obs.check_flight() == []
+        assert obs.flight.capsules == 1
+        parsed = read_capsule(obs.flight.last_capsule_text)
+        assert parsed["header"]["reason"] == TRIGGER_DRIFT
+        assert parsed["header"]["drift"]["tripped"] is True
+        assert parsed["snapshot"] is not None
+
     def test_flush_shutdown_freezes_the_ring(self, tmp_path):
         from repro.obs import Observability, TRIGGER_SHUTDOWN
 

@@ -153,7 +153,7 @@ class TestDiffSnapshots:
         assert diff_snapshots(snap, None) is snap
 
     def test_delta_merges_without_double_count(self):
-        """The ParallelFleet shipping path: cumulative worker registry,
+        """The daemon's shipping path: cumulative worker registry,
         per-chunk deltas merged into the parent."""
         worker, parent = Registry(), Registry()
         last = None
