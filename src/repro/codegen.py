@@ -55,7 +55,8 @@ _MEMO_MISS = object()  # cache sentinel: None is a legitimate cached value
 #:   as C (:func:`emit_native_scan_kernels_source`), compiled at runtime
 #:   with the system ``cc`` into a cached shared object and driven
 #:   through ``ctypes``; adds a fused ``scan_records`` entry point that
-#:   splits, header-checks and scans raw record blobs in one pass.
+#:   splits, header-checks, time-stamps and scans raw record blobs in
+#:   one pass, and a ``reorder`` entry point for the reorder buffer.
 #:   Falls back to ``"bytes"`` when no compiler is found, the compile
 #:   fails, or the catalog needs the non-exact decode fallback.
 #:
@@ -105,8 +106,10 @@ class ScanKernels(NamedTuple):
 
     ``scan_records`` is the native backend's fused ingest+scan entry
     point (``None`` elsewhere): one C pass over a raw record blob that
-    splits on newlines, header-checks each record, and scans accepted
-    messages — see :func:`repro.native.make_kernels`.
+    splits on newlines, header-checks each record, parses its time, and
+    scans accepted messages; ``reorder`` replays the reorder buffer over
+    the per-record times it returns — see
+    :func:`repro.native.make_kernels`.
     ``scan_hits_view`` (also native-only) is ``scan_hits`` minus the
     join: callers holding a cached contiguous newline-joined view of
     their messages (:meth:`ByteRecordBatch.message_blob`) pass it
@@ -122,6 +125,7 @@ class ScanKernels(NamedTuple):
     backend: str = "str"
     scan_records: Optional[Callable] = None
     scan_hits_view: Optional[Callable] = None
+    reorder: Optional[Callable] = None
 
 
 # The kernel factory source.  All varying *shape* parameters (start
@@ -542,6 +546,7 @@ _NATIVE_HEADER = '''\
  * walk, funnel counter semantics.  MEMO_LEN is the acyclic-DFA match
  * bound (SIZE_MAX = cyclic, key on the whole message).
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -815,7 +820,28 @@ int64_t aarohi_scan_blob(void *h, const char *blob, size_t blen,
  * Python would decode — anything else goes back as a suspect. */
 static const char TS_PAT[33] = "dddd-dd-ddTdd:dd:dd.dddddd+00:00";
 
-static int ts_ok(const unsigned char *s, size_t n) {
+/* |microseconds| up to which an int64 converts to double exactly. */
+#define EXACT_US 9007199254740992LL /* 2^53 */
+
+/* Days from 1970-01-01 to a proleptic Gregorian date (years 1..9999),
+ * by the era/day-of-era decomposition. */
+static int64_t days_from_civil(int year, int mon, int day) {
+    int64_t y = year - (mon <= 2);
+    int64_t era = y / 400;
+    int64_t yoe = y - era * 400;
+    int64_t doy = (153 * (mon + (mon > 2 ? -3 : 9)) + 2) / 5 + day - 1;
+    int64_t doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
+    return era * 146097 + doe - 719468;
+}
+
+/* Parse a canonical stamp into *t, epoch seconds bit-identical to
+ * datetime.fromisoformat(s).timestamp(): an aware datetime's timestamp
+ * is its exact integer microseconds since 1970 divided once by 10**6,
+ * correctly rounded, and for |us| <= 2^53 both operands are exact
+ * doubles, so one IEEE division rounds to the same value.  Past 2^53
+ * the int64 -> double step would round first; such stamps (before
+ * 1685 or after 2255) return 0 and go back as suspects. */
+static int ts_parse(const unsigned char *s, size_t n, double *t) {
     if (n != 32)
         return 0;
     for (size_t i = 0; i < 32; i++) {
@@ -843,41 +869,58 @@ static int ts_ok(const unsigned char *s, size_t n) {
         dmax = 29;
     if (day > dmax || hour > 23 || minute > 59 || sec > 59)
         return 0;
+    int64_t frac = 0;
+    for (size_t i = 20; i < 26; i++)
+        frac = frac * 10 + (s[i] - '0');
+    int64_t us = ((days_from_civil(year, mon, day) * 86400
+                   + hour * 3600 + minute * 60 + sec) * 1000000) + frac;
+    if (us > EXACT_US || us < -EXACT_US)
+        return 0;
+    *t = (double)us / 1e6;
     return 1;
+}
+
+/* Record-count bound of a blob (newlines + 1): the caller sizes the
+ * per-record time array with it.  A plain byte loop auto-vectorizes. */
+int64_t aarohi_count_lines(const char *blob, size_t blen) {
+    int64_t n = 1;
+    const char *endq = blob + blen;
+    for (const char *q = blob; q < endq; q++)
+        n += (*q == '\n');
+    return n;
 }
 
 /* Fused ingest+scan: split a raw record blob on newlines, strip one
  * trailing CR per record, skip blanks, header-split each record on its
- * first two spaces and validate the timestamp.  Records that pass are
- * counted ok and their message scanned; records that do not (or whose
- * message contains a backslash, i.e. possible escape sequences) are
- * emitted as SUSPECT for the caller to re-parse.  Emissions (hits and
- * suspects) are in record order so the caller's downstream chain state
- * sees the exact stream order. */
+ * first two spaces and parse the timestamp.  Records that pass are
+ * counted ok, their time stored in times[record], and their message
+ * scanned; records that do not (or whose message contains a backslash,
+ * i.e. possible escape sequences) get a NaN time and are emitted as
+ * SUSPECT for the caller to re-parse.  Each emission carries the
+ * record index, the time, and a span: the node id for a hit, the whole
+ * record for a suspect.  Emissions are in record order, so the
+ * caller's downstream chain state sees the exact stream order.  The
+ * item arrays share one allocation; aarohi_records_free(*out_idx)
+ * releases it.  Returns -1 when that allocation fails, -2 when the
+ * blob holds more than cap records. */
 int aarohi_scan_records(void *h, const char *blob, size_t blen,
+                        int64_t cap, double *times,
                         int64_t *n_records, int64_t *n_ok,
-                        int64_t *last_off, int64_t *last_len,
-                        int64_t **out_off, int64_t **out_len,
-                        int32_t **out_tok, int64_t *n_out) {
+                        int64_t **out_idx, int32_t **out_tok,
+                        double **out_t, int64_t **out_start,
+                        int64_t **out_len, int64_t *n_out) {
     aarohi_state *st = h;
-    size_t cap = 1;
-    {
-        const char *endq = blob + blen;
-        for (const char *q = blob; q < endq; q++)
-            cap += (*q == '\n');
-    }
-    int64_t *off = malloc(cap * sizeof(int64_t));
-    int64_t *lens = malloc(cap * sizeof(int64_t));
-    int32_t *toks = malloc(cap * sizeof(int32_t));
-    if (!off || !lens || !toks) {
-        free(off);
-        free(lens);
-        free(toks);
+    size_t c = cap > 0 ? (size_t)cap : 1;
+    char *block = malloc(c * (3 * sizeof(int64_t) + sizeof(double)
+                              + sizeof(int32_t)));
+    if (!block)
         return -1;
-    }
+    int64_t *idx = (int64_t *)block;
+    int64_t *start = idx + c;
+    int64_t *lens = start + c;
+    double *tt = (double *)(lens + c);
+    int32_t *toks = (int32_t *)(tt + c);
     int64_t records = 0, ok = 0, k = 0;
-    *last_off = -1;
-    *last_len = 0;
     const char *p = blob;
     const char *endp = blob + blen;
     for (;;) {
@@ -886,35 +929,44 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
         if (e > p && e[-1] == '\r')
             e--;
         if (e > p) {
-            records++;
+            if (records >= cap) {
+                free(block);
+                return -2;
+            }
+            int64_t rec = records++;
             size_t rlen = (size_t)(e - p);
             /* Canonical records carry the 32-char timestamp, so the
              * first space is at offset 32; anything else takes the
-             * generic search and fails ts_ok into the suspect path. */
+             * generic search and fails ts_parse into the suspect path. */
             const char *sp1 = (rlen > 32 && p[32] == ' ')
                 ? p + 32 : find_byte(p, e, ' ');
             const char *sp2 = sp1 ? find_byte(sp1 + 1, e, ' ') : NULL;
+            double t = NAN;
             int suspect = !sp2
-                || !ts_ok((const unsigned char *)p, (size_t)(sp1 - p));
+                || !ts_parse((const unsigned char *)p, (size_t)(sp1 - p), &t);
             const char *msg = sp2 ? sp2 + 1 : p;
             size_t mlen = sp2 ? (size_t)(e - msg) : 0;
             if (!suspect && mlen && find_byte(msg, msg + mlen, '\\'))
                 suspect = 1;
             if (suspect) {
-                off[k] = p - blob;
-                lens[k] = (int64_t)rlen;
+                times[rec] = NAN;
+                idx[k] = rec;
                 toks[k] = SUSPECT;
+                tt[k] = NAN;
+                start[k] = p - blob;
+                lens[k] = (int64_t)rlen;
                 k++;
             } else {
                 ok++;
-                *last_off = p - blob;
-                *last_len = (int64_t)rlen;
+                times[rec] = t;
                 int32_t tok = scan_message(
                     st, (const unsigned char *)msg, mlen);
                 if (tok >= 0) {
-                    off[k] = p - blob;
-                    lens[k] = (int64_t)rlen;
+                    idx[k] = rec;
                     toks[k] = tok;
+                    tt[k] = t;
+                    start[k] = sp1 + 1 - blob;
+                    lens[k] = sp2 - sp1 - 1;
                     k++;
                 }
             }
@@ -926,16 +978,113 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
     *n_records = records;
     *n_ok = ok;
     *n_out = k;
-    *out_off = off;
-    *out_len = lens;
+    *out_idx = idx;
     *out_tok = toks;
+    *out_t = tt;
+    *out_start = start;
+    *out_len = lens;
     return 0;
 }
 
-void aarohi_records_free(int64_t *off, int64_t *len, int32_t *tok) {
-    free(off);
-    free(len);
-    free(tok);
+void aarohi_records_free(int64_t *idx) {
+    free(idx);
+}
+
+/* The reorder buffer's pending records, a binary min-heap on (time,
+ * record index): the index is arrival order, so equal times leave
+ * first-in first-out. */
+typedef struct {
+    double t;
+    int64_t i;
+} pending;
+
+static int pending_before(pending a, pending b) {
+    return a.t < b.t || (a.t == b.t && a.i < b.i);
+}
+
+static void heap_push(pending *heap, int64_t *size, pending item) {
+    int64_t j = (*size)++;
+    while (j > 0) {
+        int64_t up = (j - 1) / 2;
+        if (!pending_before(item, heap[up]))
+            break;
+        heap[j] = heap[up];
+        j = up;
+    }
+    heap[j] = item;
+}
+
+static pending heap_pop(pending *heap, int64_t *size) {
+    pending top = heap[0];
+    pending item = heap[--*size];
+    int64_t n = *size, j = 0;
+    for (;;) {
+        int64_t child = 2 * j + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && pending_before(heap[child + 1], heap[child]))
+            child++;
+        if (!pending_before(heap[child], item))
+            break;
+        heap[j] = heap[child];
+        j = child;
+    }
+    if (n)
+        heap[j] = item;
+    return top;
+}
+
+/* SortBuffer (repro.logsim.stream) replayed over a per-record time
+ * array: NaN marks a record that is not in the stream.  A record is
+ * counted reordered when it arrives behind the high-water time, and
+ * late (emitted at once) when it arrives at or behind the emit
+ * watermark; otherwise it waits until the high-water time passes it by
+ * the horizon.  rank[i] receives record i's emission position (-1 for
+ * NaN), *last the last record emitted (-1 when none).  Returns the
+ * number emitted, or -1 when the heap cannot be allocated. */
+int64_t aarohi_reorder(const double *times, int64_t n, double horizon,
+                       int64_t *rank, int64_t *reordered, int64_t *late,
+                       int64_t *last) {
+    pending *heap = malloc((size_t)(n > 0 ? n : 1) * sizeof(pending));
+    if (!heap)
+        return -1;
+    int64_t size = 0, emitted = 0, re = 0, lt = 0, tail = -1;
+    double high = -INFINITY, emitted_to = -INFINITY;
+    for (int64_t i = 0; i < n; i++) {
+        double t = times[i];
+        rank[i] = -1;
+        if (isnan(t))
+            continue;
+        if (t < high)
+            re++;
+        if (t <= emitted_to) {
+            lt++;
+            rank[i] = emitted++;
+            tail = i;
+            continue;
+        }
+        pending item = {t, i};
+        heap_push(heap, &size, item);
+        if (t > high)
+            high = t;
+        double watermark = high - horizon;
+        while (size && heap[0].t <= watermark) {
+            pending out = heap_pop(heap, &size);
+            emitted_to = out.t;
+            rank[out.i] = emitted++;
+            tail = out.i;
+        }
+    }
+    while (size) {
+        pending out = heap_pop(heap, &size);
+        rank[out.i] = emitted++;
+        tail = out.i;
+    }
+    free(heap);
+    *reordered = re;
+    *late = lt;
+    *last = tail;
+    return emitted;
 }
 '''
 
@@ -1024,12 +1173,12 @@ def _try_native_kernels(
         return None
     try:
         (tokenize, scan_hits, match_span, memo, counts, scan_records,
-         scan_hits_view) = native.make_kernels(lib)
+         scan_hits_view, reorder) = native.make_kernels(lib)
     except MemoryError:
         return None
     return ScanKernels(
         tokenize, scan_hits, match_span, memo, counts, "native",
-        scan_records, scan_hits_view)
+        scan_records, scan_hits_view, reorder)
 
 
 def compile_scan_kernels(

@@ -10,6 +10,7 @@ used to pick the parsing timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 
@@ -61,7 +62,18 @@ class ChainSet:
     """An ordered, validated collection of failure chains.
 
     Provides the global token vocabulary (Algorithm 1's *Token List*) and
-    starting-token dispatch used by the predictor.
+    the dense rule tables every per-node engine reads: built once here
+    and shared read-only, so a new predictor costs O(1) rather than a
+    table build.  Rule ``i`` is ``chains[i]``:
+
+    * ``sequences[i]`` / ``chain_ids[i]`` — its tokens and id;
+    * ``first_of`` — first-token dispatch: token → lowest rule index
+      starting with it;
+    * ``token_owner`` — token → the rule indices containing it
+      (interleaving statistics).
+
+    :attr:`lalr_tables` builds the generated parser's tables on first
+    use, also once per chain set.
     """
 
     def __init__(self, chains: Iterable[FailureChain]):
@@ -78,10 +90,17 @@ class ChainSet:
                 seen.setdefault(token)
         self.token_list: Tuple[int, ...] = tuple(seen)
         self.token_set: frozenset[int] = frozenset(seen)
-        # Dispatch: starting token → chains beginning with it, in order.
-        self._by_first: Dict[int, List[FailureChain]] = {}
-        for chain in self.chains:
-            self._by_first.setdefault(chain.first, []).append(chain)
+        self.sequences: Tuple[Tuple[int, ...], ...] = tuple(
+            c.tokens for c in self.chains)
+        self.chain_ids: Tuple[str, ...] = tuple(ids)
+        self.first_of: Dict[int, int] = {}
+        owners: Dict[int, set[int]] = {}
+        for idx, seq in enumerate(self.sequences):
+            self.first_of.setdefault(seq[0], idx)
+            for tok in seq:
+                owners.setdefault(tok, set()).add(idx)
+        self.token_owner: Dict[int, frozenset[int]] = {
+            t: frozenset(s) for t, s in owners.items()}
 
     def __iter__(self) -> Iterator[FailureChain]:
         return iter(self.chains)
@@ -96,7 +115,16 @@ class ChainSet:
         raise KeyError(chain_id)
 
     def starting_with(self, token: int) -> List[FailureChain]:
-        return self._by_first.get(token, [])
+        return [c for c in self.chains if c.first == token]
+
+    @cached_property
+    def lalr_tables(self):
+        """LALR(1) tables of the flat chain grammar (read-only, shared
+        by every ``backend="lalr"`` predictor over this chain set)."""
+        from .grammar_builder import build_chain_tables
+        from .rules import build_rules
+
+        return build_chain_tables(build_rules(self, factor=False))
 
     def is_relevant(self, token: int) -> bool:
         """Does ``token`` appear in any chain? (scanner keep/discard test)"""

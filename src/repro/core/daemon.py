@@ -131,19 +131,16 @@ class _TimedLine(NamedTuple):
 
 
 def _parse_line_time(line: str) -> Optional[float]:
-    """The leading timestamp of a serialized record (ISO-8601 or bare
-    epoch float), or ``None`` when the header is unparseable — such
-    lines are routed around the reorder buffer; they can only be
-    quarantined worker-side, so their relative order is immaterial."""
-    head, sep, _ = line.partition(" ")
-    if not sep:
+    """The event time the workers' decoder will give a serialized
+    record, by its own rule (three fields, an ISO-8601 stamp), or
+    ``None`` for a line it will quarantine.  Such lines are routed
+    around the reorder buffer, so they never move its watermarks; their
+    relative order is immaterial."""
+    parts = line.split(" ", 2)
+    if len(parts) != 3:
         return None
     try:
-        return float(head)
-    except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(head).timestamp()
+        return datetime.fromisoformat(parts[0]).timestamp()
     except (ValueError, OverflowError, OSError):
         return None
 

@@ -9,6 +9,7 @@ collects predictions.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -223,11 +224,18 @@ class PredictorFleet:
         selects the decode policy — the default keeps the replay alive
         across malformed lines, quarantining them into the report's
         :attr:`~FleetReport.ingest` counters.  A positive
-        ``reorder_horizon`` routes the decoded events through a
-        :class:`~repro.logsim.stream.SortBuffer` so near-sorted input
-        (clock skew, interleaved controllers) reaches the engines in
-        time order.  When the fleet carries an Observability, the
+        ``reorder_horizon`` orders the decoded events the way a
+        :class:`~repro.logsim.stream.SortBuffer` would, so near-sorted
+        input (clock skew, interleaved controllers) reaches the engines
+        in time order.  When the fleet carries an Observability, the
         ingest funnel is folded in alongside the run's other series.
+
+        A native scanner fed a path or byte buffer under a tolerant
+        policy and ``timing`` other than ``"full"`` takes the fused C
+        pass (:meth:`_run_fused`), reorder horizon or not.  Otherwise a
+        byte scanner takes the byte pipeline
+        (:func:`~repro.logsim.stream.read_byte_batch` +
+        :meth:`run_buffer`), and everything else the decoded path.
         """
         from pathlib import Path
 
@@ -241,31 +249,31 @@ class PredictorFleet:
 
         stats = IngestStats()
         span = self._span_start()
-        # Fused native path: the compiled kernel splits, header-checks
-        # and scans the raw blob in a single C pass — Python sees only
-        # the hits and the rare suspect records.  Restricted to the
-        # plain replay shape: no per-line timing ("sampled" clocks only
-        # the hits' chain checks, so it stays fused), no reorder
-        # buffer, and a tolerant policy (strict must attribute the
+        # Fused native path: the compiled kernel splits, header-checks,
+        # time-stamps and scans the raw blob in a single C pass, and a
+        # second C call applies the reorder horizon — Python sees only
+        # the hits and the rare suspect records.  No per-line timing
+        # ("sampled" clocks only the hits' chain checks, so it stays
+        # fused), and a tolerant policy (strict must attribute the
         # *first* bad record, which means classifying every record in
         # order).
         if (
             timing != "full"
-            and reorder_horizon == 0
             and on_error != "strict"
             and getattr(self.scanner, "scan_records", None) is not None
             and isinstance(source, (str, Path, bytes, bytearray, memoryview))
         ):
             report = self._run_fused(
-                source, timing=timing, on_error=on_error, stats=stats,
-                span=span)
+                source, timing=timing, on_error=on_error,
+                reorder_horizon=reorder_horizon, stats=stats, span=span)
             report.ingest = stats
             return report
-        # Byte fast path: a byte-backend scanner reading from a file or
-        # a raw byte buffer never decodes the ~99% of lines the funnel
-        # rejects — records go straight from mmap to the byte kernel.
-        # Per-line timing needs per-event tokenize calls, so timing=
-        # "full" stays on the decoded path.
+        # Byte path (the bytes backend, which has no compiled kernel): a
+        # byte-backend scanner reading from a file or a raw byte buffer
+        # never decodes the ~99% of lines the funnel rejects — records
+        # go straight from mmap to the byte kernel.  Per-line timing
+        # needs per-event tokenize calls, so timing="full" stays on the
+        # decoded path.
         if (
             timing != "full"
             and getattr(self.scanner, "backend", "str") != "str"
@@ -378,21 +386,29 @@ class PredictorFleet:
         *,
         timing: Timing,
         on_error: str,
+        reorder_horizon: float,
         stats,
         span: Optional[SpanTimer] = None,
     ) -> FleetReport:
         """Native fused ingest+scan: one C pass over the raw blob.
 
-        The kernel's ``scan_records`` returns, in record order, only
-        the records Python must look at: template *hits* (header
-        already validated in C) and *suspects* (records that failed the
-        strict C header check — malformed, odd timestamp shape, or an
-        escaped message).  Suspects re-run the tolerant Python parser,
-        so quarantine decisions, counts, and warn-policy logging are
-        identical to :func:`~repro.logsim.stream.read_record_batch`;
-        decoded suspects are tokenized through the scanner like any
-        other line, and both feed :meth:`_route_hits` in record order.
-        So the per-node chain engines see the exact feed sequence of the
+        The kernel's ``scan_records`` returns every record's epoch time
+        (parsed in C, bit-identical to the Python parse) and, in record
+        order, only the records Python must look at: template *hits*
+        (with their time and node span) and *suspects* (records that
+        failed the strict C header check — malformed, odd timestamp
+        shape, or an escaped message).  Suspects re-run the tolerant
+        Python parser, so quarantine decisions, counts, and warn-policy
+        logging are identical to
+        :func:`~repro.logsim.stream.read_record_batch`; a decoded
+        suspect writes its time back into the record times and is
+        tokenized through the scanner like any other line.  With a
+        positive ``reorder_horizon`` the scanner's ``reorder`` replays
+        the :class:`~repro.logsim.stream.SortBuffer` over those times
+        in C, and the hits are routed in its emission order; its
+        ``reordered``/``late`` counts join the ingest funnel.  Suspect
+        decode and the reorder call form the decode stage.  So the
+        per-node chain engines see the exact feed sequence of the
         unfused pipeline — predictions are byte-identical (asserted by
         the fused-equivalence tests).  ``timing`` is ``"off"`` or
         ``"sampled"``; under ``"sampled"`` the routing loop clocks each
@@ -405,62 +421,64 @@ class PredictorFleet:
         obs = self.obs
         t_run = _time.perf_counter() if obs is not None else 0.0
         warn = on_error == "warn"
+        known_node = self._node_names.get
         node_name = self._node_name
-        tokenize = self.scanner.tokenize
+        scanner = self.scanner
+        tokenize = scanner.tokenize
         quarantined = 0
         by_reason: Dict[str, int] = {}
         suspect_decoded = 0
-        tail_t: Optional[float] = None  # last decoded suspect (stream order)
-        tail_off = -1
-        last_time: Optional[float] = None
+        hits: List[tuple] = []  # (node, event time, token), record order
+        where: List[int] = []  # the record index of each hit
         with open_byte_buffer(source) as blob:
             if span is not None:
                 span.lap(STAGE_INGEST)  # open/mmap; the read is the scan
-            n_records, n_ok, items, last_ok = self.scanner.scan_records(blob)
+            n_records, n_ok, items, times = scanner.scan_records(blob)
             if span is not None:
                 span.lap(STAGE_SCAN, n_records)
-
-            def routed():
-                nonlocal quarantined, suspect_decoded, tail_t, tail_off
-                for off, length, token in items:
-                    record = blob[off:off + length]
-                    if type(record) is not bytes:  # bytearray source
-                        record = bytes(record)
-                    if token < 0:  # suspect: the tolerant Python parse path
-                        try:
-                            t, raw, message = parse_record_bytes(record)
-                        except LogDecodeError as exc:
-                            quarantined += 1
-                            reason = exc.reason
-                            by_reason[reason] = by_reason.get(reason, 0) + 1
-                            if warn and quarantined <= WARN_LINE_CAP:
-                                _log.warning("quarantined record (%s)", exc)
-                            continue
-                        suspect_decoded += 1
-                        tail_t, tail_off = t, off
-                        token = tokenize(message)
-                        if token is None:
-                            continue
-                    else:  # hit: C validated the header, the parse cannot fail
-                        t, raw, message = parse_record_bytes(record)
-                    yield node_name(raw), t, token
-
-            report = self._route_hits(routed(), timing, span)
-            # Stream-order last event time: the later of the last
-            # C-accepted record and the last decoded suspect.
-            if last_ok is not None and last_ok[0] > tail_off:
-                lo, ll = last_ok
-                rec = blob[lo:lo + ll]
-                if type(rec) is not bytes:
-                    rec = bytes(rec)
-                last_time = parse_record_bytes(rec)[0]
-            elif tail_off >= 0:
-                last_time = tail_t
+            for index, token, t, start, length in items:
+                piece = blob[start:start + length]  # node id, or record
+                if type(piece) is not bytes:  # bytearray source
+                    piece = bytes(piece)
+                if token < 0:  # suspect: the tolerant Python parse path
+                    try:
+                        t, piece, message = parse_record_bytes(piece)
+                    except LogDecodeError as exc:
+                        quarantined += 1
+                        reason = exc.reason
+                        by_reason[reason] = by_reason.get(reason, 0) + 1
+                        if warn and quarantined <= WARN_LINE_CAP:
+                            _log.warning("quarantined record (%s)", exc)
+                        continue
+                    suspect_decoded += 1
+                    times[index] = t
+                    token = tokenize(message)
+                    if token is None:
+                        continue
+                hits.append((known_node(piece) or node_name(piece), t, token))
+                where.append(index)
         if warn and quarantined > WARN_LINE_CAP:
             _log.warning(
                 "quarantined %d further records (suppressed per-record "
                 "warnings after the first %d)",
                 quarantined - WARN_LINE_CAP, WARN_LINE_CAP)
+        if reorder_horizon > 0:
+            rank, reordered, late, last = scanner.reorder(
+                times, n_records, reorder_horizon)
+            stats.reordered += reordered
+            stats.late += late
+            keys = [rank[i] for i in where]
+            hits = [hits[j] for j in sorted(range(len(hits)),
+                                            key=keys.__getitem__)]
+        else:
+            # Without a horizon the last record emitted is the last
+            # one that decoded (NaN marks a quarantined one).
+            last = next((i for i in range(n_records - 1, -1, -1)
+                         if not math.isnan(times[i])), None)
+        last_time = None if last is None else times[last]
+        if span is not None:
+            span.lap(STAGE_DECODE, len(items))
+        report = self._route_hits(hits, timing, span)
         decoded = n_ok + suspect_decoded
         stats.lines_read += n_records
         stats.decoded += decoded
@@ -547,7 +565,8 @@ class PredictorFleet:
         is the caller's, which alone knows what it scanned.
         """
         report = FleetReport()
-        is_relevant = self.chains.is_relevant
+        relevant = self.chains.token_set
+        predictor_of = self._predictors.get
         predictor_for = self.predictor_for
         predictions = report.predictions
         sampled = timing == "sampled"
@@ -555,9 +574,9 @@ class PredictorFleet:
         n_predictions = 0
         feed_seconds = 0.0
         for node, event_time, token in hits:
-            if not is_relevant(token):
+            if token not in relevant:
                 continue
-            predictor = predictor_for(node)
+            predictor = predictor_of(node) or predictor_for(node)
             predictor.stats.lines_tokenized += 1
             tokenized += 1
             if sampled:

@@ -97,20 +97,11 @@ class ChainMatcher:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         self.stats = MatcherStats()
-        # Dense rule tables.
-        self._sequences: List[Tuple[int, ...]] = [c.tokens for c in chains]
-        self._chain_ids: List[str] = [c.chain_id for c in chains]
-        # First-token dispatch: token → lowest rule index starting with it.
-        self._first_of: Dict[int, int] = {}
-        for idx, seq in enumerate(self._sequences):
-            self._first_of.setdefault(seq[0], idx)
-        # token → set of rule indices containing it (interleaving stats).
-        self._token_owner: Dict[int, frozenset[int]] = {}
-        owners: Dict[int, set[int]] = {}
-        for idx, seq in enumerate(self._sequences):
-            for tok in seq:
-                owners.setdefault(tok, set()).add(idx)
-        self._token_owner = {t: frozenset(s) for t, s in owners.items()}
+        # The chain set's dense rule tables, shared read-only.
+        self._sequences = chains.sequences
+        self._chain_ids = chains.chain_ids
+        self._first_of = chains.first_of
+        self._token_owner = chains.token_owner
         self._active: int = -1
         self._pos: int = 0
         self._last_time: float = 0.0
@@ -315,8 +306,8 @@ class OracleTracker:
         # per cursor); the full transition counters live on the
         # single-rule matcher.
         self.stats = MatcherStats()
-        self._sequences = [c.tokens for c in chains]
-        self._chain_ids = [c.chain_id for c in chains]
+        self._sequences = chains.sequences
+        self._chain_ids = chains.chain_ids
         self._cursors: Dict[int, _Cursor] = {}
 
     def feed(self, token: int, time: float) -> List[Match]:

@@ -37,9 +37,8 @@ from ..obs.tracing import (
 from ..parsegen import END, FeedResult, StreamingParser
 from .chains import ChainSet
 from .events import LogEvent, Prediction
-from .grammar_builder import build_chain_tables, terminal_name
+from .grammar_builder import terminal_name
 from .matcher import ChainMatcher, Match, MatcherStats
-from .rules import build_rules
 
 Tokenizer = Callable[[str], Optional[int]]
 Backend = Literal["matcher", "lalr"]
@@ -418,9 +417,9 @@ class _Engine:
 class _MatcherEngine(_Engine):
     def __init__(self, chains: ChainSet, timeout: Optional[float]):
         self.matcher = ChainMatcher(chains, timeout)
-
-    def feed(self, token: int, time: float) -> Optional[Match]:
-        return self.matcher.feed(token, time)
+        # The hot path calls the matcher directly, not through a
+        # forwarding method.
+        self.feed = self.matcher.feed
 
     def reset(self) -> None:
         self.matcher.reset()
@@ -451,8 +450,7 @@ class _LalrEngine(_Engine):
     def __init__(self, chains: ChainSet, timeout: Optional[float]):
         self.chains = chains
         self.timeout = chains.suggest_timeout() if timeout is None else timeout
-        rule_set = build_rules(chains, factor=False)
-        self.tables = build_chain_tables(rule_set)
+        self.tables = chains.lalr_tables
         self.parser = StreamingParser(self.tables)
         self._last_time = 0.0
         self._start_time = 0.0

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 #: Bump to invalidate every cached native shared object (ABI or
 #: generated-source semantics change).
-NATIVE_KERNEL_VERSION = 1
+NATIVE_KERNEL_VERSION = 2
 
 #: Suspect marker in ``scan_records`` output: the record failed the
 #: C fast-path header check and must be re-parsed (and its message
@@ -195,6 +195,7 @@ def _bind(lib: ctypes.CDLL) -> None:
     c_int64 = ctypes.c_int64
     p_i32 = ctypes.POINTER(c_int32)
     p_i64 = ctypes.POINTER(c_int64)
+    p_f64 = ctypes.POINTER(ctypes.c_double)
     lib.aarohi_new.argtypes = []
     lib.aarohi_new.restype = c_void_p
     lib.aarohi_free.argtypes = [c_void_p]
@@ -213,15 +214,20 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.aarohi_scan_blob.argtypes = [
         c_void_p, c_char_p, c_size_t, c_int64, p_i32, p_i32]
     lib.aarohi_scan_blob.restype = c_int64
+    lib.aarohi_count_lines.argtypes = [c_char_p, c_size_t]
+    lib.aarohi_count_lines.restype = c_int64
     lib.aarohi_scan_records.argtypes = [
-        c_void_p, c_char_p, c_size_t,
-        p_i64, p_i64, p_i64, p_i64,
-        ctypes.POINTER(p_i64), ctypes.POINTER(p_i64),
-        ctypes.POINTER(p_i32), p_i64,
+        c_void_p, c_char_p, c_size_t, c_int64, p_f64,
+        p_i64, p_i64,
+        ctypes.POINTER(p_i64), ctypes.POINTER(p_i32), ctypes.POINTER(p_f64),
+        ctypes.POINTER(p_i64), ctypes.POINTER(p_i64), p_i64,
     ]
     lib.aarohi_scan_records.restype = ctypes.c_int
-    lib.aarohi_records_free.argtypes = [p_i64, p_i64, p_i32]
+    lib.aarohi_records_free.argtypes = [p_i64]
     lib.aarohi_records_free.restype = None
+    lib.aarohi_reorder.argtypes = [
+        p_f64, c_int64, ctypes.c_double, p_i64, p_i64, p_i64, p_i64]
+    lib.aarohi_reorder.restype = c_int64
     lib._aarohi_bound = True
 
 
@@ -282,14 +288,15 @@ def make_kernels(lib: ctypes.CDLL):
     """Bind one loaded kernel library into the ScanKernels surface.
 
     Returns ``(tokenize, scan_hits, match_span, memo, counts,
-    scan_records, scan_hits_view)``.  The batched entry points make
-    exactly one C call per batch: ``scan_hits`` joins its messages into
-    a newline blob the C side re-splits (falling back to a per-message
-    loop in the pathological case of a message containing a newline
-    byte), ``scan_hits_view`` takes an already-joined blob so callers
-    holding a cached contiguous view skip the join entirely, and
+    scan_records, scan_hits_view, reorder)``.  The batched entry points
+    make exactly one C call per batch: ``scan_hits`` joins its messages
+    into a newline blob the C side re-splits (falling back to a
+    per-message loop in the pathological case of a message containing a
+    newline byte), ``scan_hits_view`` takes an already-joined blob so
+    callers holding a cached contiguous view skip the join entirely,
     ``scan_records`` drives the fused ingest+scan pass over a raw
-    record blob.
+    record blob, and ``reorder`` orders that pass's records the way the
+    reorder buffer would.
     """
     _bind(lib)
     state = _KernelState(lib)
@@ -353,40 +360,70 @@ def make_kernels(lib: ctypes.CDLL):
     def scan_records(blob):
         """One fused pass over a raw record blob.
 
-        Returns ``(n_records, n_ok, items, last_ok)``: the record count
+        Returns ``(n_records, n_ok, items, times)``: the record count
         (blank records excluded), the count the C header check accepted
-        and scanned, an in-order list of ``(offset, length, token)``
-        where ``token`` is :data:`SUSPECT_RECORD` for records Python
-        must re-parse, and the ``(offset, length)`` of the last
-        accepted record (``None`` when there was none).
+        and scanned, an in-order list of ``(index, token, time, start,
+        length)``, and the per-record ``c_double`` time array (at least
+        ``n_records`` long).  ``index`` is the record's position among
+        the records.  For a hit, ``time`` is its epoch time and
+        ``blob[start:start + length]`` its node id; for a suspect
+        (``token`` is :data:`SUSPECT_RECORD`) Python must re-parse
+        ``blob[start:start + length]``, the whole record, and ``time``
+        is NaN — as is the suspect's entry in ``times``, until the
+        caller writes the parsed time back.
         """
         cbuf, size = _as_cbuf(blob)
+        cap = lib.aarohi_count_lines(cbuf, size)
+        times = (ctypes.c_double * cap)()
         n_records = ctypes.c_int64(0)
         n_ok = ctypes.c_int64(0)
-        last_off = ctypes.c_int64(-1)
-        last_len = ctypes.c_int64(0)
         n_out = ctypes.c_int64(0)
-        off_p = ctypes.POINTER(ctypes.c_int64)()
-        len_p = ctypes.POINTER(ctypes.c_int64)()
+        idx_p = ctypes.POINTER(ctypes.c_int64)()
         tok_p = ctypes.POINTER(ctypes.c_int32)()
+        t_p = ctypes.POINTER(ctypes.c_double)()
+        start_p = ctypes.POINTER(ctypes.c_int64)()
+        len_p = ctypes.POINTER(ctypes.c_int64)()
         rc = lib.aarohi_scan_records(
-            handle, cbuf, size,
+            handle, cbuf, size, cap, times,
             ctypes.byref(n_records), ctypes.byref(n_ok),
-            ctypes.byref(last_off), ctypes.byref(last_len),
-            ctypes.byref(off_p), ctypes.byref(len_p), ctypes.byref(tok_p),
+            ctypes.byref(idx_p), ctypes.byref(tok_p), ctypes.byref(t_p),
+            ctypes.byref(start_p), ctypes.byref(len_p),
             ctypes.byref(n_out),
         )
-        if rc != 0:
+        if rc == -1:
             raise MemoryError("native record-scan allocation failed")
+        if rc:  # more records than counted: the buffer changed under us
+            raise RuntimeError("record blob changed during the scan")
         try:
             k = n_out.value
             items: List[tuple] = (
-                list(zip(off_p[:k], len_p[:k], tok_p[:k])) if k else [])
+                list(zip(idx_p[:k], tok_p[:k], t_p[:k], start_p[:k],
+                         len_p[:k])) if k else [])
         finally:
-            lib.aarohi_records_free(off_p, len_p, tok_p)
-        last = (
-            (last_off.value, last_len.value) if last_off.value >= 0 else None)
-        return n_records.value, n_ok.value, items, last
+            lib.aarohi_records_free(idx_p)
+        return n_records.value, n_ok.value, items, times
+
+    def reorder(times, n, horizon):
+        """:class:`~repro.logsim.stream.SortBuffer` replayed in C over
+        ``times[:n]`` (a ``c_double`` array, NaN = not in the stream).
+
+        Returns ``(rank, reordered, late, last)``: each record's
+        emission position (a ``c_int64`` array, -1 for NaN), the
+        buffer's two ordering counts, and the last record emitted
+        (``None`` when none was).
+        """
+        if not 0 <= n <= len(times):
+            raise ValueError(f"{n} records but {len(times)} times")
+        rank = (ctypes.c_int64 * n)()
+        reordered = ctypes.c_int64(0)
+        late = ctypes.c_int64(0)
+        last = ctypes.c_int64(-1)
+        if lib.aarohi_reorder(
+                times, n, horizon, rank, ctypes.byref(reordered),
+                ctypes.byref(late), ctypes.byref(last)) < 0:
+            raise MemoryError("native reorder allocation failed")
+        return (rank, reordered.value, late.value,
+                last.value if last.value >= 0 else None)
 
     return (tokenize, scan_hits, match_span, NativeMemo(state),
-            state.counts, scan_records, scan_hits_view)
+            state.counts, scan_records, scan_hits_view, reorder)

@@ -215,14 +215,15 @@ class TemplateScanner:
     kernels, and a catalog past 254 byte classes runs ``"str"``), and
     :meth:`repro.obs.Obs.record_scanner` turns the difference into a
     fallback counter.  ``scan_records`` (fused
-    ingest+scan over a raw record blob) and ``scan_hits_view``
+    ingest+scan over a raw record blob), ``reorder`` (the reorder
+    buffer over that pass's record times) and ``scan_hits_view``
     (``scan_hits`` over an already-joined message blob) are the native
     backend's extra entry points, ``None`` elsewhere.
     """
 
     __slots__ = ("compiled", "backend", "requested_backend", "tokenize",
                  "tokenize_text", "scan_hits", "match_span", "scan_records",
-                 "scan_hits_view", "memo", "_counts")
+                 "reorder", "scan_hits_view", "memo", "_counts")
 
     _counting = False
 
@@ -246,6 +247,7 @@ class TemplateScanner:
         self.backend = kernels.backend
         self.requested_backend = requested_backend or backend
         self.scan_records = kernels.scan_records
+        self.reorder = kernels.reorder
         self.scan_hits_view = kernels.scan_hits_view
         self.tokenize = kernels.tokenize
         if kernels.backend == "str":

@@ -9,11 +9,13 @@ and scanner funnel as the decoded str path, in one fleet and sharded.
 """
 
 import io
+from datetime import datetime, timezone
 
 import pytest
 
 from repro.codegen import native_available
 from repro.core import PredictorFleet
+from repro.core.events import LogEvent, escape_message
 from repro.logsim import (
     HPC3,
     ClusterLogGenerator,
@@ -242,18 +244,113 @@ class TestFleetBytePath:
         assert sum(total(name) for name, _ in FUNNEL_STAGES) == lines_seen
 
 
+def full_keys(predictions):
+    return [(p.node, p.chain_id, p.flagged_at, p.matched_tokens)
+            for p in predictions]
+
+
+def displaced_suspect_lines(gen, events, every=5, shift=3):
+    """Serialized lines in which every ``every``-th FC-related event
+    becomes a suspect record the C header check hands back to Python —
+    alternately an escaped message and a stamp without fractional
+    seconds — and moves ``shift`` lines later, so a reorder horizon has
+    to put it back."""
+    tokenize = make_fleet(gen, "str").scanner.tokenize
+    lines = [e.to_line() for e in events]
+    moves = []
+    related = 0
+    for i, e in enumerate(events):
+        token = tokenize(e.message)
+        if token is None or not gen.chains.is_relevant(token):
+            continue
+        related += 1
+        if related % every:
+            continue
+        if len(moves) % 2:
+            stamp = datetime.fromtimestamp(
+                e.time, timezone.utc).isoformat(timespec="seconds")
+            lines[i] = f"{stamp} {e.node} {escape_message(e.message)}"
+        else:
+            lines[i] = LogEvent(e.time, e.node, e.message + " \\").to_line()
+        moves.append(i)
+    for i in reversed(moves):
+        lines.insert(min(i + shift, len(lines) - 1), lines.pop(i))
+    return lines, len(moves)
+
+
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
 class TestFusedNativePath:
-    """run_lines with a native scanner and the plain replay shape
-    (timing off, no reorder, tolerant policy) routes through the fused
-    single-pass C kernel; everything observable must match the unfused
-    byte pipeline."""
+    """run_lines with a native scanner, timing other than "full" and a
+    tolerant policy routes through the fused single-pass C kernel, with
+    or without a reorder horizon; everything observable must match the
+    unfused byte pipeline and the str pipeline."""
 
     def fused_fleet(self, gen):
         fleet = make_fleet(gen, "native")
         if getattr(fleet.scanner, "scan_records", None) is None:
             pytest.skip("native kernels did not build")
         return fleet
+
+    def three_way(self, gen, source, text_path, horizon):
+        """Run the fused pass over ``source`` and hold it to the bytes
+        pipeline over the same source and the str pipeline over the
+        same text read from ``text_path``.  The str pipeline's
+        ``nodes`` counts every node that sent a line, the byte paths'
+        only nodes with an FC-related one, so ``nodes`` is held to the
+        bytes pipeline."""
+        def run(fleet, src):
+            return fleet.run_lines(src, on_error="quarantine",
+                                   reorder_horizon=horizon, timing="off")
+
+        fused = run(self.fused_fleet(gen), source)
+        plain = run(make_fleet(gen, "bytes"), source)
+        text = run(make_fleet(gen, "str"), text_path)
+        assert fused.predictions
+        for other in (plain, text):
+            assert full_keys(fused.predictions) == \
+                full_keys(other.predictions)
+            assert fused.ingest.as_dict() == other.ingest.as_dict()
+            assert fused.lines_seen == other.lines_seen
+            assert fused.lines_tokenized == other.lines_tokenized
+        assert fused.nodes == plain.nodes
+        assert fused.ingest.funnel_ok
+        return fused
+
+    @pytest.mark.parametrize("kind", ["path", "bytes", "bytearray"])
+    @pytest.mark.parametrize("horizon", [0.001, 5.0, 60.0])
+    def test_reorder_displaced_suspects(self, gen, window, tmp_path, kind,
+                                        horizon):
+        lines, moved = displaced_suspect_lines(gen, window.events)
+        assert moved >= 4
+        path = tmp_path / "displaced.log"
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+        blob = path.read_bytes()
+        source = {"path": path, "bytes": blob,
+                  "bytearray": bytearray(blob)}[kind]
+        report = self.three_way(gen, source, path, horizon)
+        assert report.ingest.reordered > 0
+        assert report.ingest.quarantined == 0
+
+    @pytest.mark.parametrize("sep, tail", [
+        (b"\r\n", b"\r\n"), (b"\r\n", b""), (b"\n", b"")])
+    def test_reorder_line_ends(self, gen, window, tmp_path, sep, tail):
+        lines, _ = displaced_suspect_lines(gen, window.events)
+        path = tmp_path / "ends.log"
+        path.write_bytes(sep.join(x.encode() for x in lines) + tail)
+        self.three_way(gen, path.read_bytes(), path, 5.0)
+
+    @pytest.mark.corruption
+    @pytest.mark.parametrize("horizon", [0.001, 0.5])
+    def test_reorder_corrupted_stream_with_late_records(
+            self, gen, window, tmp_path, horizon):
+        lines, report = corrupt_window(
+            window.events, CorruptionSpec.all_kinds(0.03), seed=23)
+        assert report.total_faults > 0
+        path = tmp_path / "corrupt.log"
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        fused = self.three_way(gen, path.read_bytes(), path, horizon)
+        assert fused.ingest.quarantined > 0
+        assert fused.ingest.reordered > 0 and fused.ingest.late > 0
 
     def test_clean_blob_matches_bytes_pipeline(self, gen, window, log_path):
         fused = self.fused_fleet(gen).run_lines(log_path, timing="off")
@@ -265,6 +362,7 @@ class TestFusedNativePath:
         assert fused.lines_seen == plain.lines_seen
         assert fused.lines_tokenized == plain.lines_tokenized
 
+    @pytest.mark.corruption
     def test_corrupted_blob_quarantines_identically(self, gen, window):
         lines, report = corrupt_window(
             window.events, CorruptionSpec.all_kinds(0.03), seed=23)

@@ -401,6 +401,38 @@ class TestReorderRepair:
             bundle, lines)
         assert report.ingest.reordered > 0
 
+    @pytest.mark.parametrize("poison", ["1e12 n0 x", "nan n0 x", "inf n0 x"])
+    def test_quarantined_line_bypasses_sort_buffer(self, poison):
+        # A line the workers' decoder quarantines (a bare epoch float is
+        # no ISO-8601 stamp) must not move the connection's reorder
+        # watermarks: were its time taken, every later line would ship
+        # unsorted or count as late.
+        bundle = make_bundle()
+        lines = make_lines(["n0", "n1"], reps=2, dt=1.0)
+        # Swap each node's lines pairwise (the nodes alternate, so i and
+        # i + 2 are one node's): a 2 s displacement that breaks every
+        # chain unless the buffer repairs it.
+        skewed = lines[:]
+        for i in range(0, len(skewed) - 2, 4):
+            skewed[i], skewed[i + 2] = skewed[i + 2], skewed[i]
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+            reorder_horizon=10.0,
+        ).start()
+        try:
+            assert daemon.wait_ready(30.0)
+            addr = daemon.listen_tcp()
+            send_all(addr, ("\n".join([poison] + skewed) + "\n").encode())
+            assert wait_lines(daemon, len(skewed) + 1)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert report.ingest.late == 0
+        assert report.ingest.quarantined == 1
+
 
 class TestDaemonValidation:
     def test_rejects_bad_configuration(self):

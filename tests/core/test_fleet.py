@@ -84,3 +84,44 @@ class TestFleet:
         report = fleet.run([])
         assert report.fc_related_fraction == 0.0
         assert report.predictions == []
+
+
+class TestSharedChainTables:
+    """The chain set builds its rule tables once; a new predictor holds
+    references to them instead of rebuilding them per node."""
+
+    def test_matchers_share_the_chain_set_tables(self, store, chains):
+        fleet = PredictorFleet.from_store(chains, store, timeout=100.0)
+        for i in range(50):
+            fleet.run(episode(f"n{i}", float(i)))
+        assert len(fleet.nodes) == 50
+        for node in fleet.nodes:
+            matcher = fleet.predictor_for(node)._engine.matcher
+            assert matcher._sequences is chains.sequences
+            assert matcher._chain_ids is chains.chain_ids
+            assert matcher._first_of is chains.first_of
+            assert matcher._token_owner is chains.token_owner
+
+    def test_lalr_fleet_builds_parser_tables_once(self, store, chains,
+                                                  monkeypatch):
+        from repro.core import grammar_builder
+
+        built = []
+        real = grammar_builder.build_chain_tables
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grammar_builder, "build_chain_tables", counting)
+        fleet = PredictorFleet.from_store(
+            chains, store, timeout=100.0, backend="lalr")
+        stream = sorted(
+            (e for i in range(40) for e in episode(f"n{i}", float(i))),
+            key=lambda e: e.time)
+        report = fleet.run(stream)
+        assert len(report.predictions) == 40 and len(fleet.nodes) == 40
+        assert len(built) == 1
+        tables = {id(fleet.predictor_for(n)._engine.tables)
+                  for n in fleet.nodes}
+        assert tables == {id(chains.lalr_tables)}

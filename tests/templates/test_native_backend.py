@@ -5,17 +5,25 @@ The differential answers (token ids, spans, funnel counts) live in
 the ``native`` backend: the compiler probe and its two degradation
 levels (no compiler at resolve time, failed compile at build time),
 the shared-object artifact cache keyed on source + compiler identity,
-the single-flight compile election, and the fused ``scan_records``
-entry point's record accounting.
+the single-flight compile election, the fused ``scan_records`` entry
+point's record accounting and C-parsed record times, and the
+``reorder`` kernel against the Python reorder buffer.
 """
 
+import ctypes
+import itertools
+import math
 import threading
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import native, persistence
 from repro.codegen import resolve_backend
-from repro.core.events import LogEvent
+from repro.core.events import LogEvent, parse_record_bytes
+from repro.logsim.stream import IngestStats, SortBuffer, _Stamped
 from repro.logsim import HPC1, ClusterLogGenerator
 from repro.templates import TemplateStore
 from repro.templates.masking import MASK
@@ -218,6 +226,18 @@ class TestSingleFlight:
         assert path is not None and path.read_text() == "solo"
 
 
+def split_records(blob):
+    """The blob's records as the kernel indexes them: newline-split,
+    one trailing CR stripped, blanks skipped."""
+    out = []
+    for raw in blob.split(b"\n"):
+        if raw.endswith(b"\r"):
+            raw = raw[:-1]
+        if raw:
+            out.append(raw)
+    return out
+
+
 class TestScanRecords:
     @pytest.fixture(scope="class")
     def scanner(self):
@@ -225,47 +245,153 @@ class TestScanRecords:
         return gen.store.compile_scanner(
             counting=True, cache=False, backend="native"), gen
 
-    def test_record_accounting(self, scanner):
+    def native(self, scanner):
         s, gen = scanner
         if s.backend != "native":
             pytest.skip("native kernels did not build")
+        return s, gen
+
+    def test_record_accounting(self, scanner):
+        s, gen = self.native(scanner)
         window = gen.generate_window(duration=600.0, n_nodes=8, n_failures=3)
         good = [e.to_line().encode() for e in window.events[:200]]
         blob = (b"\n\n" + good[0] + b"\r\n" + b"not a record\n"
                 + b"\n".join(good[1:]) + b"\n")
-        n_records, n_ok, items, last = s.scan_records(blob)
-        assert n_records == len(good) + 1  # the malformed one counts
+        records = split_records(blob)
+        n_records, n_ok, items, times = s.scan_records(blob)
+        assert n_records == len(good) + 1 == len(records)  # malformed counts
         assert n_ok == len(good)
-        suspects = [it for it in items if it[2] == native.SUSPECT_RECORD]
+        suspects = [it for it in items if it[1] == native.SUSPECT_RECORD]
         assert len(suspects) == 1
-        off, length, _ = suspects[0]
-        assert bytes(blob[off:off + length]) == b"not a record"
-        # Every emitted hit re-tokenizes to its reported token.
-        for off, length, token in items:
-            if token == native.SUSPECT_RECORD:
-                continue
-            message = bytes(blob[off:off + length]).split(b" ", 2)[2]
+        index, _, t, start, length = suspects[0]
+        assert records[index] == b"not a record"
+        assert bytes(blob[start:start + length]) == b"not a record"
+        assert math.isnan(t) and math.isnan(times[index])
+        # Every emitted hit re-tokenizes to its reported token, and
+        # carries its record's parsed time and node.
+        hits = [it for it in items if it[1] != native.SUSPECT_RECORD]
+        assert hits
+        for index, token, t, start, length in hits:
+            message = records[index].split(b" ", 2)[2]
             assert s.tokenize(message) == token
-        last_off, last_len = last
-        assert bytes(blob[last_off:last_off + last_len]) == good[-1]
+            parsed_t, node, _ = parse_record_bytes(records[index])
+            assert t == parsed_t == times[index]
+            assert bytes(blob[start:start + length]) == node
+        # Items come in record order, and every accepted record has its
+        # time: the last one is the last good record's.
+        assert [it[0] for it in items] == sorted(it[0] for it in items)
+        assert times[n_records - 1] == parse_record_bytes(good[-1])[0]
 
     def test_empty_and_blank_blobs(self, scanner):
-        s, _ = scanner
-        if s.backend != "native":
-            pytest.skip("native kernels did not build")
-        assert s.scan_records(b"") == (0, 0, [], None)
-        assert s.scan_records(b"\n\r\n\n") == (0, 0, [], None)
+        s, _ = self.native(scanner)
+        assert s.scan_records(b"")[:3] == (0, 0, [])
+        assert s.scan_records(b"\n\r\n\n")[:3] == (0, 0, [])
 
     def test_backslash_record_is_suspect(self, scanner):
         # Escape sequences take the Python unescape path, so the C side
         # must flag them rather than scan the raw message.
-        s, _ = scanner
+        s, _ = self.native(scanner)
+        blob = record(5.0, "n0", "with \\n escape") + b"\n"
+        n_records, n_ok, items, times = s.scan_records(blob)
+        assert n_records == 1 and n_ok == 0
+        assert [it[1] for it in items] == [native.SUSPECT_RECORD]
+        assert math.isnan(times[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.datetimes(
+        min_value=datetime(1900, 1, 1), max_value=datetime(2200, 12, 31)),
+        min_size=1, max_size=40))
+    @example([datetime(1904, 2, 29, 23, 59, 59, 999999),
+              datetime(2000, 2, 29), datetime(2196, 2, 29, 0, 0, 0, 1),
+              datetime(1969, 12, 31, 23, 59, 59, 999999),
+              datetime(1900, 3, 1), datetime(2100, 2, 28, 12)])
+    def test_c_time_equals_python_time(self, scanner, stamps):
+        s, _ = self.native(scanner)
+        text = [d.replace(tzinfo=timezone.utc).isoformat(
+            timespec="microseconds") for d in stamps]
+        blob = b"".join(f"{x} n0 m\n".encode() for x in text)
+        n_records, n_ok, _, times = s.scan_records(blob)
+        assert n_records == n_ok == len(text)
+        for i, x in enumerate(text):
+            assert times[i] == datetime.fromisoformat(x).timestamp(), x
+
+    @pytest.mark.parametrize("stamp, exact", [
+        ("2255-06-05T23:47:34.740992+00:00", True),
+        ("2255-06-05T23:47:34.740993+00:00", False),
+        ("1684-07-28T00:12:25.259008+00:00", True),
+        ("1684-07-28T00:12:25.259007+00:00", False),
+        ("2000-02-29T12:00:00.000001+00:00", True),
+        ("1969-12-31T23:59:59.999999+00:00", True),
+    ])
+    def test_stamps_past_2_53_us_are_suspects(self, scanner, stamp, exact):
+        # Within ±2^53 µs the C time is exact; one microsecond further
+        # the record goes back to Python, which still decodes it.
+        s, _ = self.native(scanner)
+        blob = f"{stamp} n0 link failed x\n".encode()
+        _, n_ok, items, times = s.scan_records(blob)
+        expected = datetime.fromisoformat(stamp).timestamp()
+        if exact:
+            assert n_ok == 1 and times[0] == expected
+        else:
+            assert n_ok == 0 and math.isnan(times[0])
+            assert [it[1] for it in items] == [native.SUSPECT_RECORD]
+            assert parse_record_bytes(blob.rstrip())[0] == expected
+
+
+def sort_buffer_replay(times, horizon):
+    """The reference: SortBuffer over the non-NaN times, returning the
+    emitted record indices and its two counts."""
+    stats = IngestStats()
+    buffer = SortBuffer(horizon, stats)
+    order = []
+    for i, t in enumerate(times):
+        if not math.isnan(t):
+            order.extend(s.index for s in buffer.push(_Stamped(t, i)))
+    order.extend(s.index for s in buffer.flush())
+    return order, stats.reordered, stats.late
+
+
+class TestReorderKernel:
+    @pytest.fixture(scope="class")
+    def scanner(self):
+        s = small_store().compile_scanner(cache=False, backend="native")
         if s.backend != "native":
             pytest.skip("native kernels did not build")
-        blob = record(5.0, "n0", "with \\n escape") + b"\n"
-        n_records, n_ok, items, _ = s.scan_records(blob)
-        assert n_records == 1
-        assert [it[2] for it in items] == [native.SUSPECT_RECORD]
+        return s
+
+    @staticmethod
+    def near_sorted():
+        # Integer steps make ties common; a displacement can reach far
+        # past the horizon, and NaN marks records outside the stream.
+        step = st.one_of(st.just(0.0), st.integers(0, 3).map(float))
+        jitter = st.one_of(st.just(0.0), st.floats(-12.0, 12.0),
+                           st.just(math.nan))
+        return st.lists(st.tuples(step, jitter), max_size=80).map(
+            lambda pairs: [
+                base + j for base, j in zip(
+                    itertools.accumulate(p[0] for p in pairs),
+                    (p[1] for p in pairs))])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(),
+           horizon=st.sampled_from([0.001, 0.5, 1.0, 2.0, 5.0, 60.0]))
+    def test_matches_sort_buffer(self, scanner, data, horizon):
+        times = data.draw(self.near_sorted())
+        n = len(times)
+        arr = (ctypes.c_double * n)(*times)
+        rank, reordered, late, last = scanner.reorder(arr, n, horizon)
+        order, ref_reordered, ref_late = sort_buffer_replay(times, horizon)
+        emitted = sorted((r, i) for i, r in enumerate(rank) if r >= 0)
+        assert [i for _, i in emitted] == order
+        assert [r for r, _ in emitted] == list(range(len(order)))
+        assert all(rank[i] == -1 for i, t in enumerate(times)
+                   if math.isnan(t))
+        assert (reordered, late) == (ref_reordered, ref_late)
+        assert last == (order[-1] if order else None)
+
+    def test_rejects_more_records_than_times(self, scanner):
+        with pytest.raises(ValueError):
+            scanner.reorder((ctypes.c_double * 2)(1.0, 2.0), 3, 1.0)
 
 
 class TestFallbackObservability:
