@@ -935,7 +935,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         bound = daemon.listen_tcp(host, port)
         endpoints.append(f"tcp {bound[0]}:{bound[1]}")
     if args.unix:
-        endpoints.append(f"unix {daemon.listen_unix(args.unix)}")
+        try:
+            endpoints.append(f"unix {daemon.listen_unix(args.unix)}")
+        except OSError as exc:
+            daemon.stop(drain=False)
+            raise SystemExit(
+                f"serve: cannot listen on {args.unix}: {exc.strerror or exc}")
     for path in args.tail or []:
         daemon.tail_file(path)
         endpoints.append(f"tail {path}")

@@ -68,9 +68,11 @@ needs an ``if __name__ == "__main__":`` guard.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing as mp
 import os
 import socket
+import stat
 import threading
 import time as _time
 from datetime import datetime
@@ -706,12 +708,22 @@ class FleetDaemon:
         return bound
 
     def listen_unix(self, path) -> str:
-        """Accept line-protocol connections on a unix socket."""
+        """Accept line-protocol connections on a unix socket.
+
+        A socket already at ``path`` (left by a daemon that died) is
+        replaced; anything else there raises :class:`FileExistsError`
+        and is left untouched.
+        """
         path = str(path)
         try:
-            os.unlink(path)
+            mode = os.lstat(path).st_mode
         except FileNotFoundError:
             pass
+        else:
+            if not stat.S_ISSOCK(mode):
+                raise FileExistsError(
+                    errno.EEXIST, "exists and is not a socket", path)
+            os.unlink(path)
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         server.bind(path)
         server.listen()

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Literal, Optional
 
 from ..obs import Observability
 from ..obs.spans import (
@@ -27,14 +26,10 @@ from ..obs.spans import (
 )
 from .chains import ChainSet
 from .events import LogEvent, Prediction
-from .predictor import (
-    _TIMING_MODES,
-    AarohiPredictor,
-    Backend,
-    PredictorStats,
-    Timing,
-    Tokenizer,
-)
+from .predictor import AarohiPredictor, Backend, PredictorStats, Tokenizer
+
+Timing = Literal["full", "sampled", "off"]
+_TIMING_MODES = ("full", "sampled", "off")
 
 _node_of = attrgetter("node")
 _message_of = attrgetter("message")
@@ -50,16 +45,16 @@ _SPAN_AUTO = object()
 class FleetReport:
     """Aggregate outcome of a fleet run.
 
-    ``stats`` is the summed :meth:`PredictorStats.diff` of every
-    predictor that participated — **this run only**, so repeated
-    ``run()`` calls on a long-lived fleet never double-count earlier
-    windows.
+    ``stats`` counts **this run only**, so repeated ``run()`` calls on
+    a long-lived fleet never double-count earlier windows.  Its
+    ``lines_seen`` is the run's share of the fleet's line count.
 
     ``nodes`` counts the predictor instances the fleet holds after the
-    run.  The event paths create one per node that sent any line; the
-    byte paths (:meth:`PredictorFleet.run_buffer`, fused
-    :meth:`PredictorFleet.run_lines`) only for a node that sent an
-    FC-related line.
+    run.  Every batched path (``timing`` ``"off"`` or ``"sampled"``, on
+    any scan backend) creates one only for a node that sent an
+    FC-related line; the per-event ``timing="full"`` path, like
+    :meth:`PredictorFleet.process`, creates one per node that sent any
+    line.
     """
 
     predictions: List[Prediction] = field(default_factory=list)
@@ -109,11 +104,13 @@ class PredictorFleet:
         self.scanner = scanner  # the shared scanner object, if known
         self._clock = clock
         self._predictors: Dict[str, AarohiPredictor] = {}
-        # Byte-path bookkeeping: raw node id -> decoded name (hits only),
-        # and lines scanned without per-predictor attribution (see
-        # :meth:`run_buffer`) so the funnel resolution stays exact.
+        # Byte-path bookkeeping: raw node id -> decoded name (hits only).
         self._node_names: Dict[bytes, str] = {}
-        self._scanned_unattributed = 0
+        # The fleet's line count: every line offered to the scanner, on
+        # every path.  The scanner funnel resolves against it, and each
+        # obs fold-in publishes what it gained since the previous one.
+        self._lines_seen = 0
+        self._lines_folded = 0
 
     @classmethod
     def from_store(
@@ -161,6 +158,7 @@ class PredictorFleet:
         return predictor
 
     def process(self, event: LogEvent) -> Optional[Prediction]:
+        self._lines_seen += 1
         return self.predictor_for(event.node).process(event)
 
     def _span_start(self) -> Optional[SpanTimer]:
@@ -180,33 +178,69 @@ class PredictorFleet:
     ) -> FleetReport:
         """Drive a whole (time-ordered) stream through the fleet.
 
-        The accept-or-discard decision is node-independent (every node
-        shares the merged scanner), so for ``timing="off"``/``"sampled"``
-        the stream is **not** grouped by node at all: one batched
+        ``timing="full"`` is the per-event path:
+        :meth:`AarohiPredictor.process` on each event in stream order,
+        which clocks every tokenize call and chain check and keeps
+        per-node ``lines_seen``.
+
+        ``"off"`` and ``"sampled"`` take the batched path
+        (:meth:`_run_flat`).  The accept-or-discard decision is
+        node-independent (every node shares the merged scanner), so the
+        stream is **not** grouped by node at all: one batched
         :meth:`~repro.templates.store.TemplateScanner.scan_hits` call
-        scans every message, and only the rare surviving hits are routed
-        to their per-node engines.  Discarded lines never surface as
+        scans every message (a fleet without one runs its tokenizer
+        over them), and only the rare surviving hits are routed to
+        their per-node engines.  Discarded lines never surface as
         per-event Python work — no tuple, no dict probe, no function
-        call.  ``timing="full"`` (per-line tokenize timing) and fleets
-        without a batch-capable scanner fall back to grouping by node
-        and running :meth:`AarohiPredictor.process_batch`'s flat loop.
+        call.
 
         Either way predictions come back in stream order, exactly as the
-        per-event loop would produce them, and per-node predictor stats
-        stay byte-identical to per-event processing (the differential
-        suite asserts both).
-
-        The report counts **this run only**.  When the fleet carries an
-        :class:`~repro.obs.Observability`, the run is folded into its
-        registry here — per run, never per event.
+        per-event loop produces them (the differential suite asserts
+        it).  The report counts **this run only**.  When the fleet
+        carries an :class:`~repro.obs.Observability`, the run is folded
+        into its registry here — per run, never per event.
         """
         if timing not in _TIMING_MODES:
             raise ValueError(f"unknown timing mode {timing!r}")
         span = self._span_start() if _span is _SPAN_AUTO else _span
-        scan_hits = getattr(self.scanner, "scan_hits", None)
-        if timing != "full" and scan_hits is not None:
-            return self._run_flat(events, timing, scan_hits, span)
-        return self._run_grouped(events, timing, span)
+        if timing != "full":
+            return self._run_flat(events, timing, span)
+        obs = self.obs
+        t_run = _time.perf_counter() if obs is not None else 0.0
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        predictors = self._predictors
+        # The report counts this run only: diff the touched nodes'
+        # stats against their totals before it.
+        touched = set(map(_node_of, events))
+        before = {node: predictors[node].stats.snapshot()
+                  for node in touched if node in predictors}
+        report = FleetReport()
+        predictions = report.predictions
+        predictor_of = predictors.get
+        predictor_for = self.predictor_for
+        for event in events:
+            node = event.node
+            prediction = (predictor_of(node) or predictor_for(node)).process(
+                event)
+            if prediction is not None:
+                predictions.append(prediction)
+        self._lines_seen += len(events)
+        stats = report.stats
+        for node in touched:
+            now = predictors[node].stats
+            stats.add(now.diff(before[node]) if node in before else now)
+        report.nodes = len(predictors)
+        if span is not None:
+            # process() tokenizes, then matches: the predictors' measured
+            # tokenize time is the scan stage, the rest of the loop match.
+            match = span.lap(STAGE_MATCH, stats.lines_tokenized)
+            span.carve(STAGE_MATCH, STAGE_SCAN,
+                       min(stats.tokenize_seconds, match), len(events))
+        if obs is not None:
+            self._record_run(obs, report, _time.perf_counter() - t_run,
+                             events[-1].time if events else None, span)
+        return report
 
     def run_lines(
         self,
@@ -333,13 +367,11 @@ class PredictorFleet:
         ``bytes → str`` cache — so a discarded record costs zero Python
         objects beyond its slice.
 
-        One deliberate difference from the event paths: per-predictor
-        ``lines_seen`` is **not** attributed (that would re-introduce a
-        per-line hash+probe on every record).  The fleet-level report
-        and the scanner-funnel identity stay exact via
-        ``_scanned_unattributed``, which :meth:`_record_run` folds into
-        the funnel resolution.  ``timing="full"`` is rejected — per-line
-        tokenize timing requires the per-event path.
+        Like every batched path, it counts lines once per fleet, not per
+        predictor (per-node ``lines_seen`` would cost a hash and a probe
+        on every record), so only a node with an FC-related hit gets a
+        predictor.  ``timing="full"`` is rejected — per-line tokenize
+        timing requires the per-event path.
         """
         if timing not in _TIMING_MODES:
             raise ValueError(f"unknown timing mode {timing!r}")
@@ -372,11 +404,10 @@ class PredictorFleet:
             ((node_name(nodes[i]), times[i], token) for i, token in hits),
             timing, span)
         n_records = len(batch)
-        self._scanned_unattributed += n_records
+        self._lines_seen += n_records
         report.stats.lines_seen = n_records
         if obs is not None:
             self._record_run(obs, report, _time.perf_counter() - t_run,
-                             [n_records] if n_records else [],
                              times[-1] if n_records else None, span)
         return report
 
@@ -486,53 +517,52 @@ class PredictorFleet:
         for reason, n in by_reason.items():
             stats.quarantined_by_reason[reason] = (
                 stats.quarantined_by_reason.get(reason, 0) + n)
-        self._scanned_unattributed += decoded
+        self._lines_seen += decoded
         report.stats.lines_seen = decoded
         if obs is not None:
             obs.record_ingest(stats)
             self._record_run(obs, report, _time.perf_counter() - t_run,
-                             [decoded] if decoded else [], last_time, span)
+                             last_time, span)
         return report
 
     def _run_flat(
         self,
         events: Iterable[LogEvent],
         timing: Timing,
-        scan_hits: Callable,
         span: Optional[SpanTimer] = None,
     ) -> FleetReport:
-        """Whole-stream scan: one batched kernel call, per-hit routing."""
+        """Whole-stream scan: one batched kernel call (the fleet's
+        tokenizer over every message, without one), per-hit routing."""
         obs = self.obs
         t_run = _time.perf_counter() if obs is not None else 0.0
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        # Per-node line accounting in one C-speed pass (map/attrgetter/
-        # Counter all run without per-event bytecode), so per-predictor
-        # stats match per-event processing exactly.
-        node_counts = Counter(map(_node_of, events))
-        predictor_for = self.predictor_for
-        for node, n in node_counts.items():
-            predictor_for(node).stats.lines_seen += n
         messages = list(map(_message_of, events))
         if getattr(self.scanner, "backend", "str") != "str":
             # Byte-backend kernels scan raw bytes; pre-decoded events
             # re-encode here (the zero-decode win belongs to run_buffer).
             messages = [m.encode("utf-8", "replace") for m in messages]
         if span is not None:
-            # Node accounting + message extraction (+ re-encode) is the
-            # in-memory analog of the decode stage.
+            # Message extraction (+ re-encode) is the in-memory analog of
+            # the decode stage.
             span.lap(STAGE_DECODE, len(events))
-        hits = scan_hits(messages)
+        scan_hits = getattr(self.scanner, "scan_hits", None)
+        if scan_hits is not None:
+            hits = scan_hits(messages)
+        else:
+            hits = [(i, token)
+                    for i, token in enumerate(map(self.tokenizer, messages))
+                    if token is not None]
         if span is not None:
             span.lap(STAGE_SCAN, len(events))
         report = self._route_hits(
             ((events[i].node, events[i].time, token) for i, token in hits),
             timing, span)
+        self._lines_seen += len(events)
         report.stats.lines_seen = len(events)
         if obs is not None:
             self._record_run(obs, report, _time.perf_counter() - t_run,
-                             list(node_counts.values()),
-                             events[-1].time if len(events) else None, span)
+                             events[-1].time if events else None, span)
         return report
 
     def _node_name(self, raw: bytes) -> str:
@@ -551,7 +581,8 @@ class PredictorFleet:
     ) -> FleetReport:
         """Feed ``(node, event time, token)`` scan hits, in stream order,
         to their per-node engines: the routing half of every batched
-        path (:meth:`_run_flat`, :meth:`run_buffer`, :meth:`_run_fused`).
+        path — :meth:`_run_flat` (``run`` at ``"off"``/``"sampled"`` on
+        any fleet), :meth:`run_buffer` and :meth:`_run_fused`.
 
         Tokens no chain uses are dropped.  Each surviving hit counts
         toward its predictor's ``lines_tokenized``; under
@@ -622,66 +653,11 @@ class PredictorFleet:
         report.nodes = len(self._predictors)
         return report
 
-    def _run_grouped(
-        self,
-        events: Iterable[LogEvent],
-        timing: Timing,
-        span: Optional[SpanTimer] = None,
-    ) -> FleetReport:
-        """Group-by-node path (per-line timing, or no batch scanner)."""
-        obs = self.obs
-        t_run = _time.perf_counter() if obs is not None else 0.0
-        report = FleetReport()
-        # Group (stream index, event) pairs by node.  The grouping loop
-        # runs once per line, so it is kept to one dict probe plus one
-        # cached bound-append call per event.
-        pairs_of: Dict[str, List[tuple]] = {}
-        appends: Dict[str, Callable] = {}
-        get_append = appends.get
-        event: Optional[LogEvent] = None
-        for i, event in enumerate(events):
-            node = event.node
-            append = get_append(node)
-            if append is None:
-                pairs: List[tuple] = []
-                pairs_of[node] = pairs
-                append = appends[node] = pairs.append
-            append((i, event))
-        if span is not None:
-            # Grouping is the decode-analog here; the fused per-node
-            # batches below tokenize and match in one predictor call,
-            # so their whole cost lands on the match stage (coarse by
-            # design — the batched paths get clean stage splits).
-            span.lap(STAGE_DECODE,
-                     sum(len(p) for p in pairs_of.values()))
-        flagged: List[tuple] = []
-        for node, pairs in pairs_of.items():
-            order, batch = zip(*pairs)
-            predictor = self.predictor_for(node)
-            before = predictor.stats.snapshot()
-            predictor._run_batch(
-                batch, timing, lambda j, p, order=order: flagged.append((order[j], p))
-            )
-            report.stats.add(predictor.stats.diff(before))
-        if span is not None:
-            span.lap(STAGE_MATCH, report.stats.lines_tokenized)
-        flagged.sort(key=lambda item: item[0])
-        report.predictions = [p for _, p in flagged]
-        report.nodes = len(self._predictors)
-        if obs is not None:
-            # The stream is time-ordered, so the grouping loop's final
-            # event carries the stream's high-water event time.
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             [len(p) for p in pairs_of.values()],
-                             event.time if event is not None else None, span)
-        return report
-
     def _record_run(
         self,
         obs: Observability,
         report: FleetReport,
         seconds: float,
-        batch_sizes: List[int],
         last_event_time: Optional[float] = None,
         span: Optional[SpanTimer] = None,
     ) -> None:
@@ -690,25 +666,23 @@ class PredictorFleet:
         # run — e.g. lines_seen bumped but the funnel counters not yet
         # mirrored, which would break the funnel identity mid-scrape.
         with obs.lock:
-            obs.record_run_stats(report.stats)
+            # Lines since the previous fold-in, process() calls between
+            # runs included, so LINES_SEEN equals the funnel total.
+            lines_seen = self._lines_seen
+            obs.record_run_stats(report.stats,
+                                 lines_seen - self._lines_folded)
+            self._lines_folded = lines_seen
             obs.record_fleet_run(
                 n_events=report.lines_seen,
                 n_nodes=report.nodes,
                 seconds=seconds,
-                batch_sizes=batch_sizes,
             )
-            predictors = self._predictors.values()
-            obs.record_engine_stats(p._engine.stats for p in predictors)
+            obs.record_engine_stats(
+                p._engine.stats for p in self._predictors.values())
             if self.scanner is not None:
                 # The scanner is shared by every predictor, so its funnel
-                # is resolved against the fleet-wide cumulative line
-                # count — including byte-batch lines scanned without
-                # per-predictor attribution (see :meth:`run_buffer`).
-                obs.record_scanner(
-                    self.scanner,
-                    sum(p.stats.lines_seen for p in predictors)
-                    + self._scanned_unattributed,
-                )
+                # is resolved against the fleet's cumulative line count.
+                obs.record_scanner(self.scanner, lines_seen)
             # Live/quality planes (no-ops unless configured on the
             # facade).  Latencies already reached the live sketch through
             # the predictors' emit hooks; this folds in rate, lag,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, List, Literal, Optional
+from typing import Callable, List, Literal, Optional
 
 from ..obs import Observability, PREDICTION_SECONDS
 from ..obs.tracing import (
@@ -42,9 +42,6 @@ from .matcher import ChainMatcher, Match, MatcherStats
 
 Tokenizer = Callable[[str], Optional[int]]
 Backend = Literal["matcher", "lalr"]
-Timing = Literal["full", "sampled", "off"]
-
-_TIMING_MODES = ("full", "sampled", "off")
 
 
 @dataclass
@@ -193,147 +190,6 @@ class AarohiPredictor:
     def feed_token(self, token: int, event_time: float) -> Optional[Prediction]:
         """Feed a pre-tokenized phrase (used by token-level benches)."""
         return self._feed(token, event_time, 0.0)
-
-    def process_batch(
-        self, events: Iterable[LogEvent], *, timing: Timing = "full"
-    ) -> List[Prediction]:
-        """Scan + parse a batch of events for this node in one flat loop.
-
-        Semantically identical to calling :meth:`process` per event (the
-        differential suite in ``tests/core`` asserts this), but with
-        every attribute hoisted out of the loop, and a ``timing`` mode
-        controlling clock reads:
-
-        * ``"full"`` — per-event timing exactly like :meth:`process`;
-        * ``"sampled"`` — only the chain check (feed) of FC-related
-          phrases is timed; discarded lines cost **zero** clock reads,
-          so ``prediction_time`` excludes scan cost;
-        * ``"off"`` — no clock reads at all; timing stats stay zero and
-          predictions carry ``prediction_time == 0.0``.
-        """
-        predictions: List[Prediction] = []
-        self._run_batch(events, timing, lambda i, p: predictions.append(p))
-        return predictions
-
-    def _run_batch(
-        self,
-        events: Iterable[LogEvent],
-        timing: Timing,
-        emit: Callable[[int, Prediction], None],
-    ) -> None:
-        """Core batched loop; ``emit(i, prediction)`` receives the index
-        of the event (within ``events``) that completed each match."""
-        if timing not in _TIMING_MODES:
-            raise ValueError(f"unknown timing mode {timing!r}")
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        obs_emit = self._obs_emit
-        if obs_emit is not None:
-            # Wrap only when instrumented: the uninstrumented loops run
-            # byte-identically to before.
-            inner_emit = emit
-
-            def emit(i: int, p: Prediction) -> None:
-                obs_emit(p)
-                inner_emit(i, p)
-        stats = self.stats
-        tokenizer = self.tokenizer
-        is_relevant = self.chains.is_relevant
-        engine_feed = self._engine.feed
-        clock = self._clock
-        node = self.node
-        chain_cost = self._chain_cost
-        tokenized = 0
-        tokenize_seconds = 0.0
-        feed_seconds = 0.0
-        n_predictions = 0
-        try:
-            if timing == "full":
-                for i, event in enumerate(events):
-                    t0 = clock()
-                    token = tokenizer(event.message)
-                    t1 = clock()
-                    scan_cost = t1 - t0
-                    tokenize_seconds += scan_cost
-                    if token is None or not is_relevant(token):
-                        chain_cost += scan_cost
-                        continue
-                    tokenized += 1
-                    t2 = clock()
-                    match = engine_feed(token, event.time)
-                    cost = clock() - t2
-                    feed_seconds += cost
-                    chain_cost += scan_cost + cost
-                    if match is None:
-                        continue
-                    prediction_time = chain_cost
-                    chain_cost = 0.0
-                    n_predictions += 1
-                    emit(
-                        i,
-                        Prediction(
-                            node=node,
-                            chain_id=match.chain_id,
-                            flagged_at=match.end_time,
-                            prediction_time=prediction_time,
-                            matched_tokens=match.tokens,
-                        ),
-                    )
-            elif timing == "sampled":
-                for i, event in enumerate(events):
-                    token = tokenizer(event.message)
-                    if token is None or not is_relevant(token):
-                        continue
-                    tokenized += 1
-                    t2 = clock()
-                    match = engine_feed(token, event.time)
-                    cost = clock() - t2
-                    feed_seconds += cost
-                    chain_cost += cost
-                    if match is None:
-                        continue
-                    prediction_time = chain_cost
-                    chain_cost = 0.0
-                    n_predictions += 1
-                    emit(
-                        i,
-                        Prediction(
-                            node=node,
-                            chain_id=match.chain_id,
-                            flagged_at=match.end_time,
-                            prediction_time=prediction_time,
-                            matched_tokens=match.tokens,
-                        ),
-                    )
-            else:  # timing == "off": the leanest loop, zero clock reads
-                for i, event in enumerate(events):
-                    token = tokenizer(event.message)
-                    if token is None or not is_relevant(token):
-                        continue
-                    tokenized += 1
-                    match = engine_feed(token, event.time)
-                    if match is None:
-                        continue
-                    n_predictions += 1
-                    emit(
-                        i,
-                        Prediction(
-                            node=node,
-                            chain_id=match.chain_id,
-                            flagged_at=match.end_time,
-                            prediction_time=0.0,
-                            matched_tokens=match.tokens,
-                        ),
-                    )
-        finally:
-            # The batch is accounted wholesale (events is a sequence by
-            # this point), saving a per-event counter in the hot loops.
-            self._chain_cost = chain_cost
-            stats.lines_seen += len(events)
-            stats.lines_tokenized += tokenized
-            stats.tokenize_seconds += tokenize_seconds
-            stats.feed_seconds += feed_seconds
-            stats.predictions += n_predictions
 
     def _feed(self, token: int, event_time: float, scan_cost: float) -> Optional[Prediction]:
         clock = self._clock

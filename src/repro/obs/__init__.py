@@ -323,14 +323,19 @@ class Observability:
 
     # -- fold-in paths (called per batch / run, never per event) -------
     @_locked
-    def record_run_stats(self, run_stats) -> None:
+    def record_run_stats(self, run_stats, lines_seen: int) -> None:
         """Fold one run's :class:`~repro.core.predictor.PredictorStats`
-        delta (from ``snapshot()``/``diff()``) into the counters."""
+        delta (from ``snapshot()``/``diff()``) into the counters.
+        ``lines_seen`` is what the fleet's line count gained since its
+        previous fold-in — the run's lines plus any lines
+        :meth:`~repro.core.fleet.PredictorFleet.process` saw between
+        runs — so ``LINES_SEEN`` stays equal to the scanner funnel's
+        total."""
         registry = self.registry
         labels = self.labels
         registry.counter(
             LINES_SEEN, "log lines offered to the scanner", **labels).inc(
-            run_stats.lines_seen)
+            lines_seen)
         registry.counter(
             LINES_TOKENIZED, "FC-related phrases tokenized", **labels).inc(
             run_stats.lines_tokenized)
@@ -348,7 +353,7 @@ class Observability:
     def record_scanner(self, scanner, lines_seen_total: int) -> None:
         """Mirror a counting scanner's cumulative funnel slots into the
         registry.  ``lines_seen_total`` is the total number of tokenize
-        calls (the fleet's summed ``lines_seen``), from which the
+        calls (the fleet's line count), from which the
         untracked common-path stage (first-char rejection) is derived —
         the hot path pays zero bookkeeping for rejected lines."""
         funnel = getattr(scanner, "funnel", None)
@@ -507,7 +512,6 @@ class Observability:
         n_events: int,
         n_nodes: int,
         seconds: Optional[float],
-        batch_sizes: Sequence[int],
     ) -> None:
         if self.flight is not None:
             self.flight.note(
@@ -519,9 +523,9 @@ class Observability:
         registry.gauge(
             FLEET_NODES, "predictor instances alive", **labels).set(n_nodes)
         registry.histogram(
-            FLEET_BATCH_EVENTS, "per-node batch sizes per run",
+            FLEET_BATCH_EVENTS, "log lines per run",
             lo_exp=0, hi_exp=24, **labels,
-        ).observe_many(batch_sizes)
+        ).observe(n_events)
         if seconds is not None and seconds > 0:
             registry.gauge(
                 FLEET_RUN_SECONDS, "wall time of the last run",

@@ -294,10 +294,7 @@ class TestFusedNativePath:
     def three_way(self, gen, source, text_path, horizon):
         """Run the fused pass over ``source`` and hold it to the bytes
         pipeline over the same source and the str pipeline over the
-        same text read from ``text_path``.  The str pipeline's
-        ``nodes`` counts every node that sent a line, the byte paths'
-        only nodes with an FC-related one, so ``nodes`` is held to the
-        bytes pipeline."""
+        same text read from ``text_path``."""
         def run(fleet, src):
             return fleet.run_lines(src, on_error="quarantine",
                                    reorder_horizon=horizon, timing="off")
@@ -312,7 +309,7 @@ class TestFusedNativePath:
             assert fused.ingest.as_dict() == other.ingest.as_dict()
             assert fused.lines_seen == other.lines_seen
             assert fused.lines_tokenized == other.lines_tokenized
-        assert fused.nodes == plain.nodes
+            assert fused.nodes == other.nodes
         assert fused.ingest.funnel_ok
         return fused
 

@@ -270,6 +270,43 @@ class TestUnixSocket:
             bundle, lines)
         assert not os.path.exists(path)  # cleaned up on stop
 
+    def test_regular_file_at_path_survives(self, tmp_path):
+        """A path that holds anything but a socket (a log named by
+        mistake) is refused, byte for byte intact."""
+        target = tmp_path / "messages"
+        content = b"2024-01-01T00:00:00 n0 keep me\n" * 3
+        target.write_bytes(content)
+        daemon = FleetDaemon(make_bundle(), n_shards=1)
+        with pytest.raises(FileExistsError):
+            daemon.listen_unix(target)
+        assert target.read_bytes() == content
+
+    def test_stale_socket_is_replaced(self, tmp_path):
+        """A socket left behind by a dead daemon is taken over."""
+        path = tmp_path / "aarohi.sock"
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(str(path))
+        stale.close()  # the socket file outlives its owner
+        assert path.is_socket()
+        bundle = make_bundle()
+        lines = make_lines([f"n{i}" for i in range(2)], reps=1)
+        daemon = FleetDaemon(
+            bundle, n_shards=1, chunk_lines=4, poll_interval=0.02,
+        ).start()
+        try:
+            assert daemon.wait_ready(30.0)
+            daemon.listen_unix(path)
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(str(path))
+                sock.sendall(("\n".join(lines) + "\n").encode())
+            assert wait_lines(daemon, len(lines))
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+
 
 class TestTailRotation:
     def test_tail_survives_logrotate(self, tmp_path):

@@ -1,20 +1,23 @@
 """Differential equivalence suite for the batched hot path.
 
-The batched drivers (:meth:`AarohiPredictor.process_batch`,
-:meth:`PredictorFleet.run` with its ``timing`` modes, and the byte
-entry points :meth:`PredictorFleet.run_buffer` and the fused native
-:meth:`PredictorFleet.run_lines`) are pure performance restructurings:
-under a constant clock they must produce **byte-identical** predictions
-and stats to the per-event :meth:`AarohiPredictor.process` loop, for
-both backends, with and without timeout pressure, on multi-node
+The batched paths (:meth:`PredictorFleet.run` at ``timing`` ``"off"``
+and ``"sampled"``, on a batch-scanning fleet and on one without a batch
+scanner, and the byte entry points :meth:`PredictorFleet.run_buffer`
+and the fused native :meth:`PredictorFleet.run_lines`) are pure
+performance restructurings: under a constant clock they must produce
+**byte-identical** predictions and run stats to the per-event
+:meth:`PredictorFleet.process` loop, which ``run(timing="full")`` is,
+for both backends, with and without timeout pressure, on multi-node
 interleaved streams with benign noise.
 """
+
+import itertools
 
 import pytest
 
 from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
-from repro.core.predictor import AarohiPredictor
+from repro.core.predictor import PredictorStats
 from repro.logsim.stream import read_byte_batch
 from repro.templates import TemplateStore
 
@@ -100,8 +103,10 @@ def fleet_stats(fleet):
 # (entry point, timing) pairs: every public fleet entry point in every timing
 # mode it accepts.  ``run_buffer`` cannot time per-line tokenization,
 # so neither it nor the fused native ``run_lines`` path serves ``"full"``.
+# ``run_naive`` is ``run`` on a fleet with no batch scanner.
 ENTRY_TIMINGS = [
     ("run", "full"), ("run", "sampled"), ("run", "off"),
+    ("run_naive", "sampled"), ("run_naive", "off"),
     ("run_buffer", "sampled"), ("run_buffer", "off"),
     ("run_lines", "sampled"), ("run_lines", "off"),
 ]
@@ -109,10 +114,12 @@ ENTRY_TIMINGS = [
 
 def drive(entry, store, chains, events, timing, **kwargs):
     """Run ``events`` through one fleet entry point: ``run`` on a str
-    fleet, ``run_buffer`` over a byte batch on a bytes fleet, or the
-    fused ``run_lines`` blob path on a native fleet."""
-    if entry == "run":
-        fleet = PredictorFleet.from_store(chains, store, **kwargs)
+    fleet, ``run`` on a fleet whose per-template naive scanner has no
+    batch scan, ``run_buffer`` over a byte batch on a bytes fleet, or
+    the fused ``run_lines`` blob path on a native fleet."""
+    if entry in ("run", "run_naive"):
+        fleet = PredictorFleet.from_store(
+            chains, store, optimized=entry == "run", **kwargs)
         return fleet, fleet.run(events, timing=timing)
     blob = "\n".join(e.to_line() for e in events).encode()
     if entry == "run_buffer":
@@ -151,10 +158,10 @@ class TestFleetBatchedEquivalence:
         assert report.stats.predictions == len(expected)
         assert report.stats.feed_seconds == sum(
             p.stats.feed_seconds for p in reference._predictors.values())
-        if entry == "run":
+        if (entry, timing) == ("run", "full"):
             assert fleet_stats(batched) == fleet_stats(reference)
             return
-        # The byte paths deliberately skip per-node lines_seen, and only
+        # The batched paths count lines per fleet, not per node, and only
         # nodes with a relevant hit ever get a predictor.
         hit_nodes = {node for node, p in reference._predictors.items()
                      if p.stats.lines_tokenized}
@@ -166,38 +173,40 @@ class TestFleetBatchedEquivalence:
                 == (want.lines_tokenized, want.predictions, want.feed_seconds)
 
 
+def step_clock():
+    """A fresh clock that advances by 1.0 on every read."""
+    reads = itertools.count()
+    return lambda: float(next(reads))
+
+
 @pytest.mark.parametrize("backend", ["matcher", "lalr"])
 @pytest.mark.parametrize("timing", ["full", "sampled", "off"])
 class TestPredictorBatchEquivalence:
-    def test_process_batch_matches_process(self, store, chains, backend, timing):
-        events = [e for e in mixed_stream(n_nodes=1)]
-        ref = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        expected = [p for p in map(ref.process, events) if p is not None]
-
-        batched = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        got = batched.process_batch(events, timing=timing)
-
-        assert got == expected
-        assert batched.stats.lines_seen == ref.stats.lines_seen
-        assert batched.stats.lines_tokenized == ref.stats.lines_tokenized
-        assert batched.stats.predictions == ref.stats.predictions
-
     def test_batch_boundaries_are_invisible(self, store, chains, backend, timing):
-        """Splitting one stream across several process_batch calls keeps
-        mid-chain state (chain cost, engine position) intact."""
-        events = mixed_stream(n_nodes=1)
-        whole = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        expected = whole.process_batch(events, timing=timing)
+        """Splitting one stream across several ``fleet.run`` calls keeps
+        mid-chain state (chain cost, engine position) intact: the
+        predictions, with their clocked prediction times, and the run
+        stats equal one call's."""
+        events = mixed_stream()
+        events += chain_stream(start=events[-1].time + 1000.0)
 
-        split = AarohiPredictor.from_store(
-            chains, store, timeout=3.0, backend=backend, clock=ZERO_CLOCK)
-        got = []
+        def fleet():
+            return PredictorFleet.from_store(
+                chains, store, timeout=3.0, backend=backend,
+                clock=step_clock())
+
+        whole = fleet()
+        expected = whole.run(events, timing=timing)
+        split = fleet()
+        got, stats = [], PredictorStats()
         for start in range(0, len(events), 7):
-            got.extend(split.process_batch(events[start:start + 7], timing=timing))
-        assert got == expected
+            report = split.run(events[start:start + 7], timing=timing)
+            got.extend(report.predictions)
+            stats.add(report.stats)
+        assert expected.predictions
+        assert got == expected.predictions
+        assert stats == expected.stats
+        assert fleet_stats(split) == fleet_stats(whole)
 
 
 def drive_clocked(monkeypatch, entry, store, chains, timing):
@@ -229,7 +238,7 @@ def drive_clocked(monkeypatch, entry, store, chains, timing):
     return report, reads
 
 
-ENTRIES = ["run", "run_buffer", "run_lines"]
+ENTRIES = ["run", "run_naive", "run_buffer", "run_lines"]
 
 
 class TestTimingModes:
@@ -280,20 +289,32 @@ class TestInstrumentedEquivalence:
         assert report.predictions == expected.predictions
         assert report.stats == expected.stats
 
-    def test_funnel_counters_sum_to_lines_seen(self, store, chains):
+    @pytest.mark.parametrize("timing", ["full", "off"])
+    @pytest.mark.parametrize("per_event", [0, 10])
+    def test_funnel_counters_sum_to_lines_seen(
+        self, store, chains, timing, per_event
+    ):
+        """``per_event`` lines go through ``process()`` before the first
+        run; the next fold-in counts them too."""
         from repro.obs import FUNNEL_STAGES, LINES_SEEN, Observability
 
         obs = Observability()
         fleet = PredictorFleet.from_store(
             chains, store, timeout=100.0, clock=ZERO_CLOCK, obs=obs)
-        fleet.run(mixed_stream())
-        fleet.run(mixed_stream())  # funnel identity holds cumulatively
-        snap = obs.registry.snapshot()
+        events = mixed_stream()
+        for event in events[:per_event]:
+            fleet.process(event)
 
         def total(name):
+            snap = obs.registry.snapshot()
             return sum(e["value"] for e in snap[name]["series"])
 
-        assert sum(total(name) for name, _ in FUNNEL_STAGES) == total(LINES_SEEN)
+        for window in (events[per_event:], events):
+            fleet.run(window, timing=timing)
+            # The identity holds after every fold-in, cumulatively.
+            assert sum(total(name) for name, _ in FUNNEL_STAGES) \
+                == total(LINES_SEEN)
+        assert total(LINES_SEEN) == 2 * len(events)
 
 
 class TestRunWindowAccounting:

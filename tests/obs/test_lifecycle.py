@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from repro.core import ChainSet, FailureChain, LogEvent
+from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
 from repro.core.predictor import AarohiPredictor
 from repro.obs import Observability, Tracer
@@ -133,23 +133,27 @@ class TestEveryTransitionTraced:
 class TestBatchedDriversTrace:
     @pytest.mark.parametrize("backend", ["matcher", "lalr"])
     @pytest.mark.parametrize("timing", ["full", "sampled", "off"])
-    def test_process_batch_emits_same_trace(
+    def test_fleet_run_emits_same_trace(
         self, store, chains, backend, timing
     ):
+        """``fleet.run`` traces the lifecycle exactly as the per-event
+        loop does, at every timing."""
         per_event, sink_ref = traced_predictor(store, chains, backend)
         drive_full_lifecycle(per_event)
         expected = read_trace(io.StringIO(sink_ref.getvalue()))
 
-        batched, sink = traced_predictor(store, chains, backend)
-        events = [
+        sink = io.StringIO()
+        fleet = PredictorFleet.from_store(
+            chains, store, timeout=100.0, backend=backend, clock=ZERO_CLOCK,
+            obs=Observability(tracer=Tracer(sink, clock=lambda: 0.0)))
+        fleet.run([
             LogEvent(0.0, "node-7", "alpha fault a"),
             LogEvent(1.0, "node-7", "beta warn b"),
             LogEvent(1001.0, "node-7", "beta warn again"),
             LogEvent(2000.0, "node-7", "alpha fault c"),
-        ]
-        batched.process_batch(events, timing=timing)
-        batched.reset()
-        batched.process_batch([
+        ], timing=timing)
+        fleet.predictor_for("node-7").reset()
+        fleet.run([
             LogEvent(3000.0, "node-7", "alpha fault d"),
             LogEvent(3001.0, "node-7", "beta warn e"),
             LogEvent(3002.0, "node-7", "gamma err f"),

@@ -201,13 +201,18 @@ class TestFleetIntegration:
             gen.chains, gen.store, timeout=gen.recommended_timeout, obs=obs)
         window = gen.generate_window(
             duration=600.0, n_nodes=6, n_failures=2, n_spurious=1)
-        fleet.run(window.events)
+        report = fleet.run(window.events)
         spans = obs.spans
         assert spans.runs == 1
         assert spans.runs_sampled == 1
         assert sum(spans.stage_seconds.values()) == pytest.approx(
             spans.run_seconds)
-        assert spans.stage_records[STAGE_DECODE] == len(window.events)
+        # The per-event loop: measured tokenize time is scan, the rest
+        # of the loop match.
+        assert spans.stage_records[STAGE_SCAN] == len(window.events)
+        assert spans.stage_records[STAGE_MATCH] == report.lines_tokenized
+        assert spans.stage_seconds[STAGE_SCAN] == pytest.approx(
+            report.stats.tokenize_seconds)
 
     def test_unsampled_runs_record_nothing(self):
         pytest.importorskip("numpy")

@@ -190,8 +190,7 @@ class TestBackendDifferential:
         assert keys(want)  # chains complete in every input
         assert keys(got) == keys(want)
         assert got["ingest"] == want["ingest"]
-        for field in ("lines_seen", "lines_tokenized"):
-            assert got["stats"][field] == want["stats"][field]
+        assert got["stats"] == want["stats"]
         assert all(p["prediction_time"] > 0
                    for payload in (want, got)
                    for p in payload["predictions"])

@@ -182,6 +182,24 @@ class TestServeRoundTrip:
         capsule_names = os.listdir(capsules)
         assert any("shutdown" in name for name in capsule_names)
 
+    def test_serve_refuses_non_socket_unix_path(self, tmp_path):
+        """``--unix`` naming a regular file (a log, typed for
+        ``--tail``) stops the workers and exits with one line; the
+        file is left intact."""
+        bundle_path = tmp_path / "bundle.json"
+        write_bundle(bundle_path)
+        log = tmp_path / "drill.log"
+        write_drill_log(log)
+        content = log.read_bytes()
+        result = run_cli(
+            ["serve", "--bundle", str(bundle_path), "--shards", "1",
+             "--unix", str(log)],
+            capture_output=True)
+        assert result.returncode == 1
+        assert b"serve: cannot listen on" in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert log.read_bytes() == content
+
     def test_serve_rejects_bad_bundle(self, tmp_path):
         bad = tmp_path / "bundle.json"
         bad.write_text("not json")
