@@ -18,14 +18,14 @@ run produces predictions identical to a single-process
 oracle that shares no code with the sharded path.  The pieces:
 
 * **routing** — :func:`route_key` peels the node field off a line
-  without decoding it, and :func:`shard_of` hashes it (FNV-1a), so a
+  without decoding it, and :func:`shard_of` hashes it (CRC-32), so a
   node's lines always reach the same shard in arrival order;
 * **workers** — each shard process (:func:`_daemon_worker_main`)
   rebuilds the fleet from the bundle and the parent's compiled scanner
-  tables, then runs every chunk through :func:`_run_chunk`: tolerant
-  decode under the daemon's ``on_error`` policy, per-chunk
-  ``IngestStats`` + shard-labeled obs registry deltas shipped with
-  every result;
+  tables, then runs every chunk through :func:`_run_chunk` — one
+  tolerant ``run_lines`` call, the fused C pass on ``native`` — and
+  ships per-chunk ``IngestStats`` + shard-labeled obs registry deltas
+  with every result;
 * **reorder repair** — an optional per-connection
   :class:`~repro.logsim.stream.SortBuffer` over the line timestamps
   (each forwarder is near-sorted on its own; the merged stream is
@@ -40,9 +40,10 @@ Exactly-once under ``kill -9`` (the handoff protocol):
 
 1. The parent keeps every dispatched chunk in a per-shard *pending*
    map until the worker acks it.  An ack carries the chunk's
-   predictions, stats, ingest funnel, obs delta — and a fresh
-   :meth:`~repro.core.fleet.PredictorFleet.state_snapshot` (per-node
-   chain state, a few scalars per mid-chain node).
+   predictions, stats, ingest funnel, obs delta — and a state delta:
+   the chain state of each node the chunk fed, ``None`` for one now
+   idle.  Merged into the shard's restore point, it keeps that equal
+   to the worker's state after its last acked chunk.
 2. Chunks are submitted at-least-once, results applied exactly-once:
    an ack from a stale worker generation is dropped, because its
    chunks will be replayed by the replacement.
@@ -75,17 +76,12 @@ import socket
 import stat
 import threading
 import time as _time
+import zlib
 from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..logsim.stream import (
-    ERROR_POLICIES,
-    IngestStats,
-    SortBuffer,
-    decode_lines,
-    read_record_batch,
-)
+from ..logsim.stream import ERROR_POLICIES, IngestStats, SortBuffer
 from ..obs import (
     DAEMON_BACKPRESSURE_STALLS,
     DAEMON_CHAINS_RESTORED,
@@ -109,11 +105,9 @@ from .predictor import PredictorStats
 
 
 def shard_of(node: str, n_shards: int) -> int:
-    """Stable node→shard assignment (cross-platform deterministic)."""
-    h = 2166136261
-    for ch in node.encode():
-        h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
-    return h % n_shards
+    """Stable node→shard assignment: CRC-32 of the UTF-8 node id, the
+    same unsigned value on every platform and Python build."""
+    return zlib.crc32(node.encode()) % n_shards
 
 
 def route_key(line: str) -> str:
@@ -147,31 +141,35 @@ def _parse_line_time(line: str) -> Optional[float]:
         return None
 
 
-def _run_chunk(
-    fleet, payload, on_error: str
-) -> Tuple[List[tuple], PredictorStats, IngestStats]:
-    """Run one chunk through a shard's fleet, with no clock reads.
+class _ShardObservability(Observability):
+    """A worker's shard-labelled facade.  It records no ingest funnel:
+    the parent folds each ack's ``IngestStats`` into its unlabelled
+    ``aarohi_ingest_*`` series, so a labelled copy would count twice."""
 
-    A ``bytes`` payload (the byte backends' wire form) is split and
-    header-checked by the byte ingest, and its records are never
-    decoded unless they match; a line list (the ``str`` backend's) is
-    decoded.  Either way decoding is tolerant: a malformed line is
-    quarantined into the chunk's funnel instead of taking the shard's
-    predictor state down.  Predictions come back as plain tuples for
-    the trip through the result queue."""
-    ingest = IngestStats()
-    if isinstance(payload, bytes):
-        batch = read_record_batch(payload, on_error=on_error, stats=ingest)
-        report = fleet.run_buffer(batch, timing="off")
-    else:
-        events = list(decode_lines(payload, on_error=on_error, stats=ingest))
-        report = fleet.run(events, timing="off")
+    def record_ingest(self, delta) -> None:
+        pass
+
+
+def _run_chunk(
+    fleet, blob: bytes, on_error: str
+) -> Tuple[List[tuple], PredictorStats, IngestStats, Dict[str, Optional[dict]]]:
+    """Run one chunk (the newline-joined wire blob) through a shard's
+    fleet: one tolerant ``run_lines`` call with no clock reads — the
+    fused C pass on ``native``, the byte pipeline on ``bytes``, a
+    decode on ``str``.  A malformed line is quarantined into the
+    chunk's funnel instead of taking the shard's predictor state down.
+    Predictions come back as plain tuples for the trip through the
+    result queue, with the state delta: the chain state of each node
+    the chunk fed, ``None`` for one now idle."""
+    report = fleet.run_lines(blob, on_error=on_error, timing="off")
     predictions = [
         (p.node, p.chain_id, p.flagged_at, p.prediction_time,
          p.matched_tokens)
         for p in report.predictions
     ]
-    return predictions, report.stats, ingest
+    state = {node: predictor.state_snapshot()
+             for node, predictor in report.touched.items()}
+    return predictions, report.stats, report.ingest, state
 
 
 def _daemon_worker_main(
@@ -196,8 +194,8 @@ def _daemon_worker_main(
     per-shard series distinct after the parent-side merge; a positive
     ``spans_sample`` arms a span clock whose cumulative stage counters
     ride the same deltas.  Every ack ships the registry delta since the
-    previous ack, plus the fleet's state snapshot so the parent always
-    holds a restore point no older than the last acked chunk.
+    previous ack, plus the chunk's state delta, which keeps the parent's
+    restore point at the last acked chunk.
 
     ``throttle_s`` is a drill knob (sleep per chunk) used by the
     backpressure tests to make a worker predictably slow; production
@@ -206,7 +204,7 @@ def _daemon_worker_main(
     from ..persistence import PredictorBundle, scanner_from_artifact
     from ..templates.store import CountingTemplateScanner
 
-    obs = Observability(
+    obs = _ShardObservability(
         labels={"shard": str(shard)},
         spans=SpanClock(spans_sample) if spans_sample > 0.0 else None,
     )
@@ -225,15 +223,15 @@ def _daemon_worker_main(
         seq, payload = item
         if throttle_s > 0.0:
             _time.sleep(throttle_s)
-        predictions, stats, ingest = _run_chunk(fleet, payload, on_error)
+        predictions, stats, ingest, state = _run_chunk(
+            fleet, payload, on_error)
         # Registries are cumulative; ship only this chunk's delta so the
         # parent-side merge never double-counts earlier chunks.
         snap = obs.registry.snapshot()
         obs_delta = diff_snapshots(snap, last_snap)
         last_snap = snap
         result_q.put(
-            ("ack", shard, seq, predictions, stats, obs_delta, ingest,
-             fleet.state_snapshot()))
+            ("ack", shard, seq, predictions, stats, obs_delta, ingest, state))
 
 
 class _Shard:
@@ -251,9 +249,9 @@ class _Shard:
         self.work_q = None
         self.result_q = None
         self.generation = 0
-        # seq → payload, insertion (== sequence) ordered; chunks leave
+        # seq → blob, insertion (== sequence) ordered; chunks leave
         # only on ack, so this is the at-least-once replay buffer.
-        self.pending: Dict[int, object] = {}
+        self.pending: Dict[int, bytes] = {}
         self.queued: set = set()  # seqs currently in the work queue
         self.next_seq = 0
         self.up = False
@@ -261,7 +259,9 @@ class _Shard:
         # worker then died.  A still-booting shard is neither up nor
         # down, so the shard-down page never fires on a clean start.
         self.was_up = False
-        self.last_state: Optional[dict] = None
+        # The restore point: node → chain state as of the last acked
+        # chunk, mid-chain nodes only (acks merge their state deltas).
+        self.last_state: Dict[str, dict] = {}
         self.acked = 0
         self.collector: Optional[threading.Thread] = None
 
@@ -291,7 +291,7 @@ class FleetDaemon:
         *,
         n_shards: int = 2,
         on_error: str = "quarantine",
-        scan_backend: str = "str",
+        scan_backend: str = "native",
         timeout: Optional[float] = None,
         chunk_lines: int = 256,
         window: int = 4,
@@ -419,11 +419,7 @@ class FleetDaemon:
         # Replay the unacked suffix in order; results for chunks the
         # dead worker also processed are deduplicated by generation.
         shard.queued = set()
-        for seq in sorted(shard.pending):
-            if len(shard.queued) >= self.window:
-                break
-            shard.work_q.put((seq, shard.pending[seq]))
-            shard.queued.add(seq)
+        self._fill_window(shard)
         shard.collector = threading.Thread(
             target=self._collect_loop,
             args=(shard.index, shard.generation, shard.result_q),
@@ -467,27 +463,30 @@ class FleetDaemon:
 
     def _dispatch(self, shard_idx: int) -> None:
         """Turn the shard's line buffer into a pending chunk; caller
-        holds the lock."""
+        holds the lock.  The wire form on every backend is one
+        newline-joined UTF-8 blob — a single bytes pickle, which the
+        worker's ``run_lines`` splits and header-checks itself."""
         shard = self._shards[shard_idx]
-        chunk = self._buffers[shard_idx]
+        payload = "\n".join(self._buffers[shard_idx]).encode(
+            "utf-8", "replace")
         self._buffers[shard_idx] = []
-        # The wire form: the line list itself on the ``str`` backend,
-        # else one newline-joined UTF-8 blob — a single bytes pickle,
-        # split and header-checked worker-side by the byte ingest.
-        if self.scan_backend == "str":
-            payload = chunk
-        else:
-            payload = "\n".join(chunk).encode("utf-8", "replace")
-        seq = shard.next_seq
+        shard.pending[shard.next_seq] = payload
         shard.next_seq += 1
-        shard.pending[seq] = payload
         # Queue whether or not the worker has reported up: a booting
         # worker reads its queue once ready, and the window refills
         # only on acks, so a chunk held back here would wait for later
         # traffic and then run after it.
-        if len(shard.queued) < self.window:
-            shard.work_q.put((seq, payload))
-            shard.queued.add(seq)
+        self._fill_window(shard)
+
+    def _fill_window(self, shard: _Shard) -> None:
+        """Queue the shard's unqueued pending chunks into its worker, in
+        sequence order, up to the window; caller holds the lock."""
+        for seq in sorted(shard.pending):
+            if len(shard.queued) >= self.window:
+                break
+            if seq not in shard.queued:
+                shard.work_q.put((seq, shard.pending[seq]))
+                shard.queued.add(seq)
 
     # -- result collection ---------------------------------------------
     def _collect_loop(self, shard_idx: int, generation: int, result_q) -> None:
@@ -529,7 +528,12 @@ class FleetDaemon:
                  state) = msg
                 shard.pending.pop(seq, None)
                 shard.queued.discard(seq)
-                shard.last_state = state
+                restore = shard.last_state
+                for node, node_state in state.items():
+                    if node_state is None:
+                        restore.pop(node, None)
+                    else:
+                        restore[node] = node_state
                 shard.acked += 1
                 self.predictions.extend(
                     Prediction(node=n, chain_id=c, flagged_at=f,
@@ -538,14 +542,7 @@ class FleetDaemon:
                 )
                 self.stats.add(stats)
                 self.ingest.add(chunk_ingest)
-                # Refill the worker's window with the next unqueued
-                # pending chunks, in sequence order.
-                for nxt in sorted(shard.pending):
-                    if len(shard.queued) >= self.window:
-                        break
-                    if nxt not in shard.queued:
-                        shard.work_q.put((nxt, shard.pending[nxt]))
-                        shard.queued.add(nxt)
+                self._fill_window(shard)
             else:  # "bye" — clean worker exit during stop
                 return
         # Obs fold-in strictly after the daemon lock is released (the
@@ -595,9 +592,9 @@ class FleetDaemon:
     def _takeover(self, shard: _Shard) -> None:
         """Replace a dead worker; caller holds the lock.
 
-        The replacement inherits the last **acked** state snapshot and
-        replays the pending (unacked) chunks — the exactly-once story
-        documented in the module docstring."""
+        The replacement inherits the restore point (the state as of the
+        last **acked** chunk) and replays the pending (unacked) chunks —
+        the exactly-once story documented in the module docstring."""
         self._deaths += 1
         self._handoffs += 1
         shard.up = False
@@ -610,7 +607,7 @@ class FleetDaemon:
             old_work.cancel_join_thread()
         except (OSError, ValueError):
             pass
-        self._spawn_worker(shard, init_state=shard.last_state)
+        self._spawn_worker(shard, init_state={"nodes": shard.last_state})
 
     # -- status / metrics ----------------------------------------------
     def status(self) -> dict:

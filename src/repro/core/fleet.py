@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
+from operator import add, attrgetter, sub
 from typing import Callable, Dict, Iterable, List, Literal, Optional
 
 from ..obs import Observability
@@ -26,6 +26,7 @@ from ..obs.spans import (
 )
 from .chains import ChainSet
 from .events import LogEvent, Prediction
+from .matcher import MatcherStats
 from .predictor import AarohiPredictor, Backend, PredictorStats, Tokenizer
 
 Timing = Literal["full", "sampled", "off"]
@@ -33,6 +34,9 @@ _TIMING_MODES = ("full", "sampled", "off")
 
 _node_of = attrgetter("node")
 _message_of = attrgetter("message")
+# One engine's transition counters as a tuple, in MatcherStats order.
+_engine_counts = attrgetter(*(f.name for f in fields(MatcherStats)))
+_NO_ENGINE_COUNTS = (0,) * len(fields(MatcherStats))
 
 # Sentinel for the internal ``_span`` plumbing: "no caller-provided
 # timer — consult the span clock yourself".  Distinct from ``None``,
@@ -55,11 +59,17 @@ class FleetReport:
     FC-related line; the per-event ``timing="full"`` path, like
     :meth:`PredictorFleet.process`, creates one per node that sent any
     line.
+
+    ``touched`` maps each node whose predictor this run fed to that
+    predictor.  No other predictor's chain state or engine stats can
+    have moved, so per-run bookkeeping (the engine-stats fold-in, a
+    daemon shard's state delta) visits these and no others.
     """
 
     predictions: List[Prediction] = field(default_factory=list)
     stats: PredictorStats = field(default_factory=PredictorStats)
     nodes: int = 0
+    touched: Dict[str, AarohiPredictor] = field(default_factory=dict)
     # Decode-funnel counters when the run came through :meth:`run_lines`
     # (None for pre-decoded event streams).
     ingest: Optional[object] = None
@@ -111,6 +121,12 @@ class PredictorFleet:
         # obs fold-in publishes what it gained since the previous one.
         self._lines_seen = 0
         self._lines_folded = 0
+        # Running engine-stat totals for the obs fold-in, kept current
+        # from the predictors each run touched: the counts each one had
+        # at its last fold-in, and those process() fed since then.
+        self._engine_totals = _NO_ENGINE_COUNTS
+        self._engine_folded: Dict[str, tuple] = {}
+        self._unfolded: Dict[str, AarohiPredictor] = {}
 
     @classmethod
     def from_store(
@@ -159,7 +175,10 @@ class PredictorFleet:
 
     def process(self, event: LogEvent) -> Optional[Prediction]:
         self._lines_seen += 1
-        return self.predictor_for(event.node).process(event)
+        predictor = self.predictor_for(event.node)
+        if self.obs is not None:
+            self._unfolded[event.node] = predictor  # for the next run
+        return predictor.process(event)
 
     def _span_start(self) -> Optional[SpanTimer]:
         """Consult the span clock (if any) for this run — once per
@@ -231,6 +250,7 @@ class PredictorFleet:
             now = predictors[node].stats
             stats.add(now.diff(before[node]) if node in before else now)
         report.nodes = len(predictors)
+        report.touched = {node: predictors[node] for node in touched}
         if span is not None:
             # process() tokenizes, then matches: the predictors' measured
             # tokenize time is the scan stage, the rest of the loop match.
@@ -592,11 +612,14 @@ class PredictorFleet:
         Predictions pass the predictor's obs emit hook, and their emit
         cost is carved out of the match stage.  The returned report
         carries this run's predictions, ``lines_tokenized``,
-        ``predictions``, ``feed_seconds`` and node count; ``lines_seen``
-        is the caller's, which alone knows what it scanned.
+        ``predictions``, ``feed_seconds``, node count and the predictors
+        it fed (``touched``, which doubles as the loop's node lookup);
+        ``lines_seen`` is the caller's, which alone knows what it
+        scanned.
         """
         report = FleetReport()
         relevant = self.chains.token_set
+        touched = report.touched
         predictor_of = self._predictors.get
         predictor_for = self.predictor_for
         predictions = report.predictions
@@ -607,7 +630,10 @@ class PredictorFleet:
         for node, event_time, token in hits:
             if token not in relevant:
                 continue
-            predictor = predictor_of(node) or predictor_for(node)
+            predictor = touched.get(node)
+            if predictor is None:
+                predictor = touched[node] = (
+                    predictor_of(node) or predictor_for(node))
             predictor.stats.lines_tokenized += 1
             tokenized += 1
             if sampled:
@@ -677,8 +703,7 @@ class PredictorFleet:
                 n_nodes=report.nodes,
                 seconds=seconds,
             )
-            obs.record_engine_stats(
-                p._engine.stats for p in self._predictors.values())
+            obs.record_engine_stats(self._fold_engine_stats(report))
             if self.scanner is not None:
                 # The scanner is shared by every predictor, so its funnel
                 # is resolved against the fleet's cumulative line count.
@@ -708,6 +733,27 @@ class PredictorFleet:
             # ring keeps its own (injectable) clock — wall time, not
             # event time, so paced replays and live streams look alike.
             obs.record_history()
+
+    def _fold_engine_stats(self, report: FleetReport) -> MatcherStats:
+        """The engine-stat totals over every predictor, brought up to
+        date from the ones fed since the previous fold-in: the run's
+        ``touched`` plus any :meth:`process` fed between runs.  An
+        engine nothing fed has the counts it had at its last fold-in, so
+        this costs O(touched), not O(fleet)."""
+        touched = report.touched
+        if self._unfolded:
+            touched = {**self._unfolded, **touched}
+            self._unfolded = {}
+        totals = self._engine_totals
+        folded = self._engine_folded
+        for node, predictor in touched.items():
+            now = _engine_counts(predictor._engine.stats)
+            before = folded.get(node, _NO_ENGINE_COUNTS)
+            if now != before:
+                folded[node] = now
+                totals = tuple(map(add, totals, map(sub, now, before)))
+        self._engine_totals = totals
+        return MatcherStats(*totals)
 
     # -- state handoff ---------------------------------------------------
     def state_snapshot(self) -> dict:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .exposition import (
     PrometheusParseError,
@@ -471,39 +471,30 @@ class Observability:
             ).inc(count)
 
     @_locked
-    def record_engine_stats(self, stats_iter: Iterable) -> None:
-        """Mirror cumulative matcher transition stats (summed over the
-        fleet's engines) into the registry."""
-        fed = advanced = skipped = timeouts = matches = activations = 0
-        negative_dt = 0
-        for stats in stats_iter:
-            fed += stats.fed
-            advanced += stats.advanced
-            skipped += stats.skipped
-            timeouts += stats.resets_timeout
-            matches += stats.matches
-            activations += stats.activations
-            negative_dt += stats.negative_dt
+    def record_engine_stats(self, totals) -> None:
+        """Mirror a fleet's cumulative matcher transition totals (one
+        :class:`~repro.core.matcher.MatcherStats` summed over its
+        engines) into the registry."""
         registry = self.registry
         labels = self.labels
         registry.counter(
             CHAIN_ACTIVATIONS, "chain checks started",
-            **labels).set_total(activations)
+            **labels).set_total(totals.activations)
         registry.counter(
             TOKENS_ADVANCED, "tokens that advanced a chain",
-            **labels).set_total(advanced)
+            **labels).set_total(totals.advanced)
         registry.counter(
             TOKENS_SKIPPED, "mid-chain tokens skipped",
-            **labels).set_total(skipped)
+            **labels).set_total(totals.skipped)
         registry.counter(
             CHAIN_TIMEOUTS, "ΔT timeouts (parser resets)",
-            **labels).set_total(timeouts)
+            **labels).set_total(totals.resets_timeout)
         registry.counter(
             CHAIN_MATCHES, "complete rule matches",
-            **labels).set_total(matches)
+            **labels).set_total(totals.matches)
         registry.counter(
             NEGATIVE_DELTA_T, "backwards timestamps clamped (ΔT floor 0)",
-            **labels).set_total(negative_dt)
+            **labels).set_total(totals.negative_dt)
 
     @_locked
     def record_fleet_run(

@@ -15,6 +15,7 @@ no-numpy CI leg.  Run just these with ``pytest -m daemon``.
 
 import json
 import os
+import random
 import signal
 import socket
 import time
@@ -23,9 +24,16 @@ import urllib.request
 import pytest
 
 from repro.core import ChainSet, FailureChain, LogEvent
-from repro.core.daemon import FleetDaemon
+from repro.core.daemon import FleetDaemon, _run_chunk, _ShardObservability
 from repro.core.events import Severity
-from repro.obs import Observability, ObsServer
+from repro.core.predictor import AarohiPredictor, _LalrEngine, _MatcherEngine
+from repro.obs import (
+    INGEST_LINES_READ,
+    LINES_SEEN,
+    Observability,
+    ObsServer,
+    diff_snapshots,
+)
 from repro.persistence import PredictorBundle
 from repro.templates import TemplateStore
 
@@ -215,6 +223,175 @@ class TestKillMinus9Drill:
         assert "aarohi_daemon_worker_deaths_total 1" in text
         assert "aarohi_daemon_handoffs_total 1" in text
         assert "aarohi_daemon_shards_up 2" in text
+
+
+class TestKillBetweenDeltaAcks:
+    """Acks carry state deltas, so the restore point is only as good as
+    the merge: a node that completed its chain between two acks must
+    leave it, and a node that started one must join it."""
+
+    def test_restore_point_follows_deltas_across_takeover(self):
+        bundle = make_bundle()
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=64, poll_interval=0.02,
+        ).start()
+        fc5 = [WORDS[tok] for tok in CHAIN_TOKENS["FC5"]]
+        clock = [1000.0]
+
+        def walk(node, words):
+            out = []
+            for word in words:
+                clock[0] += 0.25
+                out.append(LogEvent(
+                    time=clock[0], node=node, message=word).to_line())
+            return out
+
+        try:
+            assert daemon.wait_ready(30.0)
+            a, b = [n for n in (f"node{i:02d}" for i in range(64))
+                    if daemon.shard_for(n) == 0][:2]
+            shard = daemon._shards[0]
+            # Ack 1: A stands 4 phrases into FC5.
+            phase1 = walk(a, fc5[:4])
+            # Ack 2: A completes (its state leaves the restore point),
+            # B starts a chain (its state joins).
+            phase2 = walk(a, fc5[4:]) + walk(b, fc5[:2])
+            # After the kill: A's last phrase again, which completes a
+            # chain only if A's stale state was restored; then B
+            # finishes and A walks a whole chain.
+            phase3 = walk(a, fc5[4:]) + walk(b, fc5[2:]) + walk(a, fc5)
+            for line in phase1:
+                daemon.submit(line)
+            assert daemon.drain(30.0)
+            with daemon._lock:
+                assert set(shard.last_state) == {a}
+            for line in phase2:
+                daemon.submit(line)
+            assert daemon.drain(30.0)
+            with daemon._lock:
+                assert set(shard.last_state) == {b}
+                assert shard.acked == 2
+            os.kill(daemon.worker_pid(0), signal.SIGKILL)
+            # Dispatched at once, so the chunk may reach the dead
+            # worker's queue; the replacement replays it.
+            for line in phase3:
+                daemon.submit(line)
+            daemon.flush()
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        lines = phase1 + phase2 + phase3
+        assert report.drained
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert len(report.predictions) == 3
+        status = daemon.status()
+        assert status["handoffs"] == 1
+        assert status["chains_restored"] == 1  # B alone
+        ingest = report.ingest
+        assert ingest.lines_read == len(lines)
+        assert ingest.decoded + ingest.quarantined == ingest.lines_read
+
+
+class TestShardChunk:
+    """The worker's chunk path in process: what one chunk visits, and
+    what its ack's state delta carries."""
+
+    @staticmethod
+    def shard_fleet(bundle, backend, idle=0, scan_backend="native"):
+        """A fleet wired like a shard worker's, holding ``idle``
+        predictors that have never seen a line."""
+        obs = _ShardObservability(labels={"shard": "0"})
+        fleet = bundle.make_fleet(
+            obs=obs, backend=backend, scan_backend=scan_backend)
+        for i in range(idle):
+            fleet.predictor_for(f"idle{i:04d}")
+        return fleet, obs
+
+    @pytest.mark.parametrize("backend", ["matcher", "lalr"])
+    def test_chunk_visits_bounded_by_hits(self, monkeypatch, backend):
+        """No timing: count the predictors one chunk and its ack read
+        (state snapshots plus engine stats) at 64 and 6,400 idle
+        predictors.  Only the chunk's FC-related hits may set it."""
+        visits = []
+        real_snapshot = AarohiPredictor.state_snapshot
+
+        def counted_snapshot(predictor):
+            visits.append(predictor.node)
+            return real_snapshot(predictor)
+
+        monkeypatch.setattr(AarohiPredictor, "state_snapshot",
+                            counted_snapshot)
+        for engine in (_MatcherEngine, _LalrEngine):
+            def counted_stats(self, _real=engine.stats.fget):
+                visits.append(None)
+                return _real(self)
+
+            monkeypatch.setattr(engine, "stats", property(counted_stats))
+        bundle = make_bundle()
+        # A 256-line chunk: two nodes walk FC5 among 246 noise lines
+        # from 123 other nodes.
+        lines = make_lines(["n0", "n1"], reps=1)
+        lines += [LogEvent(time=2000.0 + i, node=f"chatter{i % 123}",
+                           message="routine status x").to_line()
+                  for i in range(256 - len(lines))]
+        blob = "\n".join(lines).encode()
+        counts = {}
+        for idle in (64, 6400):
+            fleet, obs = self.shard_fleet(bundle, backend, idle)
+            visits.clear()
+            _, stats, _, state = _run_chunk(fleet, blob, "quarantine")
+            diff_snapshots(obs.registry.snapshot(), None)  # the ack's delta
+            assert stats.lines_tokenized == 10
+            assert set(state) == {"n0", "n1"}
+            assert 0 < len(visits) <= 2 * stats.lines_tokenized
+            counts[idle] = len(visits)
+        assert counts[6400] == counts[64]
+
+    @pytest.mark.parametrize("scan_backend", ["str", "native"])
+    @pytest.mark.parametrize("backend", ["matcher", "lalr"])
+    def test_merged_deltas_equal_state_snapshot(self, backend,
+                                                scan_backend):
+        """Merging every ack's state delta into an empty restore point
+        gives the worker fleet's full snapshot after every chunk."""
+        rng = random.Random(11)
+        bundle = make_bundle()
+        fleet, _ = self.shard_fleet(bundle, backend, scan_backend=scan_backend)
+        chains = [[WORDS[tok] for tok in toks]
+                  for toks in CHAIN_TOKENS.values()]
+        # Per-node scripts of whole and broken chain walks, merged in
+        # random order; a rare gap past the ΔT timeout resets chains.
+        scripts = {f"n{i}": [] for i in range(6)}
+        for script in scripts.values():
+            for _ in range(6):
+                walk = rng.choice(chains)
+                script.extend(walk[:rng.randint(1, len(walk))])
+        lines = []
+        t = 1000.0
+        while any(scripts.values()):
+            node = rng.choice([n for n, s in scripts.items() if s])
+            t += 500.0 if rng.random() < 0.03 else 0.5
+            lines.append(LogEvent(
+                time=t, node=node, message=scripts[node].pop(0)).to_line())
+            if rng.random() < 0.2:
+                lines.append("garbled record")
+        restore = {}
+        idled = predicted = 0
+        start = 0
+        while start < len(lines):
+            stop = start + rng.randint(1, 24)
+            predictions, _, _, state = _run_chunk(
+                fleet, "\n".join(lines[start:stop]).encode(), "quarantine")
+            start = stop
+            predicted += len(predictions)
+            for node, node_state in state.items():
+                if node_state is None:
+                    idled += restore.pop(node, None) is not None
+                else:
+                    restore[node] = node_state
+            assert restore == fleet.state_snapshot()["nodes"]
+        assert predicted and idled
 
 
 class TestBackpressure:
@@ -490,3 +667,78 @@ class TestDaemonValidation:
             assert '"ok": true' in payload
         finally:
             daemon.stop(drain=False)
+
+
+class TestIngestSeries:
+    def test_parent_ingest_series_count_once(self):
+        """Workers run ``run_lines``, which records an ingest funnel;
+        the parent folds each ack's funnel itself, so no shard-labelled
+        ``aarohi_ingest_*`` copy may reach its registry."""
+        bundle = make_bundle()
+        obs = Observability(quarantine_slo=0.5)
+        lines = make_lines([f"n{i}" for i in range(6)], reps=2)
+        lines.insert(5, "junk")
+        daemon = FleetDaemon(
+            bundle, n_shards=2, scan_backend="native", chunk_lines=8,
+            poll_interval=0.02, obs=obs,
+        ).start()
+        try:
+            for line in lines:
+                daemon.submit(line)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        snap = obs.registry.snapshot()
+        shards = {e["labels"].get("shard")
+                  for e in snap[LINES_SEEN]["series"]}
+        assert shards == {"0", "1"}  # both workers ran chunks
+        families = [name for name in snap if name.startswith("aarohi_ingest_")]
+        assert INGEST_LINES_READ in families
+        for name in families:
+            assert [e["labels"] for e in snap[name]["series"]] == [{}], name
+        (read,) = snap[INGEST_LINES_READ]["series"]
+        assert read["value"] == report.ingest.lines_read == len(lines)
+        assert report.ingest.quarantined == 1
+
+
+class TestSubmitPerLine:
+    """Benchmarks time ``aarohi serve`` by replacing the instance's
+    ``submit``, so every source must call it once per accepted line: a
+    CRLF line once, stripped of its CR, and a blank line not at all."""
+
+    @pytest.mark.parametrize("horizon", [0.0, 10.0])
+    def test_tcp_and_tail_call_submit_once_per_line(self, tmp_path, horizon):
+        bundle = make_bundle()
+        lines = make_lines(["n0", "n1", "n2"], reps=1)
+        wire = [line + "\n" for line in lines]
+        wire[0] = lines[0] + "\r\n"
+        wire.insert(4, "\n")
+        payload = "".join(wire).encode()
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+            reorder_horizon=horizon,
+        ).start()
+        seen = []
+        inner = daemon.submit
+
+        def counting_submit(line):
+            seen.append(line)
+            inner(line)
+
+        daemon.submit = counting_submit
+        try:
+            assert daemon.wait_ready(30.0)
+            send_all(daemon.listen_tcp(), payload)
+            assert wait_lines(daemon, len(lines))
+            target = tmp_path / "cluster.log"
+            target.write_bytes(payload)
+            daemon.tail_file(target, poll=0.02)
+            assert wait_lines(daemon, 2 * len(lines))
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert seen == lines + lines
+        assert daemon.status()["lines_received"] == len(seen)
+        assert report.ingest.lines_read == len(seen)

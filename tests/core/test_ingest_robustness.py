@@ -174,8 +174,8 @@ class TestParallelTolerance:
 
     def test_worker_chunk_quarantines_garbage(self, gen, bundle):
         # The daemon's chunk function, called in-process on fleets built
-        # here: both wire forms (a line list for str, one blob for the
-        # byte backends) quarantine the same records and agree.
+        # here: its one wire form (a newline-joined blob) quarantines the
+        # same records on every scan backend, and they agree.
         from repro.core.daemon import _run_chunk
 
         window = gen.generate_window(
@@ -183,17 +183,19 @@ class TestParallelTolerance:
         lines = [e.to_line() for e in window.events]
         lines.insert(3, "totally broken line")
         lines.insert(10, "1970-01-01T00:00:09 short")
-        predictions, stats, ingest = _run_chunk(
-            bundle.make_fleet(), lines, "quarantine")
-        assert ingest.quarantined == 2
-        assert ingest.funnel_ok
-        assert stats.lines_seen == len(lines) - 2
         blob = "\n".join(lines).encode()
-        blob_predictions, _, blob_ingest = _run_chunk(
-            bundle.make_fleet(scan_backend="bytes"), blob, "quarantine")
-        assert blob_ingest.quarantined == 2
-        assert blob_ingest.funnel_ok
-        assert predictions and blob_predictions == predictions
+        by_backend = {}
+        for scan_backend in ("str", "bytes", "native"):
+            predictions, stats, ingest, _ = _run_chunk(
+                bundle.make_fleet(scan_backend=scan_backend), blob,
+                "quarantine")
+            assert ingest.quarantined == 2
+            assert ingest.funnel_ok
+            assert stats.lines_seen == len(lines) - 2
+            by_backend[scan_backend] = predictions
+        assert by_backend["str"]
+        assert by_backend["bytes"] == by_backend["str"]
+        assert by_backend["native"] == by_backend["str"]
 
     def test_parallel_fleet_accumulates_ingest(self, gen, bundle):
         from repro.core.daemon import FleetDaemon

@@ -1,21 +1,28 @@
 """Fleet- and daemon-level observability wiring tests."""
 
+import random
+
 import pytest
 
 from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
 from repro.obs import (
+    CHAIN_ACTIVATIONS,
     CHAIN_MATCHES,
+    CHAIN_TIMEOUTS,
     FUNNEL_STAGES,
     LINES_SEEN,
     LINES_TOKENIZED,
     LOGSIM_EVENTS,
     LOGSIM_FAULTS,
     LOGSIM_WINDOWS,
+    NEGATIVE_DELTA_T,
     Observability,
     PREDICTION_SECONDS,
     PREDICTIONS,
     SCANNER_DFA_MATCHES,
+    TOKENS_ADVANCED,
+    TOKENS_SKIPPED,
     histogram_series,
 )
 from repro.templates import TemplateStore
@@ -53,6 +60,18 @@ def mixed_stream(repeats=5):
 def counter_total(snapshot, name):
     family = snapshot.get(name, {"series": []})
     return sum(entry["value"] for entry in family["series"])
+
+
+# Engine-stat series and the MatcherStats field each one totals.
+ENGINE_SERIES = {
+    CHAIN_ACTIVATIONS: "activations",
+    TOKENS_ADVANCED: "advanced",
+    TOKENS_SKIPPED: "skipped",
+    CHAIN_TIMEOUTS: "resets_timeout",
+    CHAIN_MATCHES: "matches",
+    NEGATIVE_DELTA_T: "negative_dt",
+}
+ENGINE_OPS = ("process", "run_full", "run_off", "run_sampled", "lines", "blob")
 
 
 class TestFleetRegistry:
@@ -206,3 +225,57 @@ class TestLogsimObs:
             for entry in snap[LOGSIM_FAULTS]["series"]
         }
         assert kinds.get("spurious") == 1
+
+
+class TestEngineTotals:
+    """The engine-stat series are running totals folded in from the
+    predictors each run fed (plus those ``process()`` fed since the last
+    fold-in), never from a walk over the fleet.  After every run they
+    must still equal that walk."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scan_backend", ["str", "native"])
+    @pytest.mark.parametrize("backend", ["matcher", "lalr"])
+    def test_totals_equal_full_walk(self, store, chains, backend,
+                                    scan_backend, seed):
+        rng = random.Random(seed)
+        obs = Observability()
+        fleet = PredictorFleet.from_store(
+            chains, store, timeout=100.0, clock=ZERO_CLOCK, obs=obs,
+            backend=backend, scan_backend=scan_backend)
+        messages = ["alpha fault a", "beta warn b", "gamma err c",
+                    "benign chatter"]
+        t = 1000.0
+        checked = 0
+        for step in range(60):
+            events = []
+            for _ in range(rng.randint(1, 25)):
+                # Mostly forward; some ΔT timeouts and backwards stamps.
+                t += rng.choice((1.0, 1.0, 2.0, 150.0, -3.0))
+                events.append(LogEvent(
+                    t, f"node-{rng.randrange(6)}", rng.choice(messages)))
+            op = rng.choice(ENGINE_OPS)
+            if op == "process":
+                for event in events:
+                    fleet.process(event)
+                continue
+            if op.startswith("run_"):
+                fleet.run(events, timing=op[4:])
+            elif op == "lines":
+                fleet.run_lines([e.to_line() for e in events],
+                                on_error="quarantine", timing="off")
+            else:
+                blob = "\n".join(e.to_line() for e in events).encode()
+                fleet.run_lines(blob, on_error="quarantine",
+                                timing=rng.choice(("off", "sampled")))
+            snap = obs.registry.snapshot()
+            for name, attr in ENGINE_SERIES.items():
+                walk = sum(getattr(p._engine.stats, attr)
+                           for p in fleet._predictors.values())
+                assert counter_total(snap, name) == walk, (step, op, name)
+            checked += 1
+        assert checked
+        # The stream exercised matches, ΔT timeouts and clamped stamps.
+        for attr in ("matches", "resets_timeout", "negative_dt"):
+            assert sum(getattr(p._engine.stats, attr)
+                       for p in fleet._predictors.values()), attr

@@ -83,9 +83,7 @@ class TestNegativeDeltaTMetric:
         from repro.core.matcher import MatcherStats
 
         obs = Observability()
-        a, b = MatcherStats(), MatcherStats()
-        a.negative_dt, b.negative_dt = 3, 2
-        obs.record_engine_stats([a, b])
+        obs.record_engine_stats(MatcherStats(negative_dt=5))
         snap = obs.registry.snapshot()
         assert series_value(snap, NEGATIVE_DELTA_T) == 5
 
