@@ -192,15 +192,15 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--flight-dir", default=None, metavar="DIR",
-        help="arm the flight recorder: on a deadline burn, quarantine "
-             "breach, discard-drift trip, or firing alert rule, dump a "
-             "JSONL crash capsule into DIR",
+        help="arm the flight recorder: each alert rule that fires (the "
+             "shipped ruleset unless --rules names one) dumps a JSONL "
+             "crash capsule into DIR",
     )
     parser.add_argument(
         "--history", type=float, default=None, metavar="SECONDS",
         help="arm the in-process history ring, capturing a registry "
              "sample at most every SECONDS (0 = every run); --watch "
-             "arms it automatically",
+             "and --flight-dir arm it automatically",
     )
     parser.add_argument(
         "--rules", default=None, metavar="RULES",
@@ -845,6 +845,9 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
                 try:
                     while True:
                         time.sleep(1.0)
+                        # Keep capturing, so a rule still pending when
+                        # the stream ended can fire and /healthz follows.
+                        obs.record_history()
                 except KeyboardInterrupt:
                     pass
     except _Terminated as term:
@@ -1146,8 +1149,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "and on /debug/flight")
     p.add_argument("--history", type=float, default=None,
                    metavar="SECONDS",
-                   help="history-ring capture interval (default: armed "
-                        "with interval 0 — every batch)")
+                   help="history-ring capture interval (default: armed, "
+                        "capturing at most once per second)")
     p.add_argument("--rules", default=None, metavar="RULES",
                    help="alert rules: a [[rule]] TOML file or 'default' "
                         "(default: the shipped ruleset; serves /alerts)")
@@ -1194,8 +1197,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm the flight recorder (shutdown + alert "
                         "capsules land in DIR)")
     p.add_argument("--history", type=float, default=None, metavar="SECONDS",
-                   help="history-ring capture interval (default: armed "
-                        "with interval 0 — every supervisor tick)")
+                   help="history-ring capture interval (default: armed, "
+                        "capturing at most once per second)")
     p.add_argument("--rules", default=None, metavar="RULES",
                    help="alert rules: a [[rule]] TOML file or 'default' "
                         "(default: the daemon ruleset — shipped rules "

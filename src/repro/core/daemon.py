@@ -550,8 +550,8 @@ class FleetDaemon:
         if kind == "up":
             self._publish_metrics()
             return
-        # One facade-locked block per chunk, so a scrape or a flight
-        # check never sees the registry, the funnel and the ring
+        # One facade-locked block per chunk, so a scrape or a rule
+        # capture never sees the registry, the funnel and the ring
         # disagree about which chunks have landed.
         with obs.lock:
             if obs_delta:
@@ -584,9 +584,7 @@ class FleetDaemon:
                     if self._buffers[shard_idx]:
                         self._dispatch(shard_idx)
             self._publish_metrics()
-            obs = self.obs
-            obs.record_history()
-            obs.check_flight()
+            self.obs.record_history()
             _time.sleep(self.poll_interval)
 
     def _takeover(self, shard: _Shard) -> None:

@@ -723,15 +723,13 @@ class PredictorFleet:
                 now=last_event_time,
             )
             obs.record_spans(span)
-            # With everything folded in, evaluate the anomaly trigger
-            # matrix — a burn/breach/trip caused by this run dumps its
-            # flight capsule before the next run muddies the ring.
-            obs.check_flight()
-            # Then offer the settled snapshot to the history ring (the
-            # cadence throttle makes this nearly free when not due);
-            # an accepted capture also runs one alert-rules pass.  The
-            # ring keeps its own (injectable) clock — wall time, not
-            # event time, so paced replays and live streams look alike.
+            # With everything folded in, offer the settled snapshot to
+            # the history ring (the cadence throttle makes this nearly
+            # free when not due); an accepted capture also runs one
+            # alert-rules pass, whose newly firing rules dump flight
+            # capsules.  The ring keeps its own (injectable) clock —
+            # wall time, not event time, so paced replays and live
+            # streams look alike.
             obs.record_history()
 
     def _fold_engine_stats(self, report: FleetReport) -> MatcherStats:

@@ -67,9 +67,6 @@ from .live import (
 from .flight import (
     FlightRecorder,
     TRIGGER_ALERT,
-    TRIGGER_DEADLINE,
-    TRIGGER_DRIFT,
-    TRIGGER_QUARANTINE,
     TRIGGER_REASONS,
     TRIGGER_SHUTDOWN,
     read_capsule,
@@ -240,7 +237,7 @@ class Observability:
     into the deadline/SLO monitor and the online scoreboard; both stay
     ``None`` on the passive (PR 2) configuration.  ``spans`` opts runs
     into stage-level time attribution and ``flight`` arms the black-box
-    recorder (ISSUE 7).
+    recorder, whose anomaly capsules come from firing alert rules.
 
     Every public method runs under :attr:`lock` (a reentrant lock), so
     a `/metrics` scrape from the server thread never observes a
@@ -267,8 +264,11 @@ class Observability:
         self.quality = quality
         self.spans = spans
         self.flight = flight
-        # History ring + alert rules (ISSUE 8).  Rules evaluate over
-        # the ring, so arming rules without a ring gets a default one.
+        # Alert rules are the recorder's only anomaly trigger, so a
+        # recorder without rules arms the shipped defaults.  Rules
+        # evaluate over the ring; without one they get a default ring.
+        if flight is not None and rules is None:
+            rules = RuleEngine(default_ruleset())
         if rules is not None and history is None:
             history = HistoryRing()
         self.history = history
@@ -602,66 +602,6 @@ class Observability:
                             for s, v in timer.seconds.items()})
         spans.publish(self.registry, self.labels)
 
-    @_locked
-    def check_flight(self) -> List[str]:
-        """Evaluate the anomaly trigger matrix against current state
-        and dump a crash capsule for each *newly* tripped reason.
-
-        Triggers (each sticky — one capsule per reason):
-
-        * ``deadline_burn`` — the live deadline verdict went not-ok
-          (watched quantile over budget, or SLO burn > 1);
-        * ``quarantine_slo`` — the cumulative quarantine fraction
-          exceeded the allowed SLO fraction;
-        * ``discard_drift`` — the discard CUSUM tripped.
-
-        When a :class:`RuleEngine` is armed the hardcoded matrix stands
-        down: the shipped default ruleset expresses the same three
-        conditions as data (plus hold durations), and
-        :meth:`check_rules` owns the capsule dumps — one declarative
-        mechanism instead of two trigger paths that could disagree.
-
-        Returns the reasons that fired capsules this call.
-        """
-        flight = self.flight
-        if flight is None:
-            return []
-        if self.rules is not None:
-            self._publish_flight_gauges()
-            return []
-        fired: List[str] = []
-        live = self.live
-        if live is not None and live.deadline is not None:
-            verdict = live.verdict()
-            if verdict is not None and not verdict.ok:
-                if flight.trigger(
-                    TRIGGER_DEADLINE,
-                    snapshot=self.registry.snapshot(),
-                    verdict=verdict.as_dict(),
-                ) is not None:
-                    fired.append(TRIGGER_DEADLINE)
-        ingest = self.ingest
-        if ingest.lines_read:
-            burn = ingest.quarantine_fraction / self.quarantine_slo
-            if burn > 1.0:
-                if flight.trigger(
-                    TRIGGER_QUARANTINE,
-                    snapshot=self.registry.snapshot(),
-                    burn_rate=burn,
-                    quarantined=ingest.quarantined,
-                    lines_read=ingest.lines_read,
-                ) is not None:
-                    fired.append(TRIGGER_QUARANTINE)
-        if self.quality is not None and self.quality.drift.tripped:
-            if flight.trigger(
-                TRIGGER_DRIFT,
-                snapshot=self.registry.snapshot(),
-                drift=self.quality.drift.as_dict(),
-            ) is not None:
-                fired.append(TRIGGER_DRIFT)
-        self._publish_flight_gauges()
-        return fired
-
     def _publish_flight_gauges(self) -> None:
         flight = self.flight
         registry = self.registry
@@ -938,8 +878,17 @@ class Observability:
 
     @_locked
     def healthz(self) -> dict:
-        """Deadline + drift health, the ``/healthz`` payload."""
+        """Deadline + drift + ingest health, the ``/healthz`` payload.
+
+        Without rules the raw checks gate the probe: a blown deadline
+        verdict, a tripped drift detector or a quarantine burn > 1.
+        With rules armed their blocks stay as data and only a firing
+        ``page`` rule fails it — the shipped rules encode the same
+        checks with their ``for:`` holds, and ``/healthz`` reads the
+        rule states ``/alerts`` serves, so the two can never disagree.
+        A health hook reporting ``ok: False`` fails it either way."""
         payload: dict = {"status": "ok"}
+        red = False
         live = self.live
         if live is not None:
             verdict = live.verdict()
@@ -948,20 +897,15 @@ class Observability:
                 payload["latency_quantiles"] = live.sketch.quantiles()
             elif verdict is not None:
                 payload["deadline"] = verdict.as_dict()
-                if not verdict.ok:
-                    payload["status"] = "failing"
+                red = not verdict.ok
             payload["message_rate_hz"] = live.rate.rate
             payload["stream_lag_seconds"] = live.stream_lag.lag
         if self.quality is not None:
             drift = self.quality.drift.as_dict()
             payload["drift"] = drift
-            if drift["tripped"]:
-                payload["status"] = "failing"
-        if self.rules is not None:
-            # The declarative gate: /healthz and /alerts read the same
-            # rule states, so the two surfaces can never disagree — a
-            # firing page-severity rule is exactly what flips the probe.
-            engine = self.rules
+            red = red or drift["tripped"]
+        engine = self.rules
+        if engine is not None:
             firing = engine.firing()
             payload["alerts"] = {
                 "firing": sorted(r.id for r in firing),
@@ -969,14 +913,12 @@ class Observability:
                     r.id for r in engine.rules
                     if engine.states[r.id].state == "pending"),
             }
-            if any(r.severity == "page" for r in firing):
-                payload["status"] = "failing"
         ingest = self.ingest
         if ingest.lines_read:
             # Quarantine-rate burn: the fraction of undecodable input
             # vs the allowed SLO fraction.  >1 means the stream is
             # dirtier than the deployment budgeted for — predictions
-            # are running on a partial view, so the probe goes red.
+            # are running on a partial view.
             fraction = ingest.quarantine_fraction
             burn = fraction / self.quarantine_slo
             payload["ingest"] = {
@@ -989,13 +931,16 @@ class Observability:
                 "late": ingest.late,
                 "ok": burn <= 1.0,
             }
-            if burn > 1.0:
-                payload["status"] = "failing"
+            red = red or burn > 1.0
+        if engine is not None:
+            red = any(r.severity == "page" for r in firing)
         for name, hook in self._health_hooks.items():
             block = hook()
             payload[name] = block
             if isinstance(block, dict) and block.get("ok") is False:
-                payload["status"] = "failing"
+                red = True
+        if red:
+            payload["status"] = "failing"
         return payload
 
     @_locked
@@ -1041,9 +986,6 @@ __all__ = [
     "STAGE_MATCH",
     "STAGE_SCAN",
     "TRIGGER_ALERT",
-    "TRIGGER_DEADLINE",
-    "TRIGGER_DRIFT",
-    "TRIGGER_QUARANTINE",
     "TRIGGER_REASONS",
     "TRIGGER_SHUTDOWN",
     "AlertRule",

@@ -4,23 +4,25 @@ An SLO burn or a drift trip is only the *last* symptom — diagnosing it
 needs the events that led up to it, which a cumulative registry has
 already averaged away.  The :class:`FlightRecorder` keeps a bounded
 ring of recent lifecycle notes (fleet runs, ingest folds, chunk
-completions, predictions, sampled trace records) and, when an anomaly
+completions, alert transitions, sampled trace records) and, when a
 trigger fires, freezes the ring into a JSONL **crash capsule**:
 
 * one header record (``kind="capsule"``, the trigger reason + detail),
 * the buffered events in sequence order (every event precedes the
   trigger: ``seq`` is monotone and stamped at note time),
-* optionally a full registry snapshot (``kind="snapshot"``).
+* optionally the firing rule's history window (``kind="history"``) and
+  a full registry snapshot (``kind="snapshot"``).
 
-Triggers are **sticky per reason** — a burning SLO stays burning for
-the rest of a run, so the first trip captures the interesting ring and
-later evaluations of the same reason are no-ops.  That is what makes
-"exactly one capsule per anomaly" assertable in tests.
+Triggers are **sticky per reason and key** — a burning SLO stays
+burning for the rest of a run, so the first trip captures the
+interesting ring and later trips of the same rule are no-ops.  That is
+what makes "exactly one capsule per anomaly" assertable in tests.
 
 The recorder is deliberately dumb about *what* constitutes an anomaly:
-:meth:`repro.obs.Observability.check_flight` owns the trigger matrix
-(deadline burn, quarantine-SLO breach, discard-drift trip) and calls
-:meth:`FlightRecorder.trigger` with the verdict details.
+alert rules (:mod:`repro.obs.rules`) decide, and
+:meth:`repro.obs.Observability.check_rules` calls :meth:`trigger` with
+reason ``alert_rule`` keyed by the newly firing rule's id.  The only
+other reason is ``shutdown``, the graceful-drain dump.
 
 ``note`` costs one dict build + deque append and is called at batch
 grain (never per event), so the recorder rides along at ring-buffer
@@ -37,19 +39,14 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, IO, Iterable, List, Optional, Union
 
-# The trigger matrix (see Observability.check_flight / check_rules).
-TRIGGER_DEADLINE = "deadline_burn"
-TRIGGER_QUARANTINE = "quarantine_slo"
-TRIGGER_DRIFT = "discard_drift"
+# A newly firing alert rule (see Observability.check_rules).
 TRIGGER_ALERT = "alert_rule"
 # Not an anomaly: the graceful-drain path (SIGTERM / daemon shutdown)
 # freezes the ring so the last moments of a run are never lost to a
 # clean exit racing an in-flight investigation.
 TRIGGER_SHUTDOWN = "shutdown"
 
-TRIGGER_REASONS = (
-    TRIGGER_DEADLINE, TRIGGER_QUARANTINE, TRIGGER_DRIFT, TRIGGER_ALERT,
-    TRIGGER_SHUTDOWN)
+TRIGGER_REASONS = (TRIGGER_ALERT, TRIGGER_SHUTDOWN)
 
 
 class FlightRecorder:
@@ -170,8 +167,9 @@ class FlightRecorder:
         return text
 
     def reset_trigger(self, reason: Optional[str] = None) -> None:
-        """Re-arm one reason (or all) — operator acknowledged the
-        anomaly and wants the next occurrence captured too."""
+        """Re-arm one sticky key — a reason, or ``alert_rule:<rule
+        id>`` — (or all): operator acknowledged the anomaly and wants
+        the next occurrence captured too."""
         if reason is None:
             self.triggered.clear()
         else:

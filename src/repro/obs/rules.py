@@ -1,14 +1,10 @@
 """Declarative alert rules over the history ring.
 
-The flight recorder's trigger matrix (deadline burn / quarantine SLO /
-discard drift) started life as three ``if`` statements inside
-``Observability.check_flight`` — correct, but closed: adding a fourth
-condition meant editing the facade, and ``/healthz`` re-derived the
-same conditions separately, so the two surfaces could drift apart.
-This module turns the conditions into **data**: a rule is a plain dict
-(or one ``[[rule]]`` table in a TOML file) naming a series selector, a
-window expression from the :class:`~repro.obs.history.HistoryRing`
-query kit, a comparison, a ``for:`` hold duration, and a severity.
+Alert rules are the one place that decides what counts as an anomaly.
+A rule is a plain dict (or one ``[[rule]]`` table in a TOML file)
+naming a series selector, a window expression from the
+:class:`~repro.obs.history.HistoryRing` query kit, a comparison, a
+``for:`` hold duration, and a severity.
 
 :class:`RuleEngine` evaluates every rule on the history capture
 cadence and runs the Prometheus-shaped state machine per rule::
@@ -23,10 +19,10 @@ embedded in the capsule, and ``/healthz`` fails whenever a
 ``severity = "page"`` rule is firing — healthz and ``/alerts`` read the
 same state, so they can never disagree.
 
-:data:`DEFAULT_RULES` ships the old hardcoded matrix as data; the TOML
-form (``load_rules``) needs only a stdlib parser (``tomllib`` on
-3.11+, a minimal fallback below it) so rule files work everywhere the
-CLI does.
+:data:`DEFAULT_RULES` is what a flight recorder arms when given no
+other rules; the TOML form (``load_rules``) needs only a stdlib parser
+(``tomllib`` on 3.11+, a minimal fallback below it) so rule files work
+everywhere the CLI does.
 """
 
 from __future__ import annotations
@@ -335,9 +331,10 @@ def rules_to_toml(raw_rules: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
-# The shipped ruleset: the old hardcoded healthz/flight trigger matrix
-# expressed as data, plus the liveness check none of the point-in-time
-# surfaces could ask ("is this fleet predicting *at all*?").
+# The shipped ruleset, and the flight recorder's triggers unless the
+# caller arms others: deadline burn, quarantine burn and discard drift,
+# plus the liveness check no point-in-time surface can ask ("is this
+# fleet predicting *at all*?").
 DEFAULT_RULES: Tuple[dict, ...] = (
     {
         "id": "deadline-burn",
@@ -390,7 +387,7 @@ def default_ruleset() -> List[AlertRule]:
 
 
 # Service-plane rules for ``aarohi serve``: layered *on top of* the
-# default matrix (kept separate so batch runs never see shard series
+# default rules (kept separate so batch runs never see shard series
 # that, for them, can only be absent).
 DAEMON_RULES: Tuple[dict, ...] = (
     {
@@ -429,7 +426,7 @@ DAEMON_RULES: Tuple[dict, ...] = (
 
 
 def daemon_ruleset() -> List[AlertRule]:
-    """The default matrix plus the daemon's shard/handoff/backpressure
+    """The default rules plus the daemon's shard/handoff/backpressure
     rules — what ``aarohi serve`` arms its RuleEngine with."""
     return [
         AlertRule.from_dict(dict(raw))

@@ -9,15 +9,17 @@ The acceptance triangle for the debug plane:
     survives the worker → parent snapshot/diff/merge trip), and stay
     bounded by the parent-side wall clock;
 (b) a forced anomaly produces exactly one flight capsule, fired by the
-    daemon's own supervisor tick, whose JSONL replays into events that
-    all precede the trigger;
+    shipped ``quarantine-burn`` alert rule on the daemon's own
+    supervisor tick, whose JSONL replays into events that all precede
+    the trigger;
 (c) ``/debug/spans`` and ``/debug/flight`` serve the same data the
     capsule file contains, up to the chunks that landed after the
     trigger.
 
 The forced anomaly is the quarantine burn: the SLO sits below the
-injected 2% corruption.  (Daemon workers run ``timing="off"`` and never
-feed a live deadline monitor, so a deadline cannot be the trigger.)
+injected 2% corruption, and the recorder arms the shipped rules.
+(Daemon workers run ``timing="off"`` and never feed a live deadline
+monitor, so a deadline cannot be the trigger.)
 
 Run with ``-m corruption`` or ``-m daemon``.  Set ``AAROHI_FLIGHT_DIR``
 to redirect the capsule directory (CI uploads it as a workflow artifact
@@ -40,9 +42,14 @@ from repro.obs import (
     FlightRecorder,
     Observability,
     ObsServer,
-    TRIGGER_QUARANTINE,
+    TRIGGER_ALERT,
     read_capsule,
     shard_span_breakdown,
+)
+from repro.obs.names import (
+    INGEST_LINES_READ,
+    INGEST_QUARANTINE_BURN,
+    INGEST_QUARANTINED,
 )
 from repro.persistence import PredictorBundle
 
@@ -75,7 +82,8 @@ def drill(tmp_path_factory):
         store=gen.store, chains=gen.chains,
         timeout=gen.recommended_timeout, system="HPC3")
     # A 0.5% quarantine SLO against 2% injected corruption forces the
-    # burn, and nothing else can trip: no live monitor, no scoreboard.
+    # burn, and no other shipped rule can fire: no live monitor, no
+    # scoreboard, and prediction-absence holds for a minute.
     # The ring is sized to hold every note of the run, so the capsule
     # keeps the whole run-up to the trigger.
     obs = Observability(
@@ -91,8 +99,9 @@ def drill(tmp_path_factory):
             daemon.submit(line)
         assert daemon.drain(60.0)
         wall = time.perf_counter() - t0
-        # The supervisor checks for anomalies on its own tick, and
-        # stop() ends the ticks: wait for the capsule first.
+        # The supervisor captures history on its own tick, at most
+        # once a second, and the rule fires one capture past its 1 s
+        # hold.  stop() ends the ticks: wait for the capsule first.
         deadline = time.monotonic() + 30.0
         while obs.flight.capsules == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
@@ -142,29 +151,34 @@ class TestShardSpans:
 
 
 class TestDeadlineCapsule:
-    """The drill's anomaly capsule (a quarantine burn; see the module
-    docstring for why it is not a deadline)."""
+    """The drill's anomaly capsule (the quarantine-burn rule's; see the
+    module docstring for why it is not a deadline)."""
 
     def test_exactly_one_capsule_fired(self, drill):
         flight = drill["obs"].flight
         assert flight.capsules == 1
-        assert list(flight.triggered) == [TRIGGER_QUARANTINE]
-        assert flight.last_reason == TRIGGER_QUARANTINE
+        assert list(flight.triggered) == ["alert_rule:quarantine-burn"]
+        assert flight.last_reason == TRIGGER_ALERT
 
     def test_capsule_replays_events_preceding_the_trigger(self, drill):
         flight = drill["obs"].flight
         parsed = read_capsule(flight.last_capsule_path)
         header = parsed["header"]
-        assert header["reason"] == TRIGGER_QUARANTINE
-        assert header["burn_rate"] > 1.0
-        assert 0 < header["quarantined"] <= header["lines_read"]
+        assert header["reason"] == TRIGGER_ALERT
+        assert header["rule"] == "quarantine-burn"
+        assert header["series"] == INGEST_QUARANTINE_BURN
+        assert header["value"] > header["threshold"] == 1.0
+        frozen = {
+            name: parsed["snapshot"][name]["series"][0]["value"]
+            for name in (INGEST_QUARANTINED, INGEST_LINES_READ)}
+        assert 0 < frozen[INGEST_QUARANTINED] <= frozen[INGEST_LINES_READ]
         events = parsed["events"]
         assert events, "the ring must have buffered the run-up"
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs)
         assert all(e["wall"] <= header["wall"] for e in events)
         kinds = {e["kind"] for e in events}
-        assert {"ingest", "chunk_done"} <= kinds
+        assert {"ingest", "chunk_done", "alert"} <= kinds
         # The snapshot frozen into the capsule carries span series for
         # exactly the shards whose chunks had landed by the trigger.
         landed = {
@@ -221,5 +235,6 @@ class TestDebugPlaneAgreement:
         assert status == 200
         payload = json.loads(body)
         assert payload["flight"]["capsules"] == 1
-        assert payload["flight"]["last_reason"] == TRIGGER_QUARANTINE
-        assert list(payload["flight"]["triggered"]) == [TRIGGER_QUARANTINE]
+        assert payload["flight"]["last_reason"] == TRIGGER_ALERT
+        assert list(payload["flight"]["triggered"]) == [
+            "alert_rule:quarantine-burn"]

@@ -6,9 +6,9 @@ import pytest
 
 from repro.obs import (
     FlightRecorder,
-    TRIGGER_DEADLINE,
-    TRIGGER_DRIFT,
-    TRIGGER_QUARANTINE,
+    TRIGGER_ALERT,
+    TRIGGER_REASONS,
+    TRIGGER_SHUTDOWN,
     read_capsule,
 )
 
@@ -51,9 +51,9 @@ class TestTrigger:
     def test_trigger_is_sticky_per_reason(self):
         rec = FlightRecorder(capacity=8)
         rec.note("before")
-        first = rec.trigger(TRIGGER_DEADLINE, burn=2.0)
-        again = rec.trigger(TRIGGER_DEADLINE, burn=3.0)
-        other = rec.trigger(TRIGGER_DRIFT)
+        first = rec.trigger(TRIGGER_ALERT, key="r1", burn=2.0)
+        again = rec.trigger(TRIGGER_ALERT, key="r1", burn=3.0)
+        other = rec.trigger(TRIGGER_SHUTDOWN)
         assert first is not None
         assert again is None
         assert other is not None
@@ -64,19 +64,22 @@ class TestTrigger:
         with pytest.raises(ValueError):
             rec.trigger("made_up_reason")
 
+    def test_alert_rules_and_shutdown_are_the_only_reasons(self):
+        assert TRIGGER_REASONS == ("alert_rule", "shutdown")
+
     def test_reset_trigger_rearms(self):
         rec = FlightRecorder(capacity=8)
-        assert rec.trigger(TRIGGER_QUARANTINE, burn=1.5) is not None
-        rec.reset_trigger(TRIGGER_QUARANTINE)
-        assert rec.trigger(TRIGGER_QUARANTINE, burn=1.6) is not None
+        assert rec.trigger(TRIGGER_SHUTDOWN, burn=1.5) is not None
+        rec.reset_trigger(TRIGGER_SHUTDOWN)
+        assert rec.trigger(TRIGGER_SHUTDOWN, burn=1.6) is not None
 
     def test_capsule_header_carries_reason_and_extras(self):
         rec = FlightRecorder(capacity=8, clock=lambda: 7.0)
         rec.note("tick")
-        text = rec.trigger(TRIGGER_DEADLINE, burn=4.2)
+        text = rec.trigger(TRIGGER_ALERT, key="r1", burn=4.2)
         header = json.loads(text.splitlines()[0])
         assert header["kind"] == "capsule"
-        assert header["reason"] == TRIGGER_DEADLINE
+        assert header["reason"] == TRIGGER_ALERT
         assert header["burn"] == 4.2
         assert header["events"] == 1
 
@@ -86,7 +89,7 @@ class TestTrigger:
         rec = FlightRecorder(capacity=8)
         for i in range(5):
             rec.note("tick", i=i)
-        text = rec.trigger(TRIGGER_DRIFT)
+        text = rec.trigger(TRIGGER_SHUTDOWN)
         parsed = read_capsule(text)
         assert [e["i"] for e in parsed["events"]] == [0, 1, 2, 3, 4]
         seqs = [e["seq"] for e in parsed["events"]]
@@ -100,12 +103,13 @@ class TestCapsuleIO:
         snapshot = {"aarohi_lines_seen_total": {
             "type": "counter", "help": "",
             "series": [{"labels": {}, "value": 42}]}}
-        text = rec.trigger(TRIGGER_QUARANTINE, snapshot=snapshot, burn=2.0)
+        text = rec.trigger(
+            TRIGGER_ALERT, key="r1", snapshot=snapshot, burn=2.0)
         path = rec.last_capsule_path
         assert path is not None
         assert path.read_text(encoding="utf-8") == text
         assert rec.last_capsule_text == text
-        assert TRIGGER_QUARANTINE in path.name
+        assert TRIGGER_ALERT in path.name
 
     def test_read_capsule_round_trips_path_text_and_lines(self, tmp_path):
         rec = FlightRecorder(capacity=8, directory=tmp_path)
@@ -113,10 +117,10 @@ class TestCapsuleIO:
         snapshot = {"aarohi_predictions_total": {
             "type": "counter", "help": "",
             "series": [{"labels": {}, "value": 3}]}}
-        text = rec.trigger(TRIGGER_DEADLINE, snapshot=snapshot)
+        text = rec.trigger(TRIGGER_ALERT, key="r1", snapshot=snapshot)
         for source in (text, text.splitlines(), rec.last_capsule_path):
             parsed = read_capsule(source)
-            assert parsed["header"]["reason"] == TRIGGER_DEADLINE
+            assert parsed["header"]["reason"] == TRIGGER_ALERT
             assert [e["i"] for e in parsed["events"]] == [1]
             assert parsed["snapshot"]["aarohi_predictions_total"][
                 "series"][0]["value"] == 3
@@ -127,12 +131,35 @@ class TestCapsuleIO:
 
     def test_capsule_without_snapshot_parses(self):
         rec = FlightRecorder(capacity=8)
-        text = rec.trigger(TRIGGER_DRIFT)
+        text = rec.trigger(TRIGGER_SHUTDOWN)
         parsed = read_capsule(text)
         assert parsed["snapshot"] is None
 
 
 class TestFacadeTriggers:
+    """Capsules come from the alert rules a recorder arms: each test
+    drives history captures at explicit times across a rule's ``for:``
+    hold and counts the capsules."""
+
+    def test_recorder_arms_the_default_rules(self):
+        from repro.obs import (
+            DEFAULT_RULES,
+            Observability,
+            RuleEngine,
+            default_ruleset,
+        )
+
+        obs = Observability(flight=FlightRecorder())
+        assert [rule.id for rule in obs.rules.rules] == [
+            raw["id"] for raw in DEFAULT_RULES]
+        assert obs.history.interval == 1.0
+        engine = RuleEngine(default_ruleset()[:1])
+        assert Observability(
+            flight=FlightRecorder(), rules=engine).rules is engine
+        bare = Observability()
+        assert bare.rules is None
+        assert bare.history is None
+
     def test_quarantine_burn_capsules_exactly_once(self):
         from repro.obs import Observability
         from repro.logsim import IngestStats
@@ -144,29 +171,45 @@ class TestFacadeTriggers:
         bad.quarantined = 20
         bad.quarantined_by_reason["garbled"] = 20
         obs.record_ingest(bad)
-        fired = obs.check_flight()
-        assert fired == ["quarantine_slo"]
-        assert obs.check_flight() == []  # sticky: one capsule per anomaly
+        # The first breached capture only starts the rule's 1 s hold.
+        assert obs.record_history(now=100.0)
+        assert obs.flight.capsules == 0
+        assert obs.rules.states["quarantine-burn"].state == "pending"
+        assert obs.record_history(now=101.0)
         assert obs.flight.capsules == 1
+        assert obs.record_history(now=102.0)
+        assert obs.flight.capsules == 1  # sticky: one capsule per anomaly
+        assert list(obs.flight.triggered) == ["alert_rule:quarantine-burn"]
         parsed = read_capsule(obs.flight.last_capsule_text)
-        assert parsed["header"]["reason"] == TRIGGER_QUARANTINE
+        assert parsed["header"]["reason"] == TRIGGER_ALERT
+        assert parsed["header"]["rule"] == "quarantine-burn"
+        assert parsed["header"]["value"] == pytest.approx(20.0)
+        assert parsed["history"]
         assert parsed["snapshot"] is not None
 
     def test_deadline_burn_capsules_exactly_once(self):
         from repro.obs import LiveMonitor, Observability
+        from repro.obs.names import DEADLINE_OK
 
         # A budget no latency can meet: every prediction burns it.
         obs = Observability(
             live=LiveMonitor(1e-12), flight=FlightRecorder(capacity=16))
         obs.live.observe_predictions([0.0003, 0.0004, 0.0005])
-        assert obs.check_flight() == [TRIGGER_DEADLINE]
-        assert obs.check_flight() == []  # sticky: one capsule per anomaly
+        obs.refresh()  # publish the burning SLO gauge
+        assert obs.record_history(now=100.0)
+        assert obs.flight.capsules == 0
+        assert obs.rules.states["deadline-burn"].state == "pending"
+        assert obs.record_history(now=101.0)
         assert obs.flight.capsules == 1
+        assert obs.record_history(now=102.0)
+        assert obs.flight.capsules == 1  # sticky: one capsule per anomaly
+        assert list(obs.flight.triggered) == ["alert_rule:deadline-burn"]
         parsed = read_capsule(obs.flight.last_capsule_text)
-        assert parsed["header"]["reason"] == TRIGGER_DEADLINE
-        assert parsed["header"]["verdict"]["ok"] is False
-        assert parsed["header"]["verdict"]["burn_rate"] > 1.0
+        assert parsed["header"]["reason"] == TRIGGER_ALERT
+        assert parsed["header"]["rule"] == "deadline-burn"
+        assert parsed["header"]["value"] > parsed["header"]["threshold"]
         assert parsed["snapshot"] is not None
+        assert parsed["snapshot"][DEADLINE_OK]["series"][0]["value"] == 0
 
     def test_discard_drift_capsules_exactly_once(self):
         from repro.obs import Observability, QualityScoreboard
@@ -180,16 +223,21 @@ class TestFacadeTriggers:
         assert quality.drift.tripped
         obs = Observability(
             quality=quality, flight=FlightRecorder(capacity=16))
-        assert obs.check_flight() == [TRIGGER_DRIFT]
-        assert obs.check_flight() == []
+        obs.refresh()  # publish the tripped drift gauge
+        # discard-drift holds for 0 s: the first capture fires it.
+        assert obs.record_history(now=100.0)
         assert obs.flight.capsules == 1
+        assert obs.record_history(now=101.0)
+        assert obs.flight.capsules == 1
+        assert list(obs.flight.triggered) == ["alert_rule:discard-drift"]
         parsed = read_capsule(obs.flight.last_capsule_text)
-        assert parsed["header"]["reason"] == TRIGGER_DRIFT
-        assert parsed["header"]["drift"]["tripped"] is True
+        assert parsed["header"]["reason"] == TRIGGER_ALERT
+        assert parsed["header"]["rule"] == "discard-drift"
+        assert parsed["header"]["value"] == 1.0
         assert parsed["snapshot"] is not None
 
     def test_flush_shutdown_freezes_the_ring(self, tmp_path):
-        from repro.obs import Observability, TRIGGER_SHUTDOWN
+        from repro.obs import Observability
 
         obs = Observability(
             flight=FlightRecorder(capacity=16, directory=tmp_path))

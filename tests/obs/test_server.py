@@ -212,7 +212,7 @@ class TestDebugEndpoints:
 
     def test_debug_flight_404_until_triggered_then_exact_capsule(
             self, tmp_path):
-        from repro.obs import FlightRecorder, TRIGGER_DRIFT
+        from repro.obs import FlightRecorder, TRIGGER_ALERT
 
         obs = Observability(
             flight=FlightRecorder(capacity=16, directory=tmp_path))
@@ -222,7 +222,7 @@ class TestDebugEndpoints:
                 fetch(server.url("/debug/flight"))
             assert excinfo.value.code == 404
             text = obs.flight.trigger(
-                TRIGGER_DRIFT, snapshot=obs.registry.snapshot())
+                TRIGGER_ALERT, key="r1", snapshot=obs.registry.snapshot())
             status, ctype, body = fetch(server.url("/debug/flight"))
         assert status == 200
         assert ctype == "application/x-ndjson"
@@ -300,6 +300,32 @@ class TestAlertsEndpoint:
         payload = json.loads(excinfo.value.read().decode("utf-8"))
         # healthz names the same firing rule /alerts shows.
         assert payload["alerts"]["firing"] == ["deadline-burn"]
+
+    def test_healthz_waits_for_the_page_rule_hold(self):
+        from repro.logsim import IngestStats
+        from repro.obs import RuleEngine
+
+        # 100 of 1,000 lines quarantined: 10x the default 1% SLO.
+        obs = Observability(rules=RuleEngine("default"))
+        obs.record_ingest(IngestStats(
+            lines_read=1000, decoded=900, quarantined=100))
+        obs.record_history(now=100.0)  # breach → pending
+        with ObsServer(obs) as server:
+            status, _, body = fetch(server.url("/healthz"))
+            payload = json.loads(body)
+            assert status == 200
+            assert payload["status"] == "ok"
+            assert payload["alerts"]["firing"] == []
+            assert "quarantine-burn" in payload["alerts"]["pending"]
+            # The raw burn stays in the payload as data.
+            assert payload["ingest"]["ok"] is False
+            obs.record_history(now=101.5)  # held 1.5 s ≥ 1 s → firing
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                fetch(server.url("/healthz"))
+        assert excinfo.value.code == 503
+        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        assert payload["status"] == "failing"
+        assert payload["alerts"]["firing"] == ["quarantine-burn"]
 
 
 class TestDebugHistory:

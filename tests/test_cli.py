@@ -325,6 +325,37 @@ class TestSpansAndFlightCli:
         caps = tmp_path / "caps"
         assert not caps.exists() or not list(caps.iterdir())
 
+    def test_watch_and_one_shot_leave_the_same_capsules(
+            self, tmp_path, capsys):
+        from repro.logsim import IngestStats, read_log
+
+        log = tmp_path / "dirty.log"
+        assert main([
+            "generate", "--system", "HPC3", "--seed", "5",
+            "--duration", "600", "--nodes", "8", "--failures", "2",
+            "--corrupt", "0.05", "--out", str(log),
+        ]) == 0
+        ingest = IngestStats()
+        for _ in read_log(log, on_error="quarantine", stats=ingest):
+            pass
+        assert ingest.quarantine_fraction > 0.01  # past the default SLO
+        left = {}
+        for mode, extra in (("once", []),
+                            ("watch", ["--watch", "--slices", "4"])):
+            caps = tmp_path / mode
+            assert main([
+                "predict", "--system", "HPC3", "--seed", "5",
+                "--log", str(log), "--on-error", "quarantine",
+                "--flight-dir", str(caps), *extra,
+            ]) == 0
+            left[mode] = sorted(
+                p.name for p in caps.iterdir()) if caps.exists() else []
+        capsys.readouterr()
+        # A one-shot run takes a single history capture, so the burn
+        # never outlasts the quarantine-burn rule's 1 s hold there
+        # either: one flag, one trigger path, the same capsules.
+        assert left["once"] == left["watch"]
+
 
 class TestGenerateTruth:
     def test_truth_file_round_trips(self, tmp_path, capsys):
@@ -558,10 +589,10 @@ class TestObsReportHistory:
         assert LINES_SEEN in out
 
     def test_capsule_without_history_exits_2(self, tmp_path, capsys):
-        from repro.obs import TRIGGER_DEADLINE, FlightRecorder
+        from repro.obs import TRIGGER_SHUTDOWN, FlightRecorder
 
         flight = FlightRecorder(capacity=16, directory=tmp_path)
-        text = flight.trigger(TRIGGER_DEADLINE)
+        text = flight.trigger(TRIGGER_SHUTDOWN)
         capsule = tmp_path / "capsule.jsonl"
         capsule.write_text(text, encoding="utf-8")
         rc = main(["obs-report", "--history", str(capsule)])

@@ -296,3 +296,41 @@ class TestObsServeSigterm:
         assert metrics.exists()
         assert "aarohi_" in metrics.read_text()
         assert any("shutdown" in name for name in os.listdir(capsules))
+
+    def test_hold_loop_keeps_evaluating_rules(self, tmp_path):
+        """A dirty stream that ends while quarantine-burn is still
+        inside its 1 s hold: the hold loop's captures fire the rule."""
+        _skip_without_numpy()
+        from repro.cli import main
+
+        log = tmp_path / "dirty.log"
+        assert main([
+            "generate", "--system", "HPC3", "--seed", "5",
+            "--duration", "600", "--nodes", "8", "--failures", "2",
+            "--corrupt", "0.05", "--out", str(log),
+        ]) == 0
+        capsules = tmp_path / "capsules"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "obs-serve",
+             "--system", "HPC3", "--seed", "5", "--log", str(log),
+             "--on-error", "quarantine", "--port", "0", "--hold",
+             "--flight-dir", str(capsules)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env=cli_env(), text=True)
+        try:
+            read_until(proc.stdout, r"serving until interrupted")
+            deadline = time.monotonic() + 30.0
+            fired = []
+            while not fired and time.monotonic() < deadline:
+                time.sleep(0.1)
+                if capsules.is_dir():
+                    fired = [name for name in os.listdir(capsules)
+                             if "alert_rule" in name]
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=90)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        assert proc.returncode == 143, out
+        assert len(fired) == 1, out
