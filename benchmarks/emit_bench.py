@@ -6,13 +6,9 @@ Measures sustained events/s on the discard-heavy realistic stream for
   full timing (what the seed repo shipped),
 * the **batched path** — ``fleet.run(events, timing="off")``, the
   flattened whole-stream scan driver over decoded events, and
-* the **byte backends** — ``fleet.run_buffer(batch, timing="off")``
-  over a raw :class:`~repro.logsim.stream.ByteRecordBatch` for the
-  ``bytes`` and ``native`` kernels (rejected lines never decoded;
-  ``native`` is the compiled C walk), and
 * the **fused native path** — ``fleet.run_lines(blob, timing="off")``
   with a native scanner: record split, header check and scan in one C
-  pass over the raw blob,
+  pass over the raw blob (rejected lines never decoded),
 
 plus **ingest** (mmap vs ``read()`` vs decoded-text line reading) and
 **scanner startup** (cold merged-DFA compilation vs warm load from the
@@ -25,18 +21,19 @@ stays machine-readable from this PR onward.
 Run standalone::
 
     PYTHONPATH=src python benchmarks/emit_bench.py          # full, rewrites json
-    PYTHONPATH=src python benchmarks/emit_bench.py --backend bytes  # one backend
+    PYTHONPATH=src python benchmarks/emit_bench.py --backend str  # no native
     PYTHONPATH=src python benchmarks/emit_bench.py --smoke  # CI regression gate
 
-``--backend str|bytes|native|all`` restricts which scan kernels
-the full run measures (default ``all``; ``str`` is always measured — it
-is the baseline every ratio is computed against).
+``--backend str|native|all`` restricts which scan kernels the full run
+measures (default ``all``; ``str`` is always measured — it is the
+baseline every ratio is computed against).
 
 ``--smoke`` runs a reduced-scale measurement and **fails** (exit 1) if
-batched or bytes-backend throughput drops below the recorded
+batched or fused-native throughput drops below the recorded
 ``BENCH_hotpath.json`` floor times a slack factor (CI runners are
 noisy; the gate catches order-of-magnitude regressions, not
-single-digit drift).  Smoke mode never rewrites the recorded floors.
+single-digit drift).  The fused-native floor is gated only where a C
+compiler exists.  Smoke mode never rewrites the recorded floors.
 """
 
 from __future__ import annotations
@@ -59,30 +56,6 @@ PRE_PR_REFERENCE = {
     "HPC1": 730_251,
     "HPC3": 704_101,
     "measured": "2026-08-05, fleet.process() per event, 20k-event window",
-}
-
-# Batched str-kernel path as recorded before the byte-kernel PR — the
-# baseline the bytes backend must beat ≥ 2× (gated by the equivalence
-# suite against the freshly written json, not against live timing).
-PRE_BYTES_PR_REFERENCE = {
-    "HPC1": 2_847_455,
-    "HPC3": 3_340_420,
-    "measured": "2026-08-05, fleet.run(events, timing='off'), "
-                "20k-event window (before the byte-kernel PR)",
-}
-
-# Byte-kernel path as recorded before the native-kernel PR — the
-# baseline the compiled C walk must beat ≥ 2× on at least three of the
-# four catalogs (gated by the equivalence suite against the freshly
-# written json).
-PRE_NATIVE_PR_REFERENCE = {
-    "HPC1": 5_302_612,
-    "HPC2": 6_188_310,
-    "HPC3": 6_873_511,
-    "HPC4": 6_315_633,
-    "measured": "2026-08-07, fleet.run_buffer(batch, timing='off'), "
-                "bytes kernels, 20k-event window (before the native "
-                "kernel PR)",
 }
 
 # Shared CI runners are slow and noisy relative to the machine that
@@ -110,28 +83,23 @@ def measure_hotpath(
     gen,
     n_events: int = 20_000,
     rounds: int = 5,
-    backends: tuple = ("bytes",),
+    backends: tuple = ("native",),
 ) -> dict:
     """Best-of-``rounds`` events/s for every scan path.
 
-    Rounds are interleaved (per-event, str batched, bytes, native, …) so
+    Rounds are interleaved (per-event, str batched, fused native) so
     all paths sample the same machine conditions; each round uses a
-    fresh fleet (cold memo, cold chain state).  The byte backends are
-    driven through :meth:`PredictorFleet.run_buffer` over a pre-built
-    :class:`ByteRecordBatch` — the same already-in-memory starting point
-    the str path gets with its pre-decoded event list, so the ratios
-    compare scan kernels, not ingest (ingest is measured separately by
-    :func:`measure_ingest`)."""
+    fresh fleet (cold memo, cold chain state).  With ``"native"`` in
+    ``backends`` and a native scanner built, the fused path is timed
+    through :meth:`PredictorFleet.run_lines` over the window's raw
+    blob: ingest and scan in one C call, starting from bytes in memory
+    where the str path starts from its pre-decoded event list."""
     from repro.core import PredictorFleet
-    from repro.logsim.stream import read_record_batch
 
     events = discard_heavy_stream(gen, n_events)
-    backends = tuple(b for b in backends if b != "str")
-    batch = None
-    if backends:
+    blob = None
+    if "native" in backends:
         blob = ("\n".join(e.to_line() for e in events) + "\n").encode()
-        batch = read_record_batch(blob, on_error="strict")
-        assert len(batch) == n_events
 
     def fresh_fleet(backend="str"):
         return PredictorFleet.from_store(
@@ -140,7 +108,6 @@ def measure_hotpath(
 
     old_best = 0.0
     new_best = 0.0
-    byte_best = {be: 0.0 for be in backends}
     fused_best = 0.0
     report = None
     for _ in range(rounds):
@@ -155,22 +122,14 @@ def measure_hotpath(
         report = fleet.run(events, timing="off")
         new_best = max(new_best, n_events / (time.perf_counter() - t0))
 
-        for be in backends:
-            fleet = fresh_fleet(be)
-            if fleet.scanner.backend != be:
-                continue  # prerequisite absent: resolved to bytes, skip
+        if blob is not None:
+            fleet = fresh_fleet("native")
+            if fleet.scanner.backend != "native":
+                continue  # prerequisite absent: resolved to str, skip
             t0 = time.perf_counter()
-            fleet.run_buffer(batch, timing="off")
-            byte_best[be] = max(
-                byte_best[be], n_events / (time.perf_counter() - t0))
-            if be == "native":
-                # The fused single-pass path: raw blob in, predictions
-                # out — ingest and scan in one C call (run_lines).
-                fleet = fresh_fleet(be)
-                t0 = time.perf_counter()
-                fleet.run_lines(blob, timing="off")
-                fused_best = max(
-                    fused_best, n_events / (time.perf_counter() - t0))
+            fleet.run_lines(blob, timing="off")
+            fused_best = max(
+                fused_best, n_events / (time.perf_counter() - t0))
 
     row = {
         "events": n_events,
@@ -179,13 +138,6 @@ def measure_hotpath(
         "batched_events_per_s": round(new_best),
         "batched_vs_per_event": round(new_best / old_best, 2),
     }
-    for be in backends:
-        if byte_best[be]:
-            row[f"{be}_events_per_s"] = round(byte_best[be])
-            row[f"{be}_vs_batched"] = round(byte_best[be] / new_best, 2)
-    if byte_best.get("native") and byte_best.get("bytes"):
-        row["native_vs_bytes"] = round(
-            byte_best["native"] / byte_best["bytes"], 2)
     if fused_best:
         row["native_fused_events_per_s"] = round(fused_best)
     return row
@@ -198,8 +150,7 @@ def measure_ingest(gen, n_events: int = 20_000, rounds: int = 5) -> dict:
     via a path argument, one-shot ``read()`` via an open binary
     handle — both split records and parse headers without decoding
     payloads) and the text path via :func:`read_log` (full per-line
-    UTF-8 decode into events), which is what the byte pipeline
-    replaces."""
+    UTF-8 decode into events)."""
     from repro.logsim.stream import read_log, read_record_batch
 
     events = discard_heavy_stream(gen, n_events)
@@ -344,8 +295,6 @@ def write_bench_json(results: dict, path: Path = BENCH_PATH) -> dict:
         "bench": "hotpath",
         "stream": "discard-heavy realistic window (see discard_heavy_stream)",
         "pre_pr_reference_events_per_s": PRE_PR_REFERENCE,
-        "pre_bytes_pr_batched_events_per_s": PRE_BYTES_PR_REFERENCE,
-        "pre_native_pr_bytes_events_per_s": PRE_NATIVE_PR_REFERENCE,
         "systems": results,
     }
     for name, row in results.items():
@@ -353,23 +302,14 @@ def write_bench_json(results: dict, path: Path = BENCH_PATH) -> dict:
         if isinstance(ref, int):
             row["batched_vs_pre_pr"] = round(
                 row["batched_events_per_s"] / ref, 2)
-        ref = PRE_BYTES_PR_REFERENCE.get(name)
-        if isinstance(ref, int) and "bytes_events_per_s" in row:
-            row["bytes_vs_pre_bytes_pr"] = round(
-                row["bytes_events_per_s"] / ref, 2)
-        ref = PRE_NATIVE_PR_REFERENCE.get(name)
-        if isinstance(ref, int) and "native_events_per_s" in row:
-            row["native_vs_pre_native_pr"] = round(
-                row["native_events_per_s"] / ref, 2)
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return payload
 
 
 def recorded_floors(path: Path = BENCH_PATH) -> dict:
     """Recorded per-system floors from the committed json:
-    ``{system: {"batched": ev/s, "bytes": ev/s, "native": ev/s}}``
-    (byte-backend entries only when the json was generated with those
-    backends measured)."""
+    ``{system: {"batched": ev/s, "native_fused": ev/s}}`` (the fused
+    entry only when the json was generated with native measured)."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
@@ -379,10 +319,8 @@ def recorded_floors(path: Path = BENCH_PATH) -> dict:
         entry = {}
         if isinstance(row.get("batched_events_per_s"), int):
             entry["batched"] = row["batched_events_per_s"]
-        if isinstance(row.get("bytes_events_per_s"), int):
-            entry["bytes"] = row["bytes_events_per_s"]
-        if isinstance(row.get("native_events_per_s"), int):
-            entry["native"] = row["native_events_per_s"]
+        if isinstance(row.get("native_fused_events_per_s"), int):
+            entry["native_fused"] = row["native_fused_events_per_s"]
         if entry:
             floors[name] = entry
     return floors
@@ -404,18 +342,17 @@ def run_smoke(slack: float = SMOKE_SLACK) -> int:
         # Full event count (small batches under-amortize per-run fixed
         # costs and would sit below floor × slack even when healthy),
         # fewer rounds: the timed loops are milliseconds each.  The
-        # byte backends are measured in the same interleaved rounds, so
-        # their gates sample the same machine conditions.  The native
-        # floor is only enforceable where a C compiler exists (the
+        # fused native path is measured in the same interleaved rounds,
+        # so its gate samples the same machine conditions.  Its floor
+        # is only enforceable where a C compiler exists (the
         # no-compiler CI leg deliberately has none).
-        smoke_backends = tuple(
-            be for be in ("bytes", "native")
-            if be in entry and (be != "native" or native_available()))
+        smoke_backends = (
+            ("native",) if "native_fused" in entry and native_available()
+            else ())
         measured = measure_hotpath(
             gen, n_events=20_000, rounds=2, backends=smoke_backends)
         for kind, key in (("batched", "batched_events_per_s"),
-                          ("bytes", "bytes_events_per_s"),
-                          ("native", "native_events_per_s")):
+                          ("native_fused", "native_fused_events_per_s")):
             floor = entry.get(kind)
             if floor is None or key not in measured:
                 continue
@@ -463,12 +400,7 @@ def main(argv=None) -> int:
 
     from repro.logsim import ClusterLogGenerator, system_by_name
 
-    if args.backend == "all":
-        backends = ("bytes", "native")
-    elif args.backend == "str":
-        backends = ()
-    else:
-        backends = (args.backend,)
+    backends = () if args.backend == "str" else ("native",)
     results = {}
     for name in ("HPC1", "HPC2", "HPC3", "HPC4"):
         gen = ClusterLogGenerator(system_by_name(name))

@@ -128,9 +128,8 @@ def _add_scan_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scan-backend", default="native", choices=SCAN_BACKENDS,
         help="scan kernel family: native (default: compiled C kernel; "
-             "falls back to bytes without a C compiler), bytes (mmap "
-             "byte pipeline; falls back to str past 254 byte classes), "
-             "str (decoded text)")
+             "falls back to str without a C compiler or an exact byte "
+             "alphabet), str (decoded text)")
 
 
 def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
@@ -400,9 +399,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if getattr(args, "watch", False):
             ingest = IngestStats()
             events = _read_events(args, ingest)
-            report = _run_watched(fleet, events, obs, args.slices)
-            if obs is not None and ingest.lines_read:
+            # Fold ingest in before the first slice, as obs-serve does,
+            # so every slice's history capture and rules pass sees the
+            # quarantine burn.
+            if ingest.lines_read:
                 obs.record_ingest(ingest)
+            report = _run_watched(fleet, events, obs, args.slices)
         else:
             # Sampled timing clocks only the FC-related chain checks,
             # so the native fleet keeps its fused single-pass scan;

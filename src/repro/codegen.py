@@ -11,7 +11,10 @@ binary; the Python analog emits **specialized source** at two levels:
   The kernel source is rendered with the start state, row stride and
   memo policy inlined as literals, compiled once per shape, and closed
   over the tables — so the discard path is one table walk regardless
-  of how many templates were merged.
+  of how many templates were merged.  ``backend="native"`` renders the
+  same DFA over its byte alphabet as C
+  (:func:`emit_native_scan_kernels_source`) compiled with the system
+  ``cc``, and falls back to the translate walk wherever it cannot.
 
 * :func:`emit_predictor_source` — a **self-contained module** with the
   scanner tables, the chain rule tables and the Algorithm-2 driver
@@ -47,23 +50,23 @@ _MEMO_MISS = object()  # cache sentinel: None is a legitimate cached value
 
 #: Kernel backends accepted by :func:`compile_scan_kernels`.
 #:
-#: * ``"str"``   — decoded-text kernels (the original translate walk);
-#: * ``"bytes"`` — byte-alphabet kernels over raw UTF-8 records
-#:   (:class:`~repro.regexlib.dfa.ByteAlphabet`): messages are scanned
-#:   without ever being decoded;
-#: * ``"native"`` — the same renumbered accept-threshold tables rendered
-#:   as C (:func:`emit_native_scan_kernels_source`), compiled at runtime
-#:   with the system ``cc`` into a cached shared object and driven
-#:   through ``ctypes``; adds a fused ``scan_records`` entry point that
-#:   splits, header-checks, time-stamps and scans raw record blobs in
-#:   one pass, and a ``reorder`` entry point for the reorder buffer.
-#:   Falls back to ``"bytes"`` when no compiler is found, the compile
-#:   fails, or the catalog needs the non-exact decode fallback.
+#: * ``"str"``   — decoded-text kernels (the translate walk), the
+#:   portable reference every differential suite checks against;
+#: * ``"native"`` — the DFA's byte alphabet
+#:   (:class:`~repro.regexlib.dfa.ByteAlphabet`) and renumbered
+#:   accept-threshold walk rendered as C
+#:   (:func:`emit_native_scan_kernels_source`), compiled at runtime with
+#:   the system ``cc`` into a cached shared object and driven through
+#:   ``ctypes`` over raw UTF-8 records; adds a fused ``scan_records``
+#:   entry point that splits, header-checks, time-stamps and scans raw
+#:   record blobs in one pass, and a ``reorder`` entry point for the
+#:   reorder buffer.
 #:
-#: ``"bytes"`` (and so ``"native"``) falls back to ``"str"`` when the
-#: catalog's DFA has more than 254 character classes, which a byte
-#: translate table cannot hold.
-SCAN_BACKENDS = ("str", "bytes", "native")
+#: ``"native"`` falls back to ``"str"`` when no compiler is found, the
+#: compile fails, the catalog has no exact byte alphabet (it
+#: distinguishes non-ASCII codepoints, or has more than 254 character
+#: classes), or its DFA has too many states for the uint16 walk table.
+SCAN_BACKENDS = ("str", "native")
 
 
 def native_available() -> bool:
@@ -74,16 +77,15 @@ def native_available() -> bool:
 
 
 def resolve_backend(backend: str) -> str:
-    """Validate a backend name, degrading ``"native"`` to ``"bytes"``
-    when no working C compiler is found.  The fast path stays
-    byte-level either way; only the compiled walk is lost.  A *compile*
-    failure with a present compiler degrades later, inside
-    :func:`compile_scan_kernels`."""
+    """Validate a backend name, degrading ``"native"`` to ``"str"``
+    when no working C compiler is found.  A *compile* failure with a
+    present compiler, or a catalog out of native's range, degrades
+    later, inside :func:`compile_scan_kernels`."""
     if backend not in SCAN_BACKENDS:
         raise ValueError(
             f"unknown scan backend {backend!r}; expected one of {SCAN_BACKENDS}")
     if backend == "native" and not native_available():
-        return "bytes"
+        return "str"
     return backend
 
 
@@ -100,9 +102,9 @@ class ScanKernels(NamedTuple):
     close over.
 
     ``backend`` names the kernel family actually built (see
-    :data:`SCAN_BACKENDS`).  Str kernels take ``str`` messages; the
-    byte-level kernels (bytes/native) take ``bytes`` records, and
-    ``match_span`` then reports the end offset in bytes.
+    :data:`SCAN_BACKENDS`).  Str kernels take ``str`` messages; native
+    kernels take ``bytes`` records, and ``match_span`` then reports the
+    end offset in bytes.
 
     ``scan_records`` is the native backend's fused ingest+scan entry
     point (``None`` elsewhere): one C pass over a raw record blob that
@@ -110,11 +112,6 @@ class ScanKernels(NamedTuple):
     scans accepted messages; ``reorder`` replays the reorder buffer over
     the per-record times it returns — see
     :func:`repro.native.make_kernels`.
-    ``scan_hits_view`` (also native-only) is ``scan_hits`` minus the
-    join: callers holding a cached contiguous newline-joined view of
-    their messages (:meth:`ByteRecordBatch.message_blob`) pass it
-    straight through; ``None`` signals the embedded-newline desync the
-    caller must resolve per message.
     """
 
     tokenize: Callable[[str], Optional[int]]
@@ -124,7 +121,6 @@ class ScanKernels(NamedTuple):
     counts: List[int]
     backend: str = "str"
     scan_records: Optional[Callable] = None
-    scan_hits_view: Optional[Callable] = None
     reorder: Optional[Callable] = None
 
 
@@ -244,176 +240,6 @@ _COUNTING_FRAGMENTS = {
 
 _PLAIN_FRAGMENTS = {name: "" for name in _COUNTING_FRAGMENTS}
 
-# The byte-alphabet variant: identical structure, but the message is a
-# raw UTF-8 ``bytes`` record.  ``bytes.translate`` rewrites every byte
-# to its class id (the ECS table from DFA.byte_alphabet) and the walk
-# indexes by the byte value directly — no ord(), no decoding.  In
-# *fallback* mode (the catalog distinguishes non-ASCII codepoints) a
-# marker class flags bytes ≥ 0x80; ``marker in classes`` is one C-level
-# scan and only flagged lines decode and re-walk the str table — the
-# ``f_*`` fragments, empty in exact mode.
-#
-# Two byte-only table tweaks shave the per-step cost of the walk (the
-# dominant expense of a memo miss):
-#
-# * ``transitions`` is a plain list, not an ``array('i')`` — array
-#   subscripts box a fresh int object per step for state ids above the
-#   small-int cache, list subscripts return the prebuilt ones;
-# * states are renumbered so accepting states occupy the top of the id
-#   space (:func:`_accept_threshold_tables`): longest-match tracking is
-#   one ``state >= {athresh}`` compare instead of an accept-table load,
-#   and the walk resolves ``best`` to a token only once, at the end.
-_BYTE_KERNELS_TEMPLATE = '''\
-def _make_kernels(transitions, accept_token, translate, first_ok, memo, miss,
-                  counts, str_translate):
-{f_def}\
-    def tokenize(message, _len=len,
-                 _trans=transitions, _accept=accept_token, _tab=translate,
-                 _first=first_ok, _memo=memo, _get=memo.get, _miss=miss,
-                 _counts=counts):
-        if not message or not _first[message[0]]:
-            return None
-{c_pass1}        key = {key_expr}
-        token = _get(key, _miss)
-        if token is not _miss:
-            return token
-{c_scan1}        classes = key.translate(_tab)
-{f_tok}\
-        state = {start}
-        best = -1
-        for c in classes:
-            state = _trans[state * {stride} + c]
-            if state < 0:
-                break
-            if state >= {athresh}:
-                best = state
-        if best < 0:
-            token = None
-        else:
-            token = _accept[best]
-{c_match1}        if _len(_memo) >= {capacity}:
-            _memo.clear()
-        _memo[key] = token
-        return token
-
-    def scan_hits(messages, _len=len,
-                  _trans=transitions, _accept=accept_token, _tab=translate,
-                  _first=first_ok, _memo=memo, _get=memo.get, _miss=miss,
-                  _counts=counts):
-        hits = []
-        _append = hits.append
-{c_locals}        i = -1
-        for message in messages:
-            i += 1
-            if not message or not _first[message[0]]:
-                continue
-{c_pass2}            key = {key_expr}
-            token = _get(key, _miss)
-            if token is _miss:
-{c_scan2}                classes = key.translate(_tab)
-{f_hits}\
-                state = {start}
-                best = -1
-                for c in classes:
-                    state = _trans[state * {stride} + c]
-                    if state < 0:
-                        break
-                    if state >= {athresh}:
-                        best = state
-                if best < 0:
-                    token = None
-                else:
-                    token = _accept[best]
-{c_match2}                if _len(_memo) >= {capacity}:
-                    _memo.clear()
-                _memo[key] = token
-            if token is not None:
-                _append((i, token))
-{c_fold}        return hits
-
-    def match_span(message,
-                   _trans=transitions, _accept=accept_token, _tab=translate):
-        classes = message.translate(_tab)
-{f_span}\
-        state = {start}
-        best = -1
-        end = 0
-        i = 0
-        for c in classes:
-            state = _trans[state * {stride} + c]
-            if state < 0:
-                break
-            i += 1
-            if state >= {athresh}:
-                best = state
-                end = i
-        if best < 0:
-            return None, 0
-        return _accept[best], end
-
-    return tokenize, scan_hits, match_span
-'''
-
-# Fallback-mode fragments for the byte template.  The decode path runs
-# only for lines whose translated form contains the marker class —
-# ASCII-only lines (virtually all syslog) never reach it.
-_BYTE_FALLBACK_DEF = '''\
-    def _fb_tokenize(key, _ord=ord,
-                     _trans=transitions, _accept=accept_token,
-                     _stab=str_translate):
-        state = {start}
-        best = -1
-        for ch in str(key, "utf-8", "replace").translate(_stab):
-            state = _trans[state * {stride} + _ord(ch)]
-            if state < 0:
-                break
-            if state >= {athresh}:
-                best = state
-        if best < 0:
-            return None
-        return _accept[best]
-
-'''
-
-_BYTE_FALLBACK_TOK = '''\
-        if {marker} in classes:
-            token = _fb_tokenize(key)
-{c_fbm1}            if _len(_memo) >= {capacity}:
-                _memo.clear()
-            _memo[key] = token
-            return token
-'''
-
-_BYTE_FALLBACK_HITS = '''\
-                if {marker} in classes:
-                    token = _fb_tokenize(key)
-{c_fbm2}                    if _len(_memo) >= {capacity}:
-                        _memo.clear()
-                    _memo[key] = token
-                    if token is not None:
-                        _append((i, token))
-                    continue
-'''
-
-_BYTE_FALLBACK_SPAN = '''\
-        if {marker} in classes:
-            state = {start}
-            best = -1
-            end = 0
-            i = 0
-            for ch in str(message, "utf-8", "replace").translate(str_translate):
-                state = _trans[state * {stride} + ord(ch)]
-                if state < 0:
-                    break
-                i += 1
-                if state >= {athresh}:
-                    best = state
-                    end = i
-            if best < 0:
-                return None, 0
-            return _accept[best], end
-'''
-
 # Kernel shapes repeat heavily (every scanner over the same catalog has
 # the same start/stride/memo policy), so code objects are cached by
 # their rendered source.
@@ -445,73 +271,17 @@ def emit_scan_kernels_source(
     )
 
 
-def emit_byte_scan_kernels_source(
-    *,
-    start: int,
-    stride: int,
-    capacity: int,
-    memo_len: Optional[int],
-    counting: bool = False,
-    exact: bool = True,
-    marker: int = 0,
-    athresh: int = 0,
-) -> str:
-    """Render the byte-alphabet kernel factory source for one shape.
-
-    ``exact=False`` renders the fallback variant: translated messages
-    containing the ``marker`` class (some byte ≥ 0x80 the byte alphabet
-    cannot decide) are decoded and re-walked over the str table.  The
-    fallback path keys the memo on the whole record — a byte-prefix key
-    is not sound when the match is decided by a *character* count.
-    ``athresh`` is the accept threshold of the renumbered walk table
-    (:func:`_accept_threshold_tables`): states ``>= athresh`` accept.
-    Consequence: with a finite ``memo_len``, fallback-mode funnel
-    counts can differ from the str kernel's on messages that share a
-    ``memo_len``-character prefix but not their raw bytes (the str memo
-    coalesces them, the byte memo cannot without decoding).  Tokens and
-    hits are identical regardless; exact mode (every real catalog) is
-    count-identical too.
-    """
-    if not exact:
-        memo_len = None
-    key_expr = "message" if memo_len is None else f"message[:{memo_len}]"
-    shape = {"start": start, "stride": stride, "capacity": capacity,
-             "marker": marker, "athresh": athresh}
-    if exact:
-        f_def = f_tok = f_hits = f_span = ""
-    else:
-        c_fbm1 = c_fbm2 = ""
-        if counting:
-            c_fbm1 = ("            if token is not None:\n"
-                      "                _counts[2] += 1\n")
-            c_fbm2 = ("                    if token is not None:\n"
-                      "                        n_match += 1\n")
-        f_def = _BYTE_FALLBACK_DEF.format(**shape)
-        f_tok = _BYTE_FALLBACK_TOK.format(c_fbm1=c_fbm1, **shape)
-        f_hits = _BYTE_FALLBACK_HITS.format(c_fbm2=c_fbm2, **shape)
-        f_span = _BYTE_FALLBACK_SPAN.format(**shape)
-    fragments = _COUNTING_FRAGMENTS if counting else _PLAIN_FRAGMENTS
-    return _BYTE_KERNELS_TEMPLATE.format(
-        key_expr=key_expr,
-        f_def=f_def,
-        f_tok=f_tok,
-        f_hits=f_hits,
-        f_span=f_span,
-        **shape,
-        **fragments,
-    )
-
-
 def _accept_threshold_tables(dfa: DFA, accept_token: Sequence[int]):
     """Renumber states so accepting ids form the top of the id space.
 
     Returns ``(transitions, accept_by_state, start, athresh)`` for the
-    byte kernels: ``transitions`` is a renumbered plain-list walk table
-    (list subscripts return prebuilt ints; ``array('i')`` boxes a fresh
-    one per step), ``accept_by_state[s]`` is the external token of
-    accepting state ``s`` (``-1`` below the threshold), and a state is
-    accepting iff ``s >= athresh`` — one compare in the walk instead of
-    an accept-table load per step.  Pure permutation: tokens, spans and
+    native kernel: ``transitions`` is the renumbered walk table as a
+    list with dead = ``0xFFFF`` (the kernel's uint16 sentinel, so the
+    table fits only when there are fewer states than that),
+    ``accept_by_state[s]`` is the external token of accepting state
+    ``s`` (``-1`` below the threshold), and a state is accepting iff
+    ``s >= athresh`` — one compare in the walk instead of an
+    accept-table load per step.  Pure permutation: tokens, spans and
     funnel counts are unchanged.
     """
     stride = dfa.n_classes + 1
@@ -524,15 +294,16 @@ def _accept_threshold_tables(dfa: DFA, accept_token: Sequence[int]):
     for new, old in enumerate(order):
         perm[old] = new
     # Rows in new-id order; the dead target (-1) indexes the appended
-    # -1, so one lookup renumbers every cell, dead or live.
-    renumbered = list(map((perm + [-1]).__getitem__, chain.from_iterable(
+    # sentinel, so one lookup renumbers every cell, dead or live.
+    renumbered = list(map((perm + [0xFFFF]).__getitem__, chain.from_iterable(
         trans[old * stride:(old + 1) * stride] for old in order)))
     accept_by_state = tuple(accept_token[old] for old in order)
     return renumbered, accept_by_state, perm[dfa.start], athresh
 
 
-# The native kernel: the byte kernels' renumbered accept-threshold walk
-# rendered as self-contained C.  The header carries everything that
+# The native kernel: the renumbered accept-threshold walk
+# (_accept_threshold_tables) over the byte alphabet, rendered as
+# self-contained C.  The header carries everything that
 # varies per scanner shape (tables as static arrays, shape parameters
 # as macros); the body is fixed C the compiler specializes against
 # those macros.  Dead state is 0xFFFF in the uint16 walk table, checked
@@ -541,10 +312,11 @@ def _accept_threshold_tables(dfa: DFA, accept_token: Sequence[int]):
 _NATIVE_HEADER = '''\
 /* Auto-generated Aarohi native scan kernel (do not edit).
  *
- * Mirrors the "bytes" backend kernels exactly: first-char gate,
- * bounded memo with clear-at-capacity, renumbered accept-threshold
- * walk, funnel counter semantics.  MEMO_LEN is the acyclic-DFA match
- * bound (SIZE_MAX = cyclic, key on the whole message).
+ * Same semantics as the Python str kernels: first-char gate, bounded
+ * memo with clear-at-capacity, longest-match walk (here over the
+ * renumbered accept-threshold tables), funnel counter semantics.
+ * MEMO_LEN is the acyclic-DFA match bound (SIZE_MAX = cyclic, key on
+ * the whole message).
  */
 #include <math.h>
 #include <stdint.h>
@@ -1143,13 +915,12 @@ def _try_native_kernels(
 ) -> Optional[ScanKernels]:
     """Build the compiled-kernel surface, or ``None`` to degrade.
 
-    ``None`` means the caller falls back to the ``bytes`` backend:
-    non-exact byte alphabets (the C walk has no decode-and-rewalk
-    path), state counts that overflow the uint16 walk table, a missing
-    compiler, or a failed compile/load.
+    ``None`` means the caller falls back to the ``str`` kernels: no
+    exact byte alphabet, state counts that overflow the uint16 walk
+    table, a missing compiler, or a failed compile/load.
     """
     alpha = dfa.byte_alphabet
-    if alpha is None or not alpha.exact:
+    if alpha is None:
         return None
     stride = dfa.n_classes + 1
     trans, accept, start, athresh = _accept_threshold_tables(dfa, accept_token)
@@ -1158,7 +929,7 @@ def _try_native_kernels(
     from . import native
 
     source = emit_native_scan_kernels_source(
-        walk=[0xFFFF if v < 0 else v for v in trans],
+        walk=trans,
         accept=accept,
         classes=alpha.table,
         first_ok=alpha.first_ok,
@@ -1173,12 +944,12 @@ def _try_native_kernels(
         return None
     try:
         (tokenize, scan_hits, match_span, memo, counts, scan_records,
-         scan_hits_view, reorder) = native.make_kernels(lib)
+         reorder) = native.make_kernels(lib)
     except MemoryError:
         return None
     return ScanKernels(
         tokenize, scan_hits, match_span, memo, counts, "native",
-        scan_records, scan_hits_view, reorder)
+        scan_records, reorder)
 
 
 def compile_scan_kernels(
@@ -1195,11 +966,11 @@ def compile_scan_kernels(
     the external token ids the kernels return.  ``counting=True`` emits
     the funnel-instrumented variant whose ``counts`` list tracks
     ``[lines past first-char, DFA runs, DFA matches]``.  ``backend``
-    selects the kernel family (:data:`SCAN_BACKENDS`); the byte-level
-    backends take raw ``bytes`` records and never decode a line the
-    funnel rejects.  A backend the catalog or the machine cannot serve
-    degrades (``native`` → ``bytes`` → ``str``), and the returned
-    kernels' ``backend`` names the family actually built.
+    selects the kernel family (:data:`SCAN_BACKENDS`); the native
+    kernels take raw ``bytes`` records and never decode a line the
+    funnel rejects.  A ``native`` request the catalog or the machine
+    cannot serve degrades to ``str``, and the returned kernels'
+    ``backend`` names the family actually built.
     """
     backend = resolve_backend(backend)
     accept_token = tuple(
@@ -1211,34 +982,14 @@ def compile_scan_kernels(
         if kernels is not None:
             return kernels
         # Compile failed or the catalog shape is out of native's range:
-        # degrade to the byte kernels, same as a missing compiler.
-        backend = "bytes"
-    if backend == "bytes" and dfa.byte_alphabet is None:
-        # Class ids past 254 do not fit a byte translate table; the str
-        # kernels index classes by codepoint, so they still compile.
-        backend = "str"
-    if backend == "str":
-        source = emit_scan_kernels_source(
-            start=dfa.start,
-            stride=dfa.n_classes + 1,
-            capacity=capacity,
-            memo_len=dfa.max_match_length,
-            counting=counting,
-        )
-    else:
-        alpha = dfa.byte_alphabet
-        byte_trans, byte_accept, byte_start, athresh = (
-            _accept_threshold_tables(dfa, accept_token))
-        source = emit_byte_scan_kernels_source(
-            start=byte_start,
-            stride=dfa.n_classes + 1,
-            capacity=capacity,
-            memo_len=dfa.max_match_length,
-            counting=counting,
-            exact=alpha.exact,
-            marker=alpha.marker,
-            athresh=athresh,
-        )
+        # degrade to the str kernels, same as a missing compiler.
+    source = emit_scan_kernels_source(
+        start=dfa.start,
+        stride=dfa.n_classes + 1,
+        capacity=capacity,
+        memo_len=dfa.max_match_length,
+        counting=counting,
+    )
     code = _KERNEL_CODE_CACHE.get(source)
     if code is None:
         code = compile(source, "<repro.codegen scan kernels>", "exec")
@@ -1247,29 +998,16 @@ def compile_scan_kernels(
     exec(code, namespace)
     memo: dict = {}
     counts = [0, 0, 0]
-    if backend == "str":
-        tokenize, scan_hits, match_span = namespace["_make_kernels"](
-            dfa.walk_transitions,
-            accept_token,
-            dfa.translate_table,
-            dfa.start_viable_ascii,
-            memo,
-            _MEMO_MISS,
-            counts,
-        )
-    else:
-        alpha = dfa.byte_alphabet
-        tokenize, scan_hits, match_span = namespace["_make_kernels"](
-            byte_trans,
-            byte_accept,
-            alpha.table,
-            alpha.first_ok,
-            memo,
-            _MEMO_MISS,
-            counts,
-            dfa.translate_table,
-        )
-    return ScanKernels(tokenize, scan_hits, match_span, memo, counts, backend)
+    tokenize, scan_hits, match_span = namespace["_make_kernels"](
+        dfa.walk_transitions,
+        accept_token,
+        dfa.translate_table,
+        dfa.start_viable_ascii,
+        memo,
+        _MEMO_MISS,
+        counts,
+    )
+    return ScanKernels(tokenize, scan_hits, match_span, memo, counts, "str")
 
 
 _TEMPLATE = '''\

@@ -155,12 +155,12 @@ def _run_chunk(
 ) -> Tuple[List[tuple], PredictorStats, IngestStats, Dict[str, Optional[dict]]]:
     """Run one chunk (the newline-joined wire blob) through a shard's
     fleet: one tolerant ``run_lines`` call with no clock reads — the
-    fused C pass on ``native``, the byte pipeline on ``bytes``, a
-    decode on ``str``.  A malformed line is quarantined into the
-    chunk's funnel instead of taking the shard's predictor state down.
-    Predictions come back as plain tuples for the trip through the
-    result queue, with the state delta: the chain state of each node
-    the chunk fed, ``None`` for one now idle."""
+    fused C pass on ``native``, byte ingest then decode on ``str``.  A
+    malformed line is quarantined into the chunk's funnel instead of
+    taking the shard's predictor state down.  Predictions come back as
+    plain tuples for the trip through the result queue, with the state
+    delta: the chain state of each node the chunk fed, ``None`` for one
+    now idle."""
     report = fleet.run_lines(blob, on_error=on_error, timing="off")
     predictions = [
         (p.node, p.chain_id, p.flagged_at, p.prediction_time,

@@ -149,9 +149,9 @@ class PredictorFleet:
                 from ..templates.store import NaiveTemplateScanner
 
                 scanner = NaiveTemplateScanner(store, keep=chains.token_set)
-        # Per-event paths hand the tokenizer decoded text, so on byte
-        # backends the fleet holds the encoding adapter, not the raw
-        # byte kernel (which only run_buffer/_run_flat call directly).
+        # Per-event paths hand the tokenizer decoded text, so on native
+        # the fleet holds the encoding adapter, not the raw byte kernel
+        # (which only the batched paths call directly).
         tokenizer = getattr(scanner, "tokenize_text", None) or scanner.tokenize
         return cls(chains, tokenizer, obs=obs, scanner=scanner, **kwargs)
 
@@ -182,7 +182,7 @@ class PredictorFleet:
 
     def _span_start(self) -> Optional[SpanTimer]:
         """Consult the span clock (if any) for this run — once per
-        outermost entry point (run / run_lines / run_buffer)."""
+        outermost entry point (run / run_lines)."""
         obs = self.obs
         if obs is not None and obs.spans is not None:
             return obs.spans.start_run()
@@ -286,10 +286,10 @@ class PredictorFleet:
 
         A native scanner fed a path or byte buffer under a tolerant
         policy and ``timing`` other than ``"full"`` takes the fused C
-        pass (:meth:`_run_fused`), reorder horizon or not.  Otherwise a
-        byte scanner takes the byte pipeline
-        (:func:`~repro.logsim.stream.read_byte_batch` +
-        :meth:`run_buffer`), and everything else the decoded path.
+        pass (:meth:`_run_fused`), reorder horizon or not.  Everything
+        else takes the decoded path: a byte buffer through byte ingest
+        (:func:`~repro.logsim.stream.read_byte_batch`) and then decode,
+        any other source through the text reader.
         """
         from pathlib import Path
 
@@ -322,34 +322,11 @@ class PredictorFleet:
                 reorder_horizon=reorder_horizon, stats=stats, span=span)
             report.ingest = stats
             return report
-        # Byte path (the bytes backend, which has no compiled kernel): a
-        # byte-backend scanner reading from a file or a raw byte buffer
-        # never decodes the ~99% of lines the funnel rejects — records
-        # go straight from mmap to the byte kernel.  Per-line timing
-        # needs per-event tokenize calls, so timing="full" stays on the
-        # decoded path.
-        if (
-            timing != "full"
-            and getattr(self.scanner, "backend", "str") != "str"
-            and isinstance(source, (str, Path, bytes, bytearray, memoryview))
-        ):
-            batch = read_byte_batch(
-                source, on_error=on_error,
-                reorder_horizon=reorder_horizon, stats=stats,
-            )
-            if span is not None:
-                # Zero-decode path: mmap/buffer read + byte header
-                # parse is the whole ingest stage; decode never runs.
-                span.lap(STAGE_INGEST, len(batch))
-            if self.obs is not None:
-                self.obs.record_ingest(stats)
-            report = self.run_buffer(batch, timing=timing, _span=span)
-            report.ingest = stats
-            return report
         if isinstance(source, (bytes, bytearray, memoryview)):
             # Raw buffers can still reach the decoded path (timing=
-            # "full", or a str-kernel fleet fed a byte blob): ingest at
-            # the byte layer, then decode for the event driver.
+            # "full", a strict policy, or a str-kernel fleet fed a byte
+            # blob): ingest at the byte layer, then decode for the
+            # event driver.
             events = iter(read_byte_batch(
                 source, on_error=on_error,
                 reorder_horizon=reorder_horizon, stats=stats,
@@ -372,63 +349,6 @@ class PredictorFleet:
             self.obs.record_ingest(stats)
         report = self.run(events, timing=timing, _span=span)
         report.ingest = stats
-        return report
-
-    def run_buffer(
-        self, batch, *, timing: Timing = "off", _span=_SPAN_AUTO
-    ) -> FleetReport:
-        """Drive a :class:`~repro.logsim.stream.ByteRecordBatch` through
-        the fleet without decoding rejected lines.
-
-        This is the byte-pipeline terminus: one batched byte-kernel
-        ``scan_hits`` call over the raw records, then the shared
-        :meth:`_route_hits` loop.  Node ids are decoded lazily —
-        only for the rare matching lines, through a persistent
-        ``bytes → str`` cache — so a discarded record costs zero Python
-        objects beyond its slice.
-
-        Like every batched path, it counts lines once per fleet, not per
-        predictor (per-node ``lines_seen`` would cost a hash and a probe
-        on every record), so only a node with an FC-related hit gets a
-        predictor.  ``timing="full"`` is rejected — per-line tokenize
-        timing requires the per-event path.
-        """
-        if timing not in _TIMING_MODES:
-            raise ValueError(f"unknown timing mode {timing!r}")
-        if timing == "full":
-            raise ValueError(
-                "run_buffer cannot time per-line tokenization; decode the "
-                "batch and use run(events, timing='full') instead")
-        span = self._span_start() if _span is _SPAN_AUTO else _span
-        scan_hits = getattr(self.scanner, "scan_hits", None)
-        if scan_hits is None or getattr(self.scanner, "backend", "str") == "str":
-            return self.run(batch.decode_events(), timing=timing, _span=span)
-        obs = self.obs
-        t_run = _time.perf_counter() if obs is not None else 0.0
-        times = batch.times
-        nodes = batch.nodes
-        hits = None
-        scan_view = getattr(self.scanner, "scan_hits_view", None)
-        if scan_view is not None and hasattr(batch, "message_blob"):
-            # Native backend: sweep the batch's cached contiguous view
-            # in one C call, skipping the per-run newline join.  A
-            # message embedding a raw newline returns None (desync);
-            # scan_hits resolves that per message, count-exactly.
-            hits = scan_view(batch.message_blob(), len(batch.messages))
-        if hits is None:
-            hits = scan_hits(batch.messages)
-        if span is not None:
-            span.lap(STAGE_SCAN, len(batch))
-        node_name = self._node_name
-        report = self._route_hits(
-            ((node_name(nodes[i]), times[i], token) for i, token in hits),
-            timing, span)
-        n_records = len(batch)
-        self._lines_seen += n_records
-        report.stats.lines_seen = n_records
-        if obs is not None:
-            self._record_run(obs, report, _time.perf_counter() - t_run,
-                             times[-1] if n_records else None, span)
         return report
 
     def _run_fused(
@@ -559,8 +479,8 @@ class PredictorFleet:
             events = list(events)
         messages = list(map(_message_of, events))
         if getattr(self.scanner, "backend", "str") != "str":
-            # Byte-backend kernels scan raw bytes; pre-decoded events
-            # re-encode here (the zero-decode win belongs to run_buffer).
+            # Native kernels scan raw bytes; pre-decoded events
+            # re-encode here (the zero-decode win belongs to _run_fused).
             messages = [m.encode("utf-8", "replace") for m in messages]
         if span is not None:
             # Message extraction (+ re-encode) is the in-memory analog of
@@ -602,7 +522,7 @@ class PredictorFleet:
         """Feed ``(node, event time, token)`` scan hits, in stream order,
         to their per-node engines: the routing half of every batched
         path — :meth:`_run_flat` (``run`` at ``"off"``/``"sampled"`` on
-        any fleet), :meth:`run_buffer` and :meth:`_run_fused`.
+        any fleet) and :meth:`_run_fused`.
 
         Tokens no chain uses are dropped.  Each surviving hit counts
         toward its predictor's ``lines_tokenized``; under

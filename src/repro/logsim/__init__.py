@@ -11,7 +11,7 @@
 # The simulator half (catalogs/faults/generator/corruptions) needs
 # numpy; the stream/ingest half below is pure stdlib.  Without numpy
 # (the [fast] extra) the ingest layer must stay importable — the
-# scanner stack quarantines and replays logs fine on the bytes
+# scanner stack quarantines and replays logs fine on either scan
 # backend — so the simulator names simply go missing and any use of
 # them raises the usual ImportError at the access site.
 try:

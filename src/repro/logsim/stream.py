@@ -346,13 +346,15 @@ def read_log(
 
 # -- byte-level ingest ------------------------------------------------
 #
-# The scan kernels' byte backends (see repro.codegen) consume raw UTF-8
-# records.  This ingest path parses *headers* eagerly (timestamp — the
-# quarantine decision needs it — and the node/message field split) but
-# leaves node and message bytes undecoded: the ~99% of lines the
-# rejection funnel discards never pay a UTF-8 decode at all.  Decoding
-# happens only on the quarantine path (error previews), the trace path,
-# and the prediction path (the rare lines that match a template).
+# Raw UTF-8 records, split without decoding.  The native scan kernel's
+# fused pass (PredictorFleet._run_fused) reads a whole buffer from
+# open_byte_buffer and re-parses only its suspect records with
+# parse_record_bytes.  read_record_batch is the Python reference for
+# that pass's ingest decisions, and the route a byte blob takes into a
+# fleet that decodes (the str kernels, timing="full", a strict policy):
+# it parses *headers* eagerly (timestamp — the quarantine decision
+# needs it — and the node/message field split) and leaves node and
+# message bytes undecoded until decode_events.
 
 
 def iter_byte_records(
@@ -362,7 +364,7 @@ def iter_byte_records(
 
     * paths are **mmapped** (``ACCESS_READ``) — the file never transits
       the Python heap as a whole; each record is sliced out on demand
-      (slices are immutable ``bytes``, hashable for the scan memo);
+      (slices are immutable ``bytes``);
     * binary file objects are drained with one ``read()``;
     * ``bytes``/``bytearray``/``memoryview`` buffers (socket-style
       receive windows) are split in place.
@@ -442,38 +444,19 @@ class ByteRecordBatch:
 
     Parallel lists: ``times[i]`` (epoch seconds, parsed eagerly — the
     quarantine decision requires it), ``nodes[i]`` and ``messages[i]``
-    (raw UTF-8 bytes).  The byte scan kernels sweep ``messages``
-    directly; nodes are decoded per *hit*, messages only for traces.
+    (raw UTF-8 bytes), decoded together by :meth:`decode_events`.
     """
 
     times: List[float]
     nodes: List[bytes]
     messages: List[bytes]
 
-    # Cached newline-joined view of ``messages``, built lazily by
-    # message_blob().  Class-level default so it is not a dataclass
-    # field (it is derived state, not part of the value).
-    _message_blob = None
-
     def __len__(self) -> int:
         return len(self.times)
 
-    def message_blob(self) -> bytes:
-        """Newline-joined view of ``messages``, built once and cached.
-
-        The native scan kernel sweeps one contiguous buffer per C call
-        (``scan_hits_view``); batches are value objects after ingest,
-        so the cached join can never go stale.  Costs one extra copy of
-        the message payload while the batch is alive.
-        """
-        blob = self._message_blob
-        if blob is None:
-            blob = self._message_blob = b"\n".join(self.messages)
-        return blob
-
     def decode_events(self) -> List[LogEvent]:
-        """Fully decode into :class:`LogEvent` objects (tests, traces —
-        never the hot path)."""
+        """Fully decode into :class:`LogEvent` objects: the decoded
+        path's byte ingest, never the fused pass."""
         return [
             LogEvent(t, str(n, "utf-8", "replace"), str(m, "utf-8", "replace"))
             for t, n, m in zip(self.times, self.nodes, self.messages)

@@ -8,7 +8,7 @@ callable kernels:
   ``clang`` on PATH, identified by path + ``--version`` line.  The
   probe result keys on the ``$CC`` value so test environments that
   repoint the compiler are re-probed, and a probe failure simply means
-  the ``native`` backend resolves to ``bytes``
+  the ``native`` backend resolves to ``str``
   (:func:`repro.codegen.resolve_backend`).
 * **compile + cache** — the shared object lands in the scanner
   artifact cache (:func:`repro.persistence.scanner_cache_dir`) under a
@@ -24,7 +24,7 @@ callable kernels:
   a zero-copy ``ctypes`` view — always current, no refresh call.
 
 Every failure path (no compiler, compile error, unloadable object)
-returns ``None`` and the caller degrades to the ``bytes`` backend; the
+returns ``None`` and the caller degrades to the ``str`` kernels; the
 degradation is observable through the scanner's ``requested_backend``
 (see :mod:`repro.obs`).
 """
@@ -288,15 +288,13 @@ def make_kernels(lib: ctypes.CDLL):
     """Bind one loaded kernel library into the ScanKernels surface.
 
     Returns ``(tokenize, scan_hits, match_span, memo, counts,
-    scan_records, scan_hits_view, reorder)``.  The batched entry points
-    make exactly one C call per batch: ``scan_hits`` joins its messages
-    into a newline blob the C side re-splits (falling back to a
-    per-message loop in the pathological case of a message containing a
-    newline byte), ``scan_hits_view`` takes an already-joined blob so
-    callers holding a cached contiguous view skip the join entirely,
-    ``scan_records`` drives the fused ingest+scan pass over a raw
-    record blob, and ``reorder`` orders that pass's records the way the
-    reorder buffer would.
+    scan_records, reorder)``.  The batched entry points make exactly
+    one C call per batch: ``scan_hits`` joins its messages into a
+    newline blob the C side re-splits (falling back to a per-message
+    loop in the pathological case of a message containing a newline
+    byte), ``scan_records`` drives the fused ingest+scan pass over a
+    raw record blob, and ``reorder`` orders that pass's records the way
+    the reorder buffer would.
     """
     _bind(lib)
     state = _KernelState(lib)
@@ -312,14 +310,9 @@ def make_kernels(lib: ctypes.CDLL):
         token = _scan(_h, message, len(message))
         return token if token >= 0 else None
 
-    def scan_hits_view(blob, n, _scan=c_scan_blob, _h=handle, _len=len,
-                       _out=out):
-        """One C call over a prejoined newline blob of ``n`` messages.
-
-        Returns ``None`` when a message embedding a raw newline desynced
-        the blob index space — the C side detects that before touching
-        any state, so the caller can re-scan per message count-exactly.
-        """
+    def scan_hits(messages, _scan=c_scan_blob, _tok=c_tokenize,
+                  _h=handle, _len=len, _out=out):
+        n = _len(messages)
         if not n:
             return []
         if _out["cap"] < n:
@@ -329,26 +322,21 @@ def make_kernels(lib: ctypes.CDLL):
             _out["cap"] = cap
         idx = _out["idx"]
         tok = _out["tok"]
+        blob = b"\n".join(messages)
         k = _scan(_h, blob, _len(blob), n, idx, tok)
         if k < 0:
-            return None
-        if not k:
-            return []
-        return list(zip(idx[:k], tok[:k]))
-
-    def scan_hits(messages, _view=scan_hits_view, _tok=c_tokenize,
-                  _h=handle, _len=len):
-        n = _len(messages)
-        if not n:
-            return []
-        hits = _view(b"\n".join(messages), n)
-        if hits is None:
+            # A message embedding a raw newline desynced the blob's
+            # index space; the C side detects that before touching any
+            # state, so the per-message re-scan stays count-exact.
             hits = []
             for i, message in enumerate(messages):
                 token = _tok(_h, message, _len(message))
                 if token >= 0:
                     hits.append((i, token))
-        return hits
+            return hits
+        if not k:
+            return []
+        return list(zip(idx[:k], tok[:k]))
 
     def match_span(message, _span=c_match_span):
         end = ctypes.c_size_t(0)
@@ -426,4 +414,4 @@ def make_kernels(lib: ctypes.CDLL):
                 last.value if last.value >= 0 else None)
 
     return (tokenize, scan_hits, match_span, NativeMemo(state),
-            state.counts, scan_records, scan_hits_view, reorder)
+            state.counts, scan_records, reorder)

@@ -49,11 +49,12 @@ SPAN_RUNS = "aarohi_span_runs_total"
 SPAN_RUNS_SAMPLED = "aarohi_span_runs_sampled_total"
 SPAN_STAGE_LATENCY = "aarohi_span_stage_seconds_per_record"
 
-# Scanner backend identity (str/bytes/native), exposed as an
-# info-style gauge: one series with a ``backend`` label, value pinned
-# to 1.  When the *requested* backend degraded (native without a C
-# compiler or with a failed compile), the fallback counter carries one
-# series labelled requested=<asked>/backend=<got>.
+# Scanner backend identity (str/native), exposed as an info-style
+# gauge: one series with a ``backend`` label, value pinned to 1.  When
+# the *requested* backend degraded (native without a C compiler, with
+# a failed compile, or on a catalog without an exact byte alphabet),
+# the fallback counter carries one series labelled
+# requested=<asked>/backend=<got>.
 SCANNER_BACKEND_INFO = "aarohi_scanner_backend_info"
 SCANNER_BACKEND_FALLBACK = "aarohi_scanner_backend_fallback_total"
 

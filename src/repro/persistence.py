@@ -217,9 +217,9 @@ def scanner_cache_dir(cache: Optional[bool] = None) -> Optional[Path]:
 
 
 def scanner_alphabet_mode(backend: str) -> str:
-    """The alphabet family a kernel backend walks: byte backends share
-    byte-class translate tables, the str backend keeps codepoint ones."""
-    return "byte" if backend in ("bytes", "native") else "str"
+    """The alphabet family a kernel backend walks: native walks
+    byte-class tables, the str backend codepoint ones."""
+    return "byte" if backend == "native" else "str"
 
 
 def scanner_digest(

@@ -81,21 +81,15 @@ class TranslateTable(dict):
 class ByteAlphabet(NamedTuple):
     """Byte-level ECS tables: scan raw UTF-8 without decoding.
 
-    ``table`` maps every byte value to a class id for ``bytes.translate``
-    (dead class = ``n_classes``, exactly like the str table).  Two modes:
-
-    * **exact** — every non-ASCII codepoint falls in one equivalence
-      class that is *idempotent* in the walk table (or in no class at
-      all), so stepping the DFA once per UTF-8 **byte** accepts exactly
-      the messages that stepping once per **codepoint** accepts: a
-      multi-byte character's continuation bytes just re-take the same
-      self-loop (or die on the same dead move).  Every byte ≥ 0x80 maps
-      to that class and the walk never needs to decode.
-    * **fallback** — the catalog distinguishes non-ASCII codepoints
-      (several classes, or a non-idempotent one).  Bytes ≥ 0x80 map to
-      ``marker`` instead; a kernel that sees the marker in a translated
-      message must decode that line and walk the str table.  ASCII-only
-      lines (the overwhelming majority of syslog) still scan as bytes.
+    ``table`` maps every byte value to a class id (dead class =
+    ``n_classes``, exactly like the str table).  It exists only for a
+    DFA in which every non-ASCII codepoint falls in one equivalence
+    class that is *idempotent* in the walk table (or in no class at
+    all), so stepping the DFA once per UTF-8 **byte** accepts exactly
+    the messages that stepping once per **codepoint** accepts: a
+    multi-byte character's continuation bytes just re-take the same
+    self-loop (or die on the same dead move).  Every byte ≥ 0x80 maps
+    to that class and the walk never needs to decode.
 
     ``first_ok`` is the 256-entry start-viability table; bytes ≥ 0x80
     always pass, mirroring the str kernel's ASCII-only first-char guard.
@@ -103,8 +97,6 @@ class ByteAlphabet(NamedTuple):
 
     table: bytes
     first_ok: bytes
-    exact: bool
-    marker: int
 
 
 @dataclass
@@ -303,26 +295,21 @@ class DFA:
     @cached_property
     def byte_alphabet(self) -> Optional[ByteAlphabet]:
         """Byte-level translate tables for this DFA (see
-        :class:`ByteAlphabet`), or ``None`` when class ids cannot fit in
-        a byte (``bytes.translate`` maps byte → byte)."""
-        n = self.n_classes
-        if n + 2 > 256:  # need room for the dead class and the marker
+        :class:`ByteAlphabet`), or ``None`` when the catalog
+        distinguishes non-ASCII codepoints (several classes, or a
+        non-idempotent one) or has more than 254 character classes."""
+        dead = n = self.n_classes
+        if n > 254:
             return None
-        dead = n
-        marker = n + 1
+        star = self._uniform_nonascii_class()
+        if star is None or not (star == dead or self._class_idempotent(star)):
+            return None
         ascii_part = [
             cls if cls >= 0 else dead for cls in self.classifier.ascii_table
         ]
-        star = self._uniform_nonascii_class()
-        exact = star is not None and (
-            star == dead or self._class_idempotent(star)
-        )
-        high = [star if exact else marker] * 128
         return ByteAlphabet(
-            table=bytes(ascii_part + high),
+            table=bytes(ascii_part + [star] * 128),
             first_ok=self.start_viable_ascii + b"\x01" * 128,
-            exact=exact,
-            marker=marker,
         )
 
     @cached_property

@@ -149,12 +149,13 @@ class TemplateStore:
         the NFA→DFA→Hopcroft pipeline is skipped entirely and the
         scanner is rebuilt from the stored tables.
 
-        ``backend`` selects the kernel family (``"str"``, ``"bytes"``
-        or ``"native"``; see :data:`repro.codegen.SCAN_BACKENDS`).  It
-        is resolved *before* the cache probe — ``"native"`` degrades to
-        ``"bytes"`` when no C compiler is found — so the artifact-cache
-        key always reflects the backend actually compiled.  The scanner's ``requested_backend`` keeps the
-        pre-resolution name, which is how obs detects degradation.
+        ``backend`` selects the kernel family (``"str"`` or
+        ``"native"``; see :data:`repro.codegen.SCAN_BACKENDS`).  It is
+        resolved *before* the cache probe — ``"native"`` degrades to
+        ``"str"`` when no C compiler is found — so the artifact-cache
+        key always reflects the backend actually compiled.  The
+        scanner's ``requested_backend`` keeps the pre-resolution name,
+        which is how obs detects degradation.
         """
         from .. import persistence  # late: persistence imports this module
 
@@ -202,28 +203,26 @@ class TemplateScanner:
     * ``match_span(message) -> (token | None, end)`` — longest-match
       span, for differential testing against per-template matching.
 
-    With ``backend="bytes"`` or ``"native"`` the kernels
-    take raw ``bytes`` records instead of ``str`` (see
-    :func:`repro.codegen.emit_byte_scan_kernels_source`); callers that
-    only have decoded text should go through ``tokenize_text``, which
-    encodes on byte backends and is a plain alias of ``tokenize`` on
-    the str backend.
+    With ``backend="native"`` the kernels are compiled C (see
+    :func:`repro.codegen.emit_native_scan_kernels_source`) and take raw
+    ``bytes`` records instead of ``str``; callers that only have
+    decoded text should go through ``tokenize_text``, which encodes on
+    native and is a plain alias of ``tokenize`` on the str backend.
 
     ``backend`` is the kernel family actually running, which can sit
     below what the caller asked for: ``requested_backend`` preserves
-    the request (``"native"`` whose compile failed runs ``"bytes"``
-    kernels, and a catalog past 254 byte classes runs ``"str"``), and
+    the request (``"native"`` without a compiler, whose compile failed,
+    or whose catalog has no exact byte alphabet runs ``"str"``), and
     :meth:`repro.obs.Obs.record_scanner` turns the difference into a
-    fallback counter.  ``scan_records`` (fused
-    ingest+scan over a raw record blob), ``reorder`` (the reorder
-    buffer over that pass's record times) and ``scan_hits_view``
-    (``scan_hits`` over an already-joined message blob) are the native
-    backend's extra entry points, ``None`` elsewhere.
+    fallback counter.  ``scan_records`` (fused ingest+scan over a raw
+    record blob) and ``reorder`` (the reorder buffer over that pass's
+    record times) are the native backend's extra entry points, ``None``
+    on ``str``.
     """
 
     __slots__ = ("compiled", "backend", "requested_backend", "tokenize",
                  "tokenize_text", "scan_hits", "match_span", "scan_records",
-                 "reorder", "scan_hits_view", "memo", "_counts")
+                 "reorder", "memo", "_counts")
 
     _counting = False
 
@@ -248,7 +247,6 @@ class TemplateScanner:
         self.requested_backend = requested_backend or backend
         self.scan_records = kernels.scan_records
         self.reorder = kernels.reorder
-        self.scan_hits_view = kernels.scan_hits_view
         self.tokenize = kernels.tokenize
         if kernels.backend == "str":
             self.tokenize_text = kernels.tokenize

@@ -3,9 +3,10 @@
 Covers the zero-copy ingest sources (mmap'd files, binary handles,
 socket-style buffers), the ingest equivalence contract against the
 text pipeline (quarantine decisions and counts line for line, invalid
-UTF-8 included), and the fleet wiring: ``run_lines``/``run_buffer``
-over byte records must produce the same predictions, ingest funnel,
-and scanner funnel as the decoded str path, in one fleet and sharded.
+UTF-8 included), and the fleet wiring: ``run_lines`` over byte records
+— the fused native pass, or byte ingest then decode — must produce the
+same predictions, ingest funnel, and scanner funnel as the decoded str
+path, in one fleet and sharded.
 """
 
 import io
@@ -30,7 +31,7 @@ from repro.logsim import (
 )
 from repro.persistence import PredictorBundle
 
-BACKENDS = ["str", "bytes"] + (["native"] if native_available() else [])
+BACKENDS = ["str"] + (["native"] if native_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -181,22 +182,16 @@ class TestFleetBytePath:
         assert report.ingest is not None and report.ingest.funnel_ok
         assert report.ingest.lines_read == len(window.events)
 
-    @pytest.mark.parametrize("backend", BACKENDS[1:])
-    def test_run_buffer_matches_run(self, gen, window, backend):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_byte_blob_matches_run(self, gen, window, backend):
+        # native runs the fused pass over the blob; str ingests it at
+        # the byte layer, then decodes.
         blob = "\n".join(e.to_line() for e in window.events).encode() + b"\n"
-        batch = read_byte_batch(blob, on_error="strict")
-        buffered = make_fleet(gen, backend).run_buffer(batch)
+        buffered = make_fleet(gen, backend).run_lines(blob, timing="off")
         direct = make_fleet(gen, backend).run(window.events)
         assert prediction_keys(buffered.predictions) == \
             prediction_keys(direct.predictions)
-
-    def test_run_buffer_rejects_full_timing(self, gen, window):
-        blob = "\n".join(
-            e.to_line() for e in window.events[:50]).encode() + b"\n"
-        batch = read_byte_batch(blob)
-        fleet = make_fleet(gen, "bytes")
-        with pytest.raises(ValueError):
-            fleet.run_buffer(batch, timing="full")
+        assert buffered.ingest.lines_read == len(window.events)
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_corrupted_stream_predictions_match_str(self, gen, window,
@@ -217,21 +212,21 @@ class TestFleetBytePath:
         # routes through decode; predictions must still agree.
         blob = "\n".join(
             e.to_line() for e in window.events).encode() + b"\n"
-        report = make_fleet(gen, "bytes").run_lines(blob, timing="full")
+        report = make_fleet(gen, "native").run_lines(blob, timing="full")
         reference = make_fleet(gen, "str").run(window.events)
         assert prediction_keys(report.predictions) == \
             prediction_keys(reference.predictions)
         assert report.ingest.lines_read == len(window.events)
 
-    def test_scanner_funnel_identity_through_run_buffer(self, gen, window):
+    def test_scanner_funnel_identity_through_byte_blob(self, gen, window):
         from repro.obs import FUNNEL_STAGES, LINES_SEEN, Observability
 
         obs = Observability()
         fleet = PredictorFleet.from_store(
             gen.chains, gen.store, timeout=gen.recommended_timeout,
-            scan_backend="bytes", obs=obs)
+            scan_backend="native", obs=obs)
         blob = "\n".join(e.to_line() for e in window.events).encode() + b"\n"
-        fleet.run_buffer(read_byte_batch(blob))
+        fleet.run_lines(blob, timing="off")
         snap = obs.registry.snapshot()
 
         def total(name):
@@ -239,8 +234,9 @@ class TestFleetBytePath:
 
         lines_seen = total(LINES_SEEN)
         assert lines_seen == len(window.events)
-        # run_buffer skips per-node attribution, yet the funnel stages
-        # still resolve exactly against the fleet-level line count.
+        # The batched paths skip per-node attribution, yet the funnel
+        # stages still resolve exactly against the fleet-level line
+        # count.
         assert sum(total(name) for name, _ in FUNNEL_STAGES) == lines_seen
 
 
@@ -282,8 +278,9 @@ def displaced_suspect_lines(gen, events, every=5, shift=3):
 class TestFusedNativePath:
     """run_lines with a native scanner, timing other than "full" and a
     tolerant policy routes through the fused single-pass C kernel, with
-    or without a reorder horizon; everything observable must match the
-    unfused byte pipeline and the str pipeline."""
+    or without a reorder horizon; everything observable must match a
+    str fleet over the same bytes (byte ingest, the Python SortBuffer,
+    then decode) and over the same text."""
 
     def fused_fleet(self, gen):
         fleet = make_fleet(gen, "native")
@@ -292,15 +289,17 @@ class TestFusedNativePath:
         return fleet
 
     def three_way(self, gen, source, text_path, horizon):
-        """Run the fused pass over ``source`` and hold it to the bytes
-        pipeline over the same source and the str pipeline over the
-        same text read from ``text_path``."""
+        """Run the fused pass over ``source`` and hold it to a str fleet
+        over the same bytes (byte ingest, the Python SortBuffer, then
+        decode) and over the same text read from ``text_path``."""
         def run(fleet, src):
             return fleet.run_lines(src, on_error="quarantine",
                                    reorder_horizon=horizon, timing="off")
 
+        raw = source if isinstance(source, (bytes, bytearray)) \
+            else source.read_bytes()
         fused = run(self.fused_fleet(gen), source)
-        plain = run(make_fleet(gen, "bytes"), source)
+        plain = run(make_fleet(gen, "str"), raw)
         text = run(make_fleet(gen, "str"), text_path)
         assert fused.predictions
         for other in (plain, text):
@@ -350,8 +349,11 @@ class TestFusedNativePath:
         assert fused.ingest.reordered > 0 and fused.ingest.late > 0
 
     def test_clean_blob_matches_bytes_pipeline(self, gen, window, log_path):
+        # The reference is byte ingest over the same file's bytes, then
+        # decode and the str kernels.
         fused = self.fused_fleet(gen).run_lines(log_path, timing="off")
-        plain = make_fleet(gen, "bytes").run_lines(log_path, timing="off")
+        plain = make_fleet(gen, "str").run_lines(
+            log_path.read_bytes(), timing="off")
         assert prediction_keys(fused.predictions) == \
             prediction_keys(plain.predictions)
         assert fused.ingest.as_dict() == plain.ingest.as_dict()
@@ -367,7 +369,7 @@ class TestFusedNativePath:
         blob = "\n".join(lines).encode("utf-8") + b"\n"
         fused = self.fused_fleet(gen).run_lines(
             blob, on_error="quarantine", timing="off")
-        plain = make_fleet(gen, "bytes").run_lines(
+        plain = make_fleet(gen, "str").run_lines(
             blob, on_error="quarantine", timing="off")
         assert prediction_keys(fused.predictions) == \
             prediction_keys(plain.predictions)
@@ -376,8 +378,9 @@ class TestFusedNativePath:
 
     def test_strict_policy_stays_on_unfused_path(self, gen, window):
         # strict must attribute the first bad record in order, which
-        # the fused kernel cannot do; the clean-stream answers must
-        # nevertheless agree between the two shapes.
+        # the fused kernel cannot do, so it takes the decoded path; the
+        # clean-stream answers must nevertheless agree between the two
+        # shapes.
         blob = "\n".join(
             e.to_line() for e in window.events).encode() + b"\n"
         fleet = self.fused_fleet(gen)
@@ -408,11 +411,12 @@ class TestFusedNativePath:
 
 
 class TestParallelBytePath:
-    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_matches_serial(self, gen, window, backend):
-        """A daemon on a byte backend ships each chunk as one bytes blob
-        and runs the byte ingest worker-side; it must predict exactly
-        what one str fleet predicts over the same lines."""
+        """A daemon ships each chunk as one bytes blob and its workers
+        ingest it at the byte layer (the fused pass on native, byte
+        ingest then decode on str); it must predict exactly what one
+        str fleet predicts over the same lines."""
         from repro.core.daemon import FleetDaemon
 
         bundle = PredictorBundle(

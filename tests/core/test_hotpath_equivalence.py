@@ -2,8 +2,8 @@
 
 The batched paths (:meth:`PredictorFleet.run` at ``timing`` ``"off"``
 and ``"sampled"``, on a batch-scanning fleet and on one without a batch
-scanner, and the byte entry points :meth:`PredictorFleet.run_buffer`
-and the fused native :meth:`PredictorFleet.run_lines`) are pure
+scanner, and the fused native :meth:`PredictorFleet.run_lines` over a
+byte blob) are pure
 performance restructurings: under a constant clock they must produce
 **byte-identical** predictions and run stats to the per-event
 :meth:`PredictorFleet.process` loop, which ``run(timing="full")`` is,
@@ -18,7 +18,6 @@ import pytest
 from repro.core import ChainSet, FailureChain, LogEvent, PredictorFleet
 from repro.core.events import Severity
 from repro.core.predictor import PredictorStats
-from repro.logsim.stream import read_byte_batch
 from repro.templates import TemplateStore
 
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 — constant clock: timings byte-compare
@@ -101,13 +100,12 @@ def fleet_stats(fleet):
 
 
 # (entry point, timing) pairs: every public fleet entry point in every timing
-# mode it accepts.  ``run_buffer`` cannot time per-line tokenization,
-# so neither it nor the fused native ``run_lines`` path serves ``"full"``.
-# ``run_naive`` is ``run`` on a fleet with no batch scanner.
+# mode it accepts.  The fused native ``run_lines`` path cannot time
+# per-line tokenization, so it does not serve ``"full"``.  ``run_naive``
+# is ``run`` on a fleet with no batch scanner.
 ENTRY_TIMINGS = [
     ("run", "full"), ("run", "sampled"), ("run", "off"),
     ("run_naive", "sampled"), ("run_naive", "off"),
-    ("run_buffer", "sampled"), ("run_buffer", "off"),
     ("run_lines", "sampled"), ("run_lines", "off"),
 ]
 
@@ -115,17 +113,13 @@ ENTRY_TIMINGS = [
 def drive(entry, store, chains, events, timing, **kwargs):
     """Run ``events`` through one fleet entry point: ``run`` on a str
     fleet, ``run`` on a fleet whose per-template naive scanner has no
-    batch scan, ``run_buffer`` over a byte batch on a bytes fleet, or
-    the fused ``run_lines`` blob path on a native fleet."""
+    batch scan, or the fused ``run_lines`` blob path on a native
+    fleet."""
     if entry in ("run", "run_naive"):
         fleet = PredictorFleet.from_store(
             chains, store, optimized=entry == "run", **kwargs)
         return fleet, fleet.run(events, timing=timing)
     blob = "\n".join(e.to_line() for e in events).encode()
-    if entry == "run_buffer":
-        fleet = PredictorFleet.from_store(
-            chains, store, scan_backend="bytes", **kwargs)
-        return fleet, fleet.run_buffer(read_byte_batch(blob), timing=timing)
     fleet = PredictorFleet.from_store(
         chains, store, scan_backend="native", **kwargs)
     if fleet.scanner.backend != "native":
@@ -238,7 +232,7 @@ def drive_clocked(monkeypatch, entry, store, chains, timing):
     return report, reads
 
 
-ENTRIES = ["run", "run_naive", "run_buffer", "run_lines"]
+ENTRIES = ["run", "run_naive", "run_lines"]
 
 
 class TestTimingModes:

@@ -1,13 +1,13 @@
-"""Differential equivalence: byte/native backends vs the str kernel.
+"""Differential equivalence: the native byte kernel vs the str kernel.
 
-The byte-alphabet kernels (the compiled C walk rides on their tables)
-must be observationally identical to the established str translate
-walk — token ids, match spans, batched hits, and the funnel counters —
-over all four platform catalogs, under the seeded random-template
-property suite, and on corrupted streams containing invalid UTF-8.
-The compiled-artifact cache must key on the backend (a str artifact
-must never satisfy a bytes probe, and vice versa), and ``"native"``
-must degrade to ``"bytes"`` without a C compiler.
+The compiled C walk over the DFA's byte alphabet must be
+observationally identical to the established str translate walk —
+token ids, match spans, batched hits, and the funnel counters — over
+all four platform catalogs, under the seeded random-template property
+suite, and on corrupted streams containing invalid UTF-8.  The
+compiled-artifact cache must key on the backend (a str artifact must
+never satisfy a native probe, and vice versa), and ``"native"`` must
+degrade to ``"str"`` without a C compiler or an exact byte alphabet.
 """
 
 import random
@@ -24,14 +24,17 @@ from repro.templates.masking import MASK
 from test_merged_scanner_equivalence import probe_messages, random_store
 
 PLATFORMS = [("HPC1", HPC1), ("HPC2", HPC2), ("HPC3", HPC3), ("HPC4", HPC4)]
-# "native" degrades to "bytes" without a C compiler, so the
-# differential holds either way — the equality just becomes
-# (vacuously) bytes-vs-bytes on a stripped machine.
-BYTE_BACKENDS = ("bytes", "native")
 
 
 def encode(messages):
     return [m.encode("utf-8", "replace") for m in messages]
+
+
+def inputs(scanner, messages):
+    """``messages`` as ``scanner``'s kernels take them: raw UTF-8 on
+    native, text on the str kernels a native request degrades to
+    without a C compiler (the differential then holds vacuously)."""
+    return encode(messages) if scanner.backend == "native" else messages
 
 
 def fresh_scanner(store, backend, keep=None):
@@ -51,40 +54,34 @@ class TestBackendDifferential:
     @pytest.mark.parametrize("name,platform", PLATFORMS)
     def test_tokenize_and_counts_agree(self, name, platform):
         gen, messages = platform_probes(platform, seed=17)
-        raw = encode(messages)
         s_str = fresh_scanner(gen.store, "str")
-        s_byte = fresh_scanner(gen.store, "bytes")
+        s_nat = fresh_scanner(gen.store, "native")
         assert [s_str.tokenize(m) for m in messages] == \
-            [s_byte.tokenize(b) for b in raw]
-        # Exact byte mode (every platform catalog): the funnel counters
-        # are identical stage for stage, not merely consistent.
-        assert s_byte.compiled.dfa.byte_alphabet.exact
-        assert list(s_str._counts) == list(s_byte._counts)
+            [s_nat.tokenize(b) for b in inputs(s_nat, messages)]
+        # Every platform catalog has an exact byte alphabet: the funnel
+        # counters are identical stage for stage, not merely consistent.
+        assert s_nat.compiled.dfa.byte_alphabet is not None
+        assert list(s_str._counts) == list(s_nat._counts)
 
     @pytest.mark.parametrize("name,platform", PLATFORMS)
     def test_scan_hits_agree_across_all_backends(self, name, platform):
         gen, messages = platform_probes(platform, seed=29)
-        raw = encode(messages)
-        scanners = {be: fresh_scanner(gen.store, be)
-                    for be in ("str",) + BYTE_BACKENDS}
-        hits = {"str": scanners["str"].scan_hits(messages)}
-        for be in BYTE_BACKENDS:
-            hits[be] = scanners[be].scan_hits(raw)
-        assert hits["str"] == hits["bytes"] == hits["native"]
+        scanners = {be: fresh_scanner(gen.store, be) for be in SCAN_BACKENDS}
+        hits = {be: s.scan_hits(inputs(s, messages))
+                for be, s in scanners.items()}
+        assert hits["str"] == hits["native"]
         counts = {be: list(s._counts) for be, s in scanners.items()}
-        assert counts["str"] == counts["bytes"] == counts["native"]
+        assert counts["str"] == counts["native"]
 
     @pytest.mark.parametrize("name,platform", PLATFORMS[:2])
     def test_match_span_agrees(self, name, platform):
         gen, messages = platform_probes(platform, seed=31)
         s_str = fresh_scanner(gen.store, "str")
-        s_byte = fresh_scanner(gen.store, "bytes")
         s_nat = fresh_scanner(gen.store, "native")
-        for m in messages[:2500]:
-            b = m.encode("utf-8", "replace")
+        messages = messages[:2500]
+        for m, b in zip(messages, inputs(s_nat, messages)):
             # Platform catalogs are pure ASCII, so the byte span's byte
             # offset and the str span's char offset coincide.
-            assert s_byte.match_span(b) == s_str.match_span(m), m
             assert s_nat.match_span(b) == s_str.match_span(m), m
 
     @pytest.mark.parametrize("seed", [1, 7, 42, 1234, 99991])
@@ -98,15 +95,13 @@ class TestBackendDifferential:
             probes.append(" ".join(rng.choice(fragments) for _ in range(k)))
             frag = rng.choice(fragments)
             probes.append(frag[: rng.randrange(0, len(frag) + 1)] + "q")
-        raw = encode(probes)
         s_str = fresh_scanner(store, "str")
         tokens = [s_str.tokenize(m) for m in probes]
-        for be in BYTE_BACKENDS:
-            s = fresh_scanner(store, be)
-            assert [s.tokenize(b) for b in raw] == tokens, (seed, be)
-            s = fresh_scanner(store, be)
-            assert s.scan_hits(raw) == [
-                (i, t) for i, t in enumerate(tokens) if t is not None]
+        s = fresh_scanner(store, "native")
+        assert [s.tokenize(b) for b in inputs(s, probes)] == tokens, seed
+        s = fresh_scanner(store, "native")
+        assert s.scan_hits(inputs(s, probes)) == [
+            (i, t) for i, t in enumerate(tokens) if t is not None]
 
 
 class TestInvalidUtf8:
@@ -132,47 +127,48 @@ class TestInvalidUtf8:
             raw.append(bytes(b))
         return raw
 
-    @pytest.mark.parametrize("backend", BYTE_BACKENDS)
-    def test_garbled_records_tokenize_like_replace_decode(self, backend):
+    def test_garbled_records_tokenize_like_replace_decode(self):
         gen = ClusterLogGenerator(HPC3, seed=5)
         raw = self.garbled(gen, seed=5)
         decoded = [b.decode("utf-8", "replace") for b in raw]
         s_str = fresh_scanner(gen.store, "str")
-        s_b = fresh_scanner(gen.store, backend)
-        assert [s_b.tokenize(b) for b in raw] == \
+        s_nat = fresh_scanner(gen.store, "native")
+        if s_nat.backend != "native":
+            raw = decoded  # degraded to the str kernels: text in
+        assert [s_nat.tokenize(b) for b in raw] == \
             [s_str.tokenize(m) for m in decoded]
-        s_b2 = fresh_scanner(gen.store, backend)
+        s_nat2 = fresh_scanner(gen.store, "native")
         s_str2 = fresh_scanner(gen.store, "str")
-        assert s_b2.scan_hits(raw) == s_str2.scan_hits(decoded)
+        assert s_nat2.scan_hits(raw) == s_str2.scan_hits(decoded)
 
     def test_fallback_mode_agrees_on_non_ascii_catalog(self):
-        # Non-ASCII template literals force the inexact (marker) byte
-        # alphabet: flagged lines decode and re-walk the str table.
-        # The C walk has no decode path, so "native" silently drops to
-        # the byte kernels here — same answers, degraded backend.
+        # Non-ASCII template literals distinguish non-ASCII codepoints,
+        # so the DFA has no exact byte alphabet.  The C walk has no
+        # decode path, so a "native" request builds the str kernels —
+        # same answers, degraded backend, and it says so.
         store = TemplateStore()
         store.add("temp sensor " + MASK + " overheat")
         store.add("видео link fault " + MASK)
         store.add("温度 warning " + MASK)
-        s_byte = fresh_scanner(store, "bytes")
-        assert not s_byte.compiled.dfa.byte_alphabet.exact
         s_nat = fresh_scanner(store, "native")
-        assert s_nat.backend == "bytes"
+        assert s_nat.compiled.dfa.byte_alphabet is None
+        assert s_nat.backend == "str"
         assert s_nat.requested_backend == "native"
+        assert s_nat.scan_records is None
         s_str = fresh_scanner(store, "str")
         probes = ["temp sensor 9 overheat", "видео link fault x",
                   "温度 warning hot", "温度 warning", "unrelated 行",
                   "temp sensor overheat", ""]
+        assert any(s_str.tokenize(m) is not None for m in probes)
         for m in probes:
-            b = m.encode()
-            assert s_byte.tokenize(b) == s_str.tokenize(m), m
-            assert s_byte.match_span(b) == s_str.match_span(m), m
-            assert s_nat.tokenize(b) == s_str.tokenize(m), m
+            assert s_nat.tokenize(m) == s_str.tokenize(m), m
+            assert s_nat.tokenize_text(m) == s_str.tokenize(m), m
+            assert s_nat.match_span(m) == s_str.match_span(m), m
 
 
 def large_alphabet_store(n=300):
     """``n`` templates whose CJK literals give the merged DFA ``n + 6``
-    character classes, past the 254 a byte translate table holds."""
+    character classes, past the 254 a byte alphabet holds."""
     store = TemplateStore()
     for i in range(n):
         store.add(f"fault {chr(0x4E00 + i)} " + MASK)
@@ -180,8 +176,8 @@ def large_alphabet_store(n=300):
 
 
 class TestLargeAlphabetFallback:
-    """Past 254 classes the byte backends (and so native) degrade to
-    the str kernels instead of raising, and say so."""
+    """Past 254 classes native degrades to the str kernels instead of
+    raising, and says so."""
 
     @pytest.fixture(scope="class")
     def scanners(self):
@@ -191,9 +187,8 @@ class TestLargeAlphabetFallback:
     def test_byte_backends_run_str(self, scanners):
         dfa = scanners["str"].compiled.dfa
         assert dfa.n_classes > 254 and dfa.byte_alphabet is None
-        for backend in BYTE_BACKENDS:
-            assert scanners[backend].backend == "str"
-            assert scanners[backend].requested_backend == backend
+        assert scanners["native"].backend == "str"
+        assert scanners["native"].requested_backend == "native"
 
     def test_tokenize_like_str(self, scanners):
         probes = [f"fault {chr(0x4E00 + i)} x{i}" for i in range(0, 300, 7)]
@@ -202,13 +197,12 @@ class TestLargeAlphabetFallback:
         s_str = scanners["str"]
         want = [s_str.tokenize(m) for m in probes]
         assert None in want and any(t is not None for t in want)
-        for backend in BYTE_BACKENDS:
-            s = scanners[backend]
-            assert [s.tokenize(m) for m in probes] == want
-            assert [s.tokenize_text(m) for m in probes] == want
-            assert [s.match_span(m) for m in probes] == \
-                [s_str.match_span(m) for m in probes]
-            assert s.scan_hits(probes) == s_str.scan_hits(probes)
+        s = scanners["native"]
+        assert [s.tokenize(m) for m in probes] == want
+        assert [s.tokenize_text(m) for m in probes] == want
+        assert [s.match_span(m) for m in probes] == \
+            [s_str.match_span(m) for m in probes]
+        assert s.scan_hits(probes) == s_str.scan_hits(probes)
 
     def test_fallback_counter(self, scanners):
         from repro.obs import SCANNER_BACKEND_FALLBACK, Observability
@@ -228,18 +222,29 @@ class TestBackendResolution:
             with pytest.raises(ValueError):
                 resolve_backend(name)
 
-    def test_backends_registry(self):
-        assert SCAN_BACKENDS == ("str", "bytes", "native")
+    def test_retired_bytes_backend_rejected(self):
+        # The retired byte-kernel backend is rejected like any unknown
+        # name, by the resolver and by the store alike.
+        assert "bytes" not in SCAN_BACKENDS
+        with pytest.raises(ValueError):
+            resolve_backend("bytes")
+        store = TemplateStore()
+        store.add("link failed " + MASK)
+        with pytest.raises(ValueError):
+            store.compile_scanner(cache=False, backend="bytes")
 
-    def test_native_degrades_to_bytes_when_no_compiler(self, monkeypatch):
+    def test_backends_registry(self):
+        assert SCAN_BACKENDS == ("str", "native")
+
+    def test_native_degrades_to_str_when_no_compiler(self, monkeypatch):
         monkeypatch.setattr(codegen, "native_available", lambda: False)
-        assert resolve_backend("native") == "bytes"
+        assert resolve_backend("native") == "str"
         store = TemplateStore()
         store.add("link failed " + MASK)
         scanner = store.compile_scanner(cache=False, backend="native")
-        assert scanner.backend == "bytes"
+        assert scanner.backend == "str"
         assert scanner.requested_backend == "native"
-        assert scanner.tokenize(b"link failed x") is not None
+        assert scanner.tokenize("link failed x") is not None
 
     @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_native_backend_reports_native(self):
@@ -257,19 +262,16 @@ class TestArtifactCacheBackendKey:
         gen = ClusterLogGenerator(HPC2, seed=13)
         spec = gen.store.lex_spec()
         assert persistence.scanner_digest(spec, backend="str") != \
-            persistence.scanner_digest(spec, backend="bytes")
-        # native shares the byte alphabet mode with bytes, and still
-        # keys apart from both of its siblings.
-        digests = {persistence.scanner_digest(spec, backend=be)
-                   for be in SCAN_BACKENDS}
-        assert len(digests) == len(SCAN_BACKENDS)
+            persistence.scanner_digest(spec, backend="native")
 
-        gen.store.compile_scanner(backend="bytes")  # cold: persists
+        # Cold: persists under the native key (the DFA tables need no
+        # compiler, so this holds on a machine without one too).
+        persistence.compile_scanner_cached(spec, backend="native")
         artifacts = list(tmp_path.glob("*.json"))
         assert len(artifacts) == 1
-        # A str probe must not hit the bytes artifact.
+        # A str probe must not hit the native artifact.
         assert persistence.load_cached_scanner(spec, backend="str") is None
-        assert persistence.load_cached_scanner(spec, backend="bytes") \
+        assert persistence.load_cached_scanner(spec, backend="native") \
             is not None
 
         gen.store.compile_scanner(backend="str")
@@ -278,9 +280,9 @@ class TestArtifactCacheBackendKey:
     def test_warm_byte_scanner_identical_to_cold(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AAROHI_SCANNER_CACHE", str(tmp_path))
         gen = ClusterLogGenerator(HPC1, seed=3)
-        cold = gen.store.compile_scanner(backend="bytes")
-        warm = gen.store.compile_scanner(backend="bytes")
-        probes = encode(probe_messages(gen.store, seed=2))
+        cold = gen.store.compile_scanner(backend="native")
+        warm = gen.store.compile_scanner(backend="native")
+        probes = inputs(cold, probe_messages(gen.store, seed=2))
         assert [warm.tokenize(b) for b in probes] == \
             [cold.tokenize(b) for b in probes]
         assert [warm.match_span(b) for b in probes[:400]] == \

@@ -55,18 +55,18 @@ class TestCompilerProbe:
         monkeypatch.delitem(native._PROBES, "/bin/false", raising=False)
         assert native.compiler_identity() is None
         assert not native.native_available()
-        assert resolve_backend("native") == "bytes"
+        assert resolve_backend("native") == "str"
         scanner = small_store().compile_scanner(
             cache=False, backend="native")
-        assert scanner.backend == "bytes"
+        assert scanner.backend == "str"
         assert scanner.requested_backend == "native"
-        assert scanner.tokenize(b"link failed x") is not None
+        assert scanner.tokenize("link failed x") is not None
 
     def test_missing_compiler_path_degrades(self, monkeypatch):
         monkeypatch.setenv("CC", "/nonexistent/cc")
         monkeypatch.delitem(native._PROBES, "/nonexistent/cc", raising=False)
         assert not native.native_available()
-        assert resolve_backend("native") == "bytes"
+        assert resolve_backend("native") == "str"
 
     def test_probe_rechecks_when_cc_repointed(self, monkeypatch):
         monkeypatch.setenv("CC", "/bin/false")
@@ -77,19 +77,19 @@ class TestCompilerProbe:
 
 
 class TestCompileFailure:
-    def test_failed_compile_degrades_to_bytes(self, monkeypatch, tmp_path):
+    def test_failed_compile_degrades_to_str(self, monkeypatch, tmp_path):
         # /usr/bin/true answers --version with rc 0 (the probe passes)
         # but produces no shared object: the degradation must happen at
-        # the deeper, compile-time level and still land on bytes.
+        # the deeper, compile-time level and still land on str.
         monkeypatch.setenv("CC", "/usr/bin/true")
         monkeypatch.delitem(native._PROBES, "/usr/bin/true", raising=False)
         monkeypatch.setenv("AAROHI_SCANNER_CACHE", str(tmp_path))
         assert native.native_available()
         assert resolve_backend("native") == "native"
         scanner = small_store().compile_scanner(backend="native")
-        assert scanner.backend == "bytes"
+        assert scanner.backend == "str"
         assert scanner.requested_backend == "native"
-        assert scanner.tokenize(b"link failed x") is not None
+        assert scanner.tokenize("link failed x") is not None
         assert not list(tmp_path.glob("*.so"))
 
     def test_compile_failure_leaves_no_lock_behind(self, monkeypatch,
@@ -406,7 +406,7 @@ class TestFallbackObservability:
         monkeypatch.delitem(native._PROBES, "/bin/false", raising=False)
         scanner = small_store().compile_scanner(
             counting=True, cache=False, backend="native")
-        assert scanner.backend == "bytes"
+        assert scanner.backend == "str"
         obs = Observability()
         obs.record_scanner(scanner, 0)
         obs.record_scanner(scanner, 0)  # idempotent across run folds
@@ -414,10 +414,10 @@ class TestFallbackObservability:
         series = snap[SCANNER_BACKEND_FALLBACK]["series"]
         assert len(series) == 1
         assert series[0]["labels"]["requested"] == "native"
-        assert series[0]["labels"]["backend"] == "bytes"
+        assert series[0]["labels"]["backend"] == "str"
         assert series[0]["value"] == 1
         info = snap[SCANNER_BACKEND_INFO]["series"]
-        assert {s["labels"]["backend"] for s in info} == {"bytes"}
+        assert {s["labels"]["backend"] for s in info} == {"str"}
         assert obs.scanner_info["fallback"] is True
         assert obs.scanner_info["requested_backend"] == "native"
 

@@ -26,7 +26,7 @@ class TestParser:
     def test_scan_backend_choices(self, argv, capsys):
         parser = build_parser()
         assert parser.parse_args(argv).scan_backend == "native"
-        for backend in ("str", "bytes", "native"):
+        for backend in ("str", "native"):
             args = parser.parse_args(argv + ["--scan-backend", backend])
             assert args.scan_backend == backend
         # The retired numpy backend is an argparse error (exit 2).
@@ -34,6 +34,15 @@ class TestParser:
             parser.parse_args(argv + ["--scan-backend", "numpy"])
         assert exc.value.code == 2
         assert "invalid choice: 'numpy'" in capsys.readouterr().err
+
+    def test_retired_bytes_backend_exits_2(self, tmp_path, capsys):
+        # The byte-kernel backend is retired like numpy: predict refuses
+        # the name at the command line, before reading anything.
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--log", str(tmp_path / "w.log"),
+                  "--scan-backend", "bytes"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bytes'" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -122,10 +131,10 @@ class TestJsonOutput:
         assert 0.0 <= stats["fc_related_fraction"] <= 1.0
         scanner = payload["scanner"]
         # The --scan-backend default asks for native, which runs as
-        # bytes when there is no C compiler.
+        # str when there is no C compiler.
         assert scanner["requested_backend"] == "native"
         assert scanner["backend"] == (
-            "native" if native_available() else "bytes")
+            "native" if native_available() else "str")
         assert scanner["translate_evictions"] >= 0
 
     def test_pipeline_json(self, capsys):
@@ -170,7 +179,7 @@ class TestBackendDifferential:
         ]) == 0
         return json.loads(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("backend", ["bytes", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     @pytest.mark.parametrize("log,flags", [
         ("clean", []),
         ("dirty", ["--on-error", "quarantine"]),
@@ -178,7 +187,7 @@ class TestBackendDifferential:
     ], ids=["clean", "quarantine", "reorder"])
     def test_backend_matches_str(self, logs, log, flags, backend, capsys):
         if backend == "native" and not native_available():
-            pytest.skip("no C compiler: native runs as bytes")
+            pytest.skip("no C compiler: native runs as str")
         want = self.predict(capsys, logs[log], "str", flags)
         got = self.predict(capsys, logs[log], backend, flags)
         assert got["scanner"]["backend"] == backend
@@ -403,6 +412,29 @@ class TestPredictWatch:
         assert "History trends (ring)" in out
         # The final predictions table still prints after the frames.
         assert "predictions" in out
+
+    def test_watch_folds_ingest_before_the_slices(self, tmp_path, capsys):
+        # A watched run's rules see the quarantine burn while the run
+        # is in flight, as a one-shot run's do, so the burn rule ends
+        # pending (1) or firing (2), not inactive (0).
+        log = tmp_path / "dirty.log"
+        metrics = tmp_path / "watch.prom"
+        assert main([
+            "generate", "--system", "HPC3", "--seed", "5",
+            "--duration", "600", "--nodes", "8", "--corrupt", "0.05",
+            "--out", str(log),
+        ]) == 0
+        assert main([
+            "predict", "--system", "HPC3", "--seed", "5",
+            "--log", str(log), "--on-error", "quarantine",
+            "--watch", "--slices", "4", "--metrics", str(metrics),
+        ]) == 0
+        capsys.readouterr()
+        states = [float(line.rsplit(" ", 1)[1])
+                  for line in metrics.read_text().splitlines()
+                  if line.startswith("aarohi_alert_state{")
+                  and 'rule="quarantine-burn"' in line]
+        assert states and states[0] >= 1
 
 
 class TestObsReportErrors:
