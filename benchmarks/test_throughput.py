@@ -11,16 +11,14 @@ consumes.
 
 Before timing anything, the batched path is differentially checked
 against the per-event path on every generator system: under a constant
-clock both must produce identical predictions.  The measured numbers
-are also written to ``BENCH_hotpath.json`` (see ``emit_bench.py``) so
-the perf trajectory is machine-readable.
+clock both must produce identical predictions.
 """
 
 from repro.core import PredictorFleet
 from repro.logsim import ClusterProfile, evaluate_placement
 from repro.reporting import render_table
 
-from emit_bench import discard_heavy_stream, measure_hotpath, write_bench_json
+from emit_bench import PRE_PR_REFERENCE, discard_heavy_stream, measure_hotpath
 
 
 def assert_batched_path_equivalent(gen, n_events=4000):
@@ -77,13 +75,12 @@ def test_realtime_throughput(benchmark, emit, generators):
         # kernel and clock elision.
         assert measured["batched_vs_per_event"] > 1.05, (name, measured)
 
-    write_bench_json(results)
     # Perf gate vs the recorded pre-PR numbers (same machine only —
     # foreign machines still get the batched-vs-per-event gate above).
     for name, row in results.items():
-        ratio = row.get("batched_vs_pre_pr")
-        if ratio is not None:
-            assert ratio > 1.0, (name, row)
+        ref = PRE_PR_REFERENCE.get(name)
+        if isinstance(ref, int):
+            assert row["batched_events_per_s"] / ref > 1.0, (name, row)
 
     emit("throughput_realtime", render_table(
         ["System", "per-event ev/s", "batched ev/s (1 core)",

@@ -39,16 +39,15 @@ import signal
 import sys
 import time
 from statistics import mean
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from .codegen import SCAN_BACKENDS
 from .core import PredictorFleet, build_rules, pair_predictions
 from .logsim import (
     ERROR_POLICIES,
     IngestStats,
-    read_log,
+    frame_records,
     read_truth,
-    sorted_stream,
     system_by_name,
     write_log,
     write_truth,
@@ -145,14 +144,6 @@ def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_events(args: argparse.Namespace, stats: IngestStats) -> list:
-    """Read ``args.log`` under the ingest flags, funnel into ``stats``."""
-    events = read_log(args.log, on_error=args.on_error, stats=stats)
-    if args.reorder_horizon > 0:
-        events = sorted_stream(events, args.reorder_horizon, stats)
-    return list(events)
-
-
 def _ingest_summary(stats: IngestStats) -> Optional[str]:
     if not stats.lines_read:
         return None
@@ -219,18 +210,19 @@ def _make_obs(
     pre-loaded with the ground-truth failures.
     """
     watch = getattr(args, "watch", False)
+    trace = getattr(args, "trace", None)
     truth = getattr(args, "truth", None)
     spans_sample = getattr(args, "spans", 0.0)
     flight_dir = getattr(args, "flight_dir", None)
     history_interval = getattr(args, "history", None)
     rules_source = getattr(args, "rules", None)
-    if not (args.metrics or args.trace or watch or truth
+    if not (args.metrics or trace or watch or truth
             or spans_sample or flight_dir
             or history_interval is not None or rules_source):
         return None
     tracer = None
-    if args.trace:
-        tracer = Tracer(args.trace, sample=args.trace_sample)
+    if trace:
+        tracer = Tracer(trace, sample=args.trace_sample)
     live = None
     if watch:
         budget = inter_arrival_budget(config) if config is not None else None
@@ -364,24 +356,42 @@ def _watch_frame(obs: Observability) -> str:
     return "\n\n".join(sections)
 
 
-def _run_watched(
-    fleet: PredictorFleet, events: Sequence, obs: Observability, slices: int
+def _replay_slices(
+    fleet: PredictorFleet,
+    args: argparse.Namespace,
+    after_slice: Callable[[int, int], None],
 ):
-    """Drive the stream in slices, redrawing the dashboard per slice."""
+    """Replay ``args.log`` through ``fleet`` in ``args.slices`` slices,
+    calling ``after_slice(done, total)`` (in framed lines) after each:
+    the replay behind ``predict --watch`` and ``obs-serve``.
+
+    The file is framed once, with the reorder horizon applied across
+    the whole stream (a buffer per slice would restart at every slice
+    boundary and change the predictions).  Each slice of records then
+    runs as one blob through ``run_lines`` at ``timing="sampled"`` —
+    the fused pass on ``native`` — so the replay predicts what a
+    one-shot ``predict`` does.  The framer's ``reordered``/``late``
+    fold into the fleet's obs before the first slice, and each slice
+    folds its own decode funnel before its history capture, so every
+    slice's rules pass sees the run's quarantine burn so far.
+    """
     from .core.fleet import FleetReport
 
-    total = FleetReport()
-    n_slices = max(1, slices)
-    size = max(1, math.ceil(len(events) / n_slices)) if events else 1
-    clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
-    for start in range(0, len(events), size):
-        report = fleet.run(events[start:start + size], timing="sampled")
+    total = FleetReport(ingest=IngestStats())
+    with open(args.log, "rb") as fh:
+        records = list(frame_records(
+            (fh.read(),), args.reorder_horizon, total.ingest))
+    fleet.obs.record_ingest(total.ingest)
+    size = max(1, math.ceil(len(records) / max(1, args.slices)))
+    for start in range(0, len(records), size):
+        report = fleet.run_lines(
+            b"\n".join(records[start:start + size]),
+            on_error=args.on_error, timing="sampled")
         total.predictions.extend(report.predictions)
         total.stats.add(report.stats)
+        total.ingest.add(report.ingest)
         total.nodes = report.nodes
-        done = min(start + size, len(events))
-        print(f"{clear}— watch: {done}/{len(events)} events —\n")
-        print(_watch_frame(obs))
+        after_slice(min(start + size, len(records)), len(records))
     return total
 
 
@@ -397,14 +407,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     try:
         if getattr(args, "watch", False):
-            ingest = IngestStats()
-            events = _read_events(args, ingest)
-            # Fold ingest in before the first slice, as obs-serve does,
-            # so every slice's history capture and rules pass sees the
-            # quarantine burn.
-            if ingest.lines_read:
-                obs.record_ingest(ingest)
-            report = _run_watched(fleet, events, obs, args.slices)
+            clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
+
+            def redraw(done: int, total: int) -> None:
+                print(f"{clear}— watch: {done}/{total} lines —\n")
+                print(_watch_frame(obs))
+
+            report = _replay_slices(fleet, args, redraw)
+            ingest = report.ingest
         else:
             # Sampled timing clocks only the FC-related chain checks,
             # so the native fleet keeps its fused single-pass scan;
@@ -783,34 +793,18 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
     _install_sigterm()
     config = system_by_name(args.system)
     gen = ClusterLogGenerator(config, seed=args.seed)
-    live = LiveMonitor(inter_arrival_budget(config))
-    quality = None
-    if args.truth:
-        quality = QualityScoreboard()
-        quality.add_failures(read_truth(args.truth))
-    spans = SpanClock(args.spans) if args.spans > 0.0 else None
-    flight = (FlightRecorder(directory=args.flight_dir)
-              if args.flight_dir else None)
-    # A serving fleet self-monitors by default: history + the shipped
-    # ruleset, unless the flags say otherwise.
-    history, rules = _make_history(
-        args.history, args.rules, default_on=True)
-    obs = Observability(live=live, quality=quality, spans=spans,
-                        flight=flight, history=history, rules=rules)
+    # The parser sets ``watch``: a serving fleet runs the live monitor
+    # and self-monitors with history + the shipped ruleset by default.
+    obs = _make_obs(args, config)
     fleet = PredictorFleet.from_store(
         gen.chains, gen.store, timeout=gen.recommended_timeout,
         backend=args.backend, obs=obs,
         scan_backend=args.scan_backend,
     )
-    ingest = IngestStats()
-    events = _read_events(args, ingest)
-    if ingest.lines_read:
-        obs.record_ingest(ingest)
-        summary = _ingest_summary(ingest)
-        if summary is not None:
-            print(summary, flush=True)
-    n_slices = max(1, args.slices)
-    size = max(1, math.ceil(len(events) / n_slices)) if events else 1
+
+    def pace(done: int, total: int) -> None:
+        if args.pace > 0:
+            time.sleep(args.pace)
 
     def write_metrics() -> None:
         if getattr(args, "metrics", None):
@@ -822,11 +816,11 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
             print(f"serving {server.url('/metrics')} "
                   f"(also /healthz /quality /alerts /debug/spans "
                   f"/debug/flight /debug/vars /debug/history)", flush=True)
-            for start in range(0, len(events), size):
-                fleet.run(events[start:start + size])
-                if args.pace > 0:
-                    time.sleep(args.pace)
-            verdict = live.verdict()
+            report = _replay_slices(fleet, args, pace)
+            summary = _ingest_summary(report.ingest)
+            if summary is not None:
+                print(summary, flush=True)
+            verdict = obs.live.verdict()
             if verdict is not None:
                 state = "PASS" if verdict.ok else "FAIL"
                 print(f"deadline {state}: p{verdict.quantile:g} latency "
@@ -838,6 +832,7 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
             if firing:
                 print("alerts firing: " + ", ".join(
                     f"{r.id} ({r.severity})" for r in firing))
+            flight = obs.flight
             if flight is not None and flight.last_capsule_path is not None:
                 print(f"flight capsule ({flight.last_reason}): "
                       f"{flight.last_capsule_path}")
@@ -1160,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the final metrics snapshot here on exit "
                         "(including SIGTERM graceful drain)")
     _add_ingest_args(p)
-    p.set_defaults(func=cmd_obs_serve)
+    p.set_defaults(func=cmd_obs_serve, watch=True)
 
     p = sub.add_parser(
         "serve",

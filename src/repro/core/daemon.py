@@ -26,10 +26,14 @@ oracle that shares no code with the sharded path.  The pieces:
   tolerant ``run_lines`` call, the fused C pass on ``native`` — and
   ships per-chunk ``IngestStats`` + shard-labeled obs registry deltas
   with every result;
-* **reorder repair** — an optional per-connection
-  :class:`~repro.logsim.stream.SortBuffer` over the line timestamps
-  (each forwarder is near-sorted on its own; the merged stream is
-  not, which is exactly the buffer's contract);
+* **sources** — each connection and each tailed file is a generator
+  of byte chunks, framed into records by
+  :func:`~repro.logsim.stream.frame_records`, the reader the CLI's
+  sliced replays share too;
+* **reorder repair** — with a positive horizon, each source frames
+  through its own :class:`~repro.logsim.stream.SortBuffer` over the
+  record timestamps (each forwarder is near-sorted on its own; the
+  merged stream is not, which is exactly the buffer's contract);
 * **service plane** — the daemon publishes ``aarohi_daemon_*`` series
   into an :class:`~repro.obs.Observability` and mounts its health and
   expvar blocks through ``add_health_hook``/``add_debug_provider``, so
@@ -55,8 +59,8 @@ Exactly-once under ``kill -9`` (the handoff protocol):
    ``decoded + quarantined == lines_read`` — are preserved across the
    takeover.
 
-Backpressure is bounded by construction: each shard queues at most
-``window`` chunks into its worker and holds at most
+Backpressure is bounded by construction: each chunk goes on its
+shard's worker queue as it is made, and a shard holds at most
 ``high_water_chunks`` unacked; past the high-water mark
 :meth:`FleetDaemon.submit` *stalls the ingest thread* (counted in
 ``aarohi_daemon_backpressure_stalls_total``), which slows the socket
@@ -77,11 +81,10 @@ import stat
 import threading
 import time as _time
 import zlib
-from datetime import datetime
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..logsim.stream import ERROR_POLICIES, IngestStats, SortBuffer
+from ..logsim.stream import ERROR_POLICIES, IngestStats, frame_records
 from ..obs import (
     DAEMON_BACKPRESSURE_STALLS,
     DAEMON_CHAINS_RESTORED,
@@ -116,29 +119,6 @@ def route_key(line: str) -> str:
     line always lands on — and is quarantined by — the same worker)."""
     parts = line.split(" ", 2)
     return parts[1] if len(parts) == 3 else line
-
-
-class _TimedLine(NamedTuple):
-    """Timestamp carrier for replaying raw lines through a SortBuffer
-    (the buffer only ever reads ``.time``)."""
-
-    time: float
-    line: str
-
-
-def _parse_line_time(line: str) -> Optional[float]:
-    """The event time the workers' decoder will give a serialized
-    record, by its own rule (three fields, an ISO-8601 stamp), or
-    ``None`` for a line it will quarantine.  Such lines are routed
-    around the reorder buffer, so they never move its watermarks; their
-    relative order is immaterial."""
-    parts = line.split(" ", 2)
-    if len(parts) != 3:
-        return None
-    try:
-        return datetime.fromisoformat(parts[0]).timestamp()
-    except (ValueError, OverflowError, OSError):
-        return None
 
 
 class _ShardObservability(Observability):
@@ -239,8 +219,7 @@ class _Shard:
 
     __slots__ = (
         "index", "proc", "work_q", "result_q", "generation", "pending",
-        "queued", "next_seq", "up", "was_up", "last_state", "acked",
-        "collector",
+        "next_seq", "up", "was_up", "last_state", "acked", "collector",
     )
 
     def __init__(self, index: int):
@@ -252,7 +231,6 @@ class _Shard:
         # seq → blob, insertion (== sequence) ordered; chunks leave
         # only on ack, so this is the at-least-once replay buffer.
         self.pending: Dict[int, bytes] = {}
-        self.queued: set = set()  # seqs currently in the work queue
         self.next_seq = 0
         self.up = False
         # "down" means *lost* — a shard that has reported up and whose
@@ -294,7 +272,6 @@ class FleetDaemon:
         scan_backend: str = "native",
         timeout: Optional[float] = None,
         chunk_lines: int = 256,
-        window: int = 4,
         high_water_chunks: int = 32,
         reorder_horizon: float = 0.0,
         obs: Optional[Observability] = None,
@@ -309,10 +286,8 @@ class FleetDaemon:
             raise ValueError("need at least one shard")
         if chunk_lines < 1:
             raise ValueError("need at least one line per chunk")
-        if window < 1:
-            raise ValueError("window must be >= 1 chunk")
-        if high_water_chunks < window:
-            raise ValueError("high_water_chunks must be >= window")
+        if high_water_chunks < 1:
+            raise ValueError("high_water_chunks must be >= 1")
         if on_error not in ERROR_POLICIES:
             raise ValueError(
                 f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}")
@@ -321,7 +296,6 @@ class FleetDaemon:
         self.n_shards = n_shards
         self.on_error = on_error
         self.chunk_lines = chunk_lines
-        self.window = window
         self.high_water = high_water_chunks
         self.reorder_horizon = reorder_horizon
         self.poll_interval = poll_interval
@@ -418,8 +392,8 @@ class FleetDaemon:
         shard.proc.start()
         # Replay the unacked suffix in order; results for chunks the
         # dead worker also processed are deduplicated by generation.
-        shard.queued = set()
-        self._fill_window(shard)
+        for item in shard.pending.items():
+            shard.work_q.put(item)
         shard.collector = threading.Thread(
             target=self._collect_loop,
             args=(shard.index, shard.generation, shard.result_q),
@@ -471,22 +445,10 @@ class FleetDaemon:
             "utf-8", "replace")
         self._buffers[shard_idx] = []
         shard.pending[shard.next_seq] = payload
-        shard.next_seq += 1
         # Queue whether or not the worker has reported up: a booting
-        # worker reads its queue once ready, and the window refills
-        # only on acks, so a chunk held back here would wait for later
-        # traffic and then run after it.
-        self._fill_window(shard)
-
-    def _fill_window(self, shard: _Shard) -> None:
-        """Queue the shard's unqueued pending chunks into its worker, in
-        sequence order, up to the window; caller holds the lock."""
-        for seq in sorted(shard.pending):
-            if len(shard.queued) >= self.window:
-                break
-            if seq not in shard.queued:
-                shard.work_q.put((seq, shard.pending[seq]))
-                shard.queued.add(seq)
+        # worker reads its queue once ready.
+        shard.work_q.put((shard.next_seq, payload))
+        shard.next_seq += 1
 
     # -- result collection ---------------------------------------------
     def _collect_loop(self, shard_idx: int, generation: int, result_q) -> None:
@@ -527,7 +489,6 @@ class FleetDaemon:
                 (_, _, seq, predictions, stats, obs_delta, chunk_ingest,
                  state) = msg
                 shard.pending.pop(seq, None)
-                shard.queued.discard(seq)
                 restore = shard.last_state
                 for node, node_state in state.items():
                     if node_state is None:
@@ -542,7 +503,6 @@ class FleetDaemon:
                 )
                 self.stats.add(stats)
                 self.ingest.add(chunk_ingest)
-                self._fill_window(shard)
             else:  # "bye" — clean worker exit during stop
                 return
         # Obs fold-in strictly after the daemon lock is released (the
@@ -762,47 +722,11 @@ class FleetDaemon:
             pass
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        """Read newline-delimited records until EOF.
-
-        Bytes decode with ``errors="replace"`` — the same treatment
-        tolerant file ingest gives invalid UTF-8 — so mojibake reaches
-        the workers as quarantinable text instead of killing the
-        connection.  With a positive ``reorder_horizon`` each
-        connection owns a :class:`SortBuffer`: one forwarder's stream
-        is near-sorted on its own clock, which is exactly the bounded
-        displacement the buffer repairs.  Records whose timestamp does
-        not parse bypass the buffer (they can only be quarantined, so
-        their relative order is immaterial)."""
-        conn.settimeout(0.5)
-        stats = IngestStats()
-        sort = (SortBuffer(self.reorder_horizon, stats)
-                if self.reorder_horizon > 0 else None)
-        buf = b""
+        """Ingest one connection until EOF (or ``stop()``), then take
+        it off the daemon's books."""
         try:
-            while True:
-                with self._lock:
-                    if self._stopping:
-                        break
-                try:
-                    data = conn.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                buf += data
-                *complete, buf = buf.split(b"\n")
-                for raw in complete:
-                    self._ingest_record(raw, sort)
+            self._ingest(self._recv_chunks(conn))
         finally:
-            if buf:
-                # Trailing unterminated record: ship it (matching the
-                # file reader, whose final line needs no newline).
-                self._ingest_record(buf, sort)
-            if sort is not None:
-                for timed in sort.flush():
-                    self.submit(timed.line)
             try:
                 conn.close()
             except OSError:
@@ -813,28 +737,46 @@ class FleetDaemon:
                 # only ever has to close and join live ones.
                 self._conns.remove(conn)
                 self._conn_threads.remove(threading.current_thread())
-                # Fold the connection's reorder accounting into the
-                # daemon funnel (reordered/late only; the decode
-                # counters come from the workers).
-                self.ingest.reordered += stats.reordered
-                self.ingest.late += stats.late
             self._publish_metrics()
 
-    def _ingest_record(self, raw: bytes, sort: Optional[SortBuffer]) -> None:
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        if not raw:
-            return
-        line = raw.decode("utf-8", "replace")
-        if sort is None:
-            self.submit(line)
-            return
-        t = _parse_line_time(line)
-        if t is None:
-            self.submit(line)
-            return
-        for timed in sort.push(_TimedLine(t, line)):
-            self.submit(timed.line)
+    def _recv_chunks(self, conn: socket.socket) -> Iterator[bytes]:
+        """A connection's bytes as they arrive, until EOF, a socket
+        error or ``stop()``."""
+        conn.settimeout(0.5)
+        while True:
+            with self._lock:
+                if self._stopping:
+                    return
+            try:
+                data = conn.recv(65536)
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            if not data:
+                return
+            yield data
+
+    def _ingest(self, chunks: Iterable[bytes]) -> None:
+        """Submit every record framed from one source's byte chunks.
+
+        Bytes decode with ``errors="replace"`` — the same treatment
+        tolerant file ingest gives invalid UTF-8 — so mojibake reaches
+        the workers as quarantinable text instead of killing the
+        source.  With a positive ``reorder_horizon`` each source frames
+        through its own sort buffer: one forwarder's stream is
+        near-sorted on its own clock, which is exactly the bounded
+        displacement the buffer repairs.  ``self.submit`` is looked up
+        for every record, because a benchmark host replaces it on a
+        running daemon."""
+        stats = IngestStats()
+        for record in frame_records(chunks, self.reorder_horizon, stats):
+            self.submit(record.decode("utf-8", "replace"))
+        with self._lock:
+            # Reorder accounting only; the decode counters come from
+            # the workers.
+            self.ingest.reordered += stats.reordered
+            self.ingest.late += stats.late
 
     def tail_file(self, path, poll: float = 0.1) -> None:
         """Follow ``path`` like ``tail -F``: read appended lines, and
@@ -844,28 +786,22 @@ class FleetDaemon:
         ``aarohi_daemon_tail_rotations_total``."""
         path = str(Path(path))
         thread = threading.Thread(
-            target=self._tail_loop, args=(path, poll),
+            target=self._ingest, args=(self._tail_chunks(path, poll),),
             name=f"aarohi-tail-{os.path.basename(path)}", daemon=True)
         thread.start()
         self._source_threads.append(thread)
 
-    def _tail_loop(self, path: str, poll: float) -> None:
+    def _tail_chunks(self, path: str, poll: float) -> Iterator[bytes]:
+        """A followed file's bytes as they are appended, until
+        ``stop()``.  A rotation yields one newline, which ends the old
+        file's unterminated last record where that file ends."""
         fh = None
         inode = None
-        buf = b""
-
-        def feed(data: bytes) -> None:
-            nonlocal buf
-            buf += data
-            *complete, buf = buf.split(b"\n")
-            for raw in complete:
-                self._ingest_record(raw, None)
-
         try:
             while True:
                 with self._lock:
                     # ``stop()`` clears the accepting flag before it
-                    # joins source threads; the finally block below
+                    # joins source threads; the read after the loop
                     # catches anything appended since the last poll.
                     if not self._accepting:
                         break
@@ -878,7 +814,7 @@ class FleetDaemon:
                         continue
                 data = fh.read()
                 if data:
-                    feed(data)
+                    yield data
                     continue
                 rotated = False
                 try:
@@ -890,9 +826,7 @@ class FleetDaemon:
                 except FileNotFoundError:
                     rotated = True
                 if rotated:
-                    if buf:
-                        self._ingest_record(buf, None)
-                        buf = b""
+                    yield b"\n"
                     fh.close()
                     fh = None
                     with self._lock:
@@ -900,14 +834,11 @@ class FleetDaemon:
                     self._publish_metrics()
                     continue
                 _time.sleep(poll)
+            if fh is not None:
+                yield fh.read()
         finally:
             if fh is not None:
-                data = fh.read()
-                if data:
-                    feed(data)
                 fh.close()
-            if buf:
-                self._ingest_record(buf, None)
 
     # -- drain / stop ---------------------------------------------------
     def pending_chunks(self) -> int:

@@ -106,17 +106,6 @@ class LogEvent:
             message = unescape_message(message)
         return cls(time=t, node=node, message=message)
 
-    @classmethod
-    def from_record(cls, record: bytes) -> "LogEvent":
-        """Decode a raw byte record into an event (the byte-ingest
-        analog of :meth:`from_line`; quarantine decisions coincide)."""
-        t, node, message = parse_record_bytes(record)
-        return cls(
-            time=t,
-            node=str(node, "utf-8", "replace"),
-            message=str(message, "utf-8", "replace"),
-        )
-
 
 def parse_record_bytes(record: bytes) -> Tuple[float, bytes, bytes]:
     """Split and header-validate one raw serialized record **without

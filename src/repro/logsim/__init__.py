@@ -39,6 +39,7 @@ from .stream import (
     StreamOrderError,
     clip_window,
     decode_lines,
+    frame_records,
     iter_byte_records,
     merge_streams,
     read_byte_batch,
@@ -92,6 +93,7 @@ __all__ = [
     "decode_lines",
     "evaluate_placement",
     "file_sink",
+    "frame_records",
     "iter_byte_records",
     "merge_streams",
     "parse_time_prefix",

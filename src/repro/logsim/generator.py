@@ -232,17 +232,3 @@ class ClusterLogGenerator:
             phrase_times=tuple(phrase_times), kind=kind,
             failure_time=failure_time,
         )
-
-    # -- convenience -----------------------------------------------------
-    def node_message_stream(
-        self, node: str, chain_def: ChainDef, *, start: float = 0.0
-    ) -> List[LogEvent]:
-        """Just one chain's phrases on one node (micro-bench workloads)."""
-        events: List[LogEvent] = []
-        self._inject_chain(
-            events, chain_def, node, self.rng,
-            window=(start, start + chain_def.deltas.minutes_high * len(chain_def.phrase_keys) + 300.0),
-            kind="detectable",
-        )
-        events.sort(key=lambda e: e.time)
-        return events

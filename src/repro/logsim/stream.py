@@ -18,7 +18,10 @@ gracefully instead of assuming pristine input:
 * :class:`SortBuffer` re-sorts a *near*-sorted stream within a bounded
   time horizon (clock skew, interleaved controller writes), and
   :func:`merge_streams` grows a disorder guard so unsorted inputs are
-  detected instead of silently corrupting downstream ΔT state.
+  detected instead of silently corrupting downstream ΔT state;
+* :func:`frame_records` turns a byte stream that arrives in pieces (a
+  socket, a tailed file, a whole file) into ordered records, through a
+  :class:`SortBuffer` when a horizon is set.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import logging
 import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import (IO, Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Union)
@@ -531,11 +535,11 @@ def read_record_batch(
 
 
 class _Stamped(NamedTuple):
-    """Index carrier for replaying a batch through a SortBuffer (the
-    buffer only ever reads ``.time``)."""
+    """Carrier for replaying anything with a time through a SortBuffer
+    (the buffer only ever reads ``.time``)."""
 
     time: float
-    index: int
+    item: object
 
 
 def sort_record_batch(
@@ -549,8 +553,8 @@ def sort_record_batch(
     buffer = SortBuffer(horizon_s, stats)
     order: List[int] = []
     for i, t in enumerate(batch.times):
-        order.extend(s.index for s in buffer.push(_Stamped(t, i)))
-    order.extend(s.index for s in buffer.flush())
+        order.extend(s.item for s in buffer.push(_Stamped(t, i)))
+    order.extend(s.item for s in buffer.flush())
     return ByteRecordBatch(
         times=[batch.times[i] for i in order],
         nodes=[batch.nodes[i] for i in order],
@@ -573,6 +577,62 @@ def read_byte_batch(
     if reorder_horizon > 0:
         batch = sort_record_batch(batch, reorder_horizon, stats)
     return batch
+
+
+def frame_records(
+    chunks: Iterable[bytes],
+    reorder_horizon: float = 0.0,
+    stats: Optional[IngestStats] = None,
+) -> Iterator[bytes]:
+    """Frame a byte stream that arrives in arbitrary chunks into its
+    newline-delimited records, in order: the one reader behind
+    ``aarohi serve``'s sockets and tailed files and the CLI's sliced
+    replays.
+
+    Each chunk is split once, and a record cut by chunk boundaries is
+    joined when its newline arrives, so a sender that never sends one
+    costs linear time.  One trailing CR is stripped (CRLF frames like
+    LF), blank records are skipped, and an unterminated last record is
+    yielded when the chunks run out.
+
+    A positive ``reorder_horizon`` passes the records through a
+    :class:`SortBuffer` keyed on the decoder's own timestamp rule
+    (:func:`~repro.core.events.parse_record_bytes`), counting into
+    ``stats.reordered``/``stats.late``.  A record the decoder will
+    quarantine has no time to sort by: it is yielded on arrival, so it
+    never moves the buffer's watermarks, and where it lands is
+    immaterial.
+    """
+    sort = SortBuffer(reorder_horizon, stats) if reorder_horizon > 0 else None
+    head: List[bytes] = []  # the pieces of a record cut by chunk ends
+    # One more newline ends an unterminated last record.
+    for chunk in chain(chunks, (b"\n",)):
+        records = chunk.split(b"\n")
+        if len(records) == 1:
+            head.append(chunk)
+            continue
+        if head:
+            head.append(records[0])
+            records[0] = b"".join(head)
+        head = [records.pop()]
+        for record in records:
+            if record.endswith(b"\r"):
+                record = record[:-1]
+            if not record:
+                continue
+            if sort is None:
+                yield record
+                continue
+            try:
+                stamp = parse_record_bytes(record)[0]
+            except LogDecodeError:
+                yield record
+                continue
+            for released in sort.push(_Stamped(stamp, record)):
+                yield released.item
+    if sort is not None:
+        for released in sort.flush():
+            yield released.item
 
 
 def write_truth(

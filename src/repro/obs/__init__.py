@@ -62,7 +62,6 @@ from .live import (
     QuantileSketch,
     StreamLag,
     inter_arrival_budget,
-    quantile_from_histogram,
 )
 from .flight import (
     FlightRecorder,
@@ -142,7 +141,6 @@ from .names import (  # noqa: F401  (canonical names, re-exported)
     LIVE_LATENCY_QUANTILE,
     LIVE_MESSAGE_RATE,
     LIVE_STREAM_LAG,
-    LOGSIM_CORRUPTIONS,
     LOGSIM_EVENTS,
     LOGSIM_FAULTS,
     LOGSIM_WINDOWS,
@@ -300,10 +298,6 @@ class Observability:
         self.lock = threading.RLock()
 
     # -- surface extension hooks ---------------------------------------
-    @property
-    def health_hooks(self) -> dict:
-        return dict(self._health_hooks)
-
     def add_health_hook(self, name: str, hook) -> None:
         """Register ``hook() -> dict`` to contribute the ``name`` block
         of every ``/healthz`` payload.  A block carrying ``"ok": False``
@@ -456,19 +450,6 @@ class Observability:
                 late=delta.late or None,
                 quarantine_fraction=ingest.quarantine_fraction,
             )
-
-    @_locked
-    def record_corruptions(self, report) -> None:
-        """Count an injected-corruption report (per fault kind) from a
-        :func:`~repro.logsim.corruptions.corrupt_window` run."""
-        registry = self.registry
-        for kind, count in report.as_dict().items():
-            if kind.startswith("events_") or not count:
-                continue
-            registry.counter(
-                LOGSIM_CORRUPTIONS, "injected corruptions by kind",
-                kind=kind,
-            ).inc(count)
 
     @_locked
     def record_engine_stats(self, totals) -> None:
@@ -1027,7 +1008,6 @@ __all__ = [
     "load_rules",
     "parse_history_ndjson",
     "parse_prometheus",
-    "quantile_from_histogram",
     "read_capsule",
     "read_trace",
     "realized_lead_times",

@@ -166,15 +166,6 @@ class FlightRecorder:
             self.last_capsule_path = path
         return text
 
-    def reset_trigger(self, reason: Optional[str] = None) -> None:
-        """Re-arm one sticky key — a reason, or ``alert_rule:<rule
-        id>`` — (or all): operator acknowledged the anomaly and wants
-        the next occurrence captured too."""
-        if reason is None:
-            self.triggered.clear()
-        else:
-            self.triggered.pop(reason, None)
-
 
 def read_capsule(
     source: Union[str, Path, IO[str], Iterable[str]]

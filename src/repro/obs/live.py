@@ -20,19 +20,13 @@ the pieces that watch a **running** fleet:
 * :class:`LiveMonitor` — the wiring hub the fleet drives once per run,
   publishing everything as registry gauges so the series merge across
   shards through the existing snapshot/delta path.
-
-:func:`DeadlineMonitor.evaluate_snapshot` renders the same verdict from
-a (possibly multi-shard, merged) registry snapshot by reading the
-``aarohi_prediction_seconds`` histogram — the path ``/healthz`` uses
-for a sharded daemon, where per-shard P² state never leaves the
-worker.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .names import (
     DEADLINE_BREACHES,
@@ -41,7 +35,6 @@ from .names import (
     LIVE_LATENCY_QUANTILE,
     LIVE_MESSAGE_RATE,
     LIVE_STREAM_LAG,
-    PREDICTION_SECONDS,
     SLO_BURN,
 )
 
@@ -240,31 +233,6 @@ class DeadlineVerdict:
         }
 
 
-def quantile_from_histogram(
-    counts: Sequence[int], lo_exp: int, q: float
-) -> float:
-    """Upper-bound estimate of quantile ``q`` from log2 bucket counts.
-
-    Returns the inclusive upper bound of the bucket holding the q-th
-    observation (conservative: the true value is ≤ the estimate except
-    in the +Inf overflow bucket, where the last finite bound is
-    returned).  0.0 when the histogram is empty.
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    cumulative = 0
-    last = len(counts) - 1
-    for i, count in enumerate(counts):
-        cumulative += count
-        if cumulative >= target:
-            # Bucket i spans [2^(lo+i-1), 2^(lo+i)); the last bucket is
-            # the +Inf overflow, capped at its finite lower edge.
-            return 2.0 ** (lo_exp + min(i, last - 1))
-    return 2.0 ** (lo_exp + last - 1)
-
-
 class DeadlineMonitor:
     """Watch per-prediction latency against the inter-arrival budget.
 
@@ -310,51 +278,15 @@ class DeadlineMonitor:
 
     def verdict(self) -> DeadlineVerdict:
         latency = self.sketch.quantiles().get(self.quantile, 0.0)
-        return self._verdict(latency, self.observed, self.over_budget)
-
-    def _verdict(self, latency: float, observed: int,
-                 over_budget: int) -> DeadlineVerdict:
-        over_fraction = over_budget / observed if observed else 0.0
+        observed = self.observed
+        over_fraction = self.over_budget / observed if observed else 0.0
         burn = over_fraction / self.slo_fraction
         ok = latency <= self.budget and burn <= 1.0
         return DeadlineVerdict(
             ok=ok, quantile=self.quantile, latency=latency,
             budget=self.budget, observed=observed,
-            over_budget=over_budget, burn_rate=burn,
+            over_budget=self.over_budget, burn_rate=burn,
         )
-
-    def evaluate_snapshot(self, snapshot: dict) -> DeadlineVerdict:
-        """Verdict from a registry snapshot's latency histogram.
-
-        Sums the ``aarohi_prediction_seconds`` series across label sets
-        (shards), so a parent registry assembled through the worker
-        snapshot/delta path gets one fleet-wide feasibility reading
-        without any live monitor running inside the workers.
-        """
-        family = snapshot.get(PREDICTION_SECONDS)
-        if not family or family.get("type") != "histogram":
-            return self._verdict(0.0, 0, 0)
-        merged: Optional[List[int]] = None
-        lo_exp = 0
-        for entry in family["series"]:
-            counts = entry["counts"]
-            if merged is None:
-                merged = list(counts)
-                lo_exp = entry["lo_exp"]
-            elif entry["lo_exp"] == lo_exp and len(counts) == len(merged):
-                merged = [a + b for a, b in zip(merged, counts)]
-        if not merged:
-            return self._verdict(0.0, 0, 0)
-        latency = quantile_from_histogram(merged, lo_exp, self.quantile)
-        observed = sum(merged)
-        # Over-budget count from the buckets wholly above the budget:
-        # conservative in the same direction as the quantile bound.
-        over = 0
-        for i, count in enumerate(merged):
-            if 2.0 ** (lo_exp + i - 1) >= self.budget:
-                over += count
-        return self._verdict(latency, observed, over)
-
 
 class LiveMonitor:
     """The rolling-window hub the fleet drives once per run/batch.
@@ -392,10 +324,6 @@ class LiveMonitor:
             self.deadline.observe(latency)
         else:
             self.sketch.observe(latency)
-
-    def observe_predictions(self, latencies: Iterable[float]) -> None:
-        for latency in latencies:
-            self.observe_prediction(latency)
 
     def record_batch(
         self,

@@ -124,11 +124,6 @@ class Histogram:
             total += v
         self.sum += total
 
-    def upper_bounds(self) -> List[float]:
-        """Per-bucket inclusive upper bounds; the last is +Inf."""
-        bounds = [2.0 ** e for e in range(self.lo_exp, self.hi_exp)]
-        bounds.append(float("inf"))
-        return bounds
 
 
 class _Family:

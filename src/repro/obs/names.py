@@ -39,8 +39,6 @@ INGEST_LATE = "aarohi_ingest_late_total"
 INGEST_QUARANTINE_FRACTION = "aarohi_ingest_quarantine_fraction"
 INGEST_QUARANTINE_BURN = "aarohi_ingest_quarantine_burn_rate"
 
-LOGSIM_CORRUPTIONS = "aarohi_logsim_corruptions_injected_total"
-
 # -- span tracing (ISSUE 7): per-stage pipeline time attribution -------
 SPAN_STAGE_SECONDS = "aarohi_span_stage_seconds_total"
 SPAN_STAGE_RECORDS = "aarohi_span_stage_records_total"

@@ -354,37 +354,6 @@ def load_cached_scanner(
         return None
 
 
-def save_cached_scanner(
-    compiled: CompiledLexSpec,
-    *,
-    minimized: bool = True,
-    cache: Optional[bool] = None,
-    backend: str = "str",
-) -> Optional[Path]:
-    """Persist a freshly compiled scanner; best-effort (returns the
-    artifact path, or ``None`` if caching is off or the write failed)."""
-    directory = scanner_cache_dir(cache)
-    if directory is None:
-        return None
-    digest = scanner_digest(compiled.spec, minimized=minimized, backend=backend)
-    path = directory / f"{digest}.json"
-    tmp = directory / f".{digest}.{os.getpid()}.tmp"
-    data = scanner_artifact(
-        compiled, minimized=minimized, digest=digest, backend=backend)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return None
-    return path
-
-
 def _build_tmp(directory: Path, name: str) -> Path:
     """A temp path private to one build, so concurrent builds —
     threads of one process included — never write the same file."""

@@ -398,8 +398,8 @@ class TestBackpressure:
     def test_high_water_stalls_ingest_and_bounds_memory(self):
         bundle = make_bundle()
         daemon = FleetDaemon(
-            bundle, n_shards=1, chunk_lines=1, window=1,
-            high_water_chunks=2, poll_interval=0.02, throttle_s=0.05,
+            bundle, n_shards=1, chunk_lines=1, high_water_chunks=2,
+            poll_interval=0.02, throttle_s=0.05,
         ).start()
         try:
             assert daemon.wait_ready(30.0)
@@ -615,6 +615,18 @@ class TestReorderRepair:
             bundle, lines)
         assert report.ingest.reordered > 0
 
+    @staticmethod
+    def node_skew():
+        """Two nodes' chain walks with each node's lines swapped
+        pairwise (the nodes alternate, so i and i + 2 are one node's):
+        a 2 s displacement that breaks every chain unless a buffer
+        repairs it."""
+        lines = make_lines(["n0", "n1"], reps=2, dt=1.0)
+        skewed = lines[:]
+        for i in range(0, len(skewed) - 2, 4):
+            skewed[i], skewed[i + 2] = skewed[i + 2], skewed[i]
+        return lines, skewed
+
     @pytest.mark.parametrize("poison", ["1e12 n0 x", "nan n0 x", "inf n0 x"])
     def test_quarantined_line_bypasses_sort_buffer(self, poison):
         # A line the workers' decoder quarantines (a bare epoch float is
@@ -622,13 +634,7 @@ class TestReorderRepair:
         # watermarks: were its time taken, every later line would ship
         # unsorted or count as late.
         bundle = make_bundle()
-        lines = make_lines(["n0", "n1"], reps=2, dt=1.0)
-        # Swap each node's lines pairwise (the nodes alternate, so i and
-        # i + 2 are one node's): a 2 s displacement that breaks every
-        # chain unless the buffer repairs it.
-        skewed = lines[:]
-        for i in range(0, len(skewed) - 2, 4):
-            skewed[i], skewed[i + 2] = skewed[i + 2], skewed[i]
+        lines, skewed = self.node_skew()
         daemon = FleetDaemon(
             bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
             reorder_horizon=10.0,
@@ -647,6 +653,33 @@ class TestReorderRepair:
         assert report.ingest.late == 0
         assert report.ingest.quarantined == 1
 
+    def test_tailed_file_sort_buffer_repairs_skew(self, tmp_path):
+        # A tailed file frames through the same reader as a connection,
+        # horizon included.
+        bundle = make_bundle()
+        lines, skewed = self.node_skew()
+        target = tmp_path / "cluster.log"
+        target.write_text("\n".join(skewed) + "\n")
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+            reorder_horizon=10.0,
+        ).start()
+        try:
+            assert daemon.wait_ready(30.0)
+            daemon.tail_file(target, poll=0.02)
+            # One read takes the whole file; the lines still inside the
+            # horizon wait for stop(), which flushes the buffer.
+            assert wait_lines(daemon, 1)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert daemon.status()["lines_received"] == len(lines)
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert report.ingest.reordered > 0
+        assert report.ingest.late == 0
+
 
 class TestDaemonValidation:
     def test_rejects_bad_configuration(self):
@@ -654,7 +687,7 @@ class TestDaemonValidation:
         with pytest.raises(ValueError, match="shard"):
             FleetDaemon(bundle, n_shards=0)
         with pytest.raises(ValueError, match="high_water"):
-            FleetDaemon(bundle, window=8, high_water_chunks=2)
+            FleetDaemon(bundle, high_water_chunks=0)
         with pytest.raises(ValueError, match="on_error"):
             FleetDaemon(bundle, on_error="explode")
 
@@ -705,7 +738,9 @@ class TestIngestSeries:
 class TestSubmitPerLine:
     """Benchmarks time ``aarohi serve`` by replacing the instance's
     ``submit``, so every source must call it once per accepted line: a
-    CRLF line once, stripped of its CR, and a blank line not at all."""
+    CRLF line once, stripped of its CR, and a blank line not at all.
+    A tail never reaches EOF, so under a horizon its last line is one
+    stamped past it, which releases every line before it."""
 
     @pytest.mark.parametrize("horizon", [0.0, 10.0])
     def test_tcp_and_tail_call_submit_once_per_line(self, tmp_path, horizon):
@@ -715,6 +750,9 @@ class TestSubmitPerLine:
         wire[0] = lines[0] + "\r\n"
         wire.insert(4, "\n")
         payload = "".join(wire).encode()
+        release = LogEvent(
+            time=1000.0 + horizon + 60.0, node="n0",
+            message=WORDS[176]).to_line()
         daemon = FleetDaemon(
             bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
             reorder_horizon=horizon,
@@ -732,13 +770,13 @@ class TestSubmitPerLine:
             send_all(daemon.listen_tcp(), payload)
             assert wait_lines(daemon, len(lines))
             target = tmp_path / "cluster.log"
-            target.write_bytes(payload)
+            target.write_bytes(payload + (release + "\n").encode())
             daemon.tail_file(target, poll=0.02)
             assert wait_lines(daemon, 2 * len(lines))
             report = daemon.stop(drain=True)
         finally:
             if not daemon._stopped:
                 daemon.stop(drain=False)
-        assert seen == lines + lines
+        assert seen == lines + lines + [release]
         assert daemon.status()["lines_received"] == len(seen)
         assert report.ingest.lines_read == len(seen)

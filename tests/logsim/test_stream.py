@@ -13,6 +13,7 @@ from repro.logsim import (
     StreamOrderError,
     clip_window,
     decode_lines,
+    frame_records,
     merge_streams,
     read_log,
     sorted_stream,
@@ -277,6 +278,62 @@ class TestSortBuffer:
         out = list(sorted_stream(
             (ev(t) for t in times), 200.0))  # horizon > whole window
         assert [e.time for e in out] == sorted(times)
+
+
+def cut(blob, points):
+    """``blob`` cut at ``points`` (empty chunks included)."""
+    edges = [0, *sorted(points), len(blob)]
+    return [blob[a:b] for a, b in zip(edges, edges[1:])]
+
+
+class TestFrameRecords:
+    RECORDS = [
+        ev(1.0).to_line().encode(),
+        ev(2.0, node="n1").to_line().encode(),
+        b"truncated",
+        b"2024-01-01T00:00:03 n0 \xfe\xff garbled",
+    ]
+    # CRLF, blank records (bare and CRLF) and an unterminated last one.
+    BLOB = (b"\n" + RECORDS[0] + b"\r\n\r\n" + RECORDS[1] + b"\n\n"
+            + RECORDS[2] + b"\n" + RECORDS[3])
+
+    @given(st.lists(st.integers(0, len(BLOB)), max_size=12))
+    def test_any_chunking_frames_like_one_chunk(self, points):
+        assert list(frame_records(cut(self.BLOB, points))) == self.RECORDS
+        assert list(frame_records([self.BLOB])) == self.RECORDS
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+                    max_size=40),
+           st.lists(st.integers(0, 4000), max_size=8))
+    def test_horizon_orders_like_sorted_stream(self, items, points):
+        # Unique messages, so the comparison sees tie order too; junk
+        # lines have no stamp and bypass the buffer.
+        lines = ["garbled record" if junk
+                 else ev(1000.0 + t, msg=f"m{i}").to_line()
+                 for i, (t, junk) in enumerate(items)]
+        blob = "\n".join(lines).encode()
+        framed_stats, want_stats = IngestStats(), IngestStats()
+        framed = frame_records(
+            cut(blob, [p for p in points if p <= len(blob)]), 5.0,
+            framed_stats)
+        got = list(decode_lines(
+            (r.decode() for r in framed), on_error="quarantine"))
+        want = list(sorted_stream(
+            decode_lines(lines, on_error="quarantine"), 5.0, want_stats))
+        assert got == want
+        assert (framed_stats.reordered, framed_stats.late) == (
+            want_stats.reordered, want_stats.late)
+
+    def test_unparseable_stamp_bypasses_buffer(self):
+        first = ev(1000.0).to_line().encode()
+        second = ev(1001.0).to_line().encode()
+        stats = IngestStats()
+        framed = list(frame_records(
+            [first + b"\n1e12 n0 x\n" + second], 10.0, stats))
+        # Yielded on arrival, ahead of a line still buffered, and its
+        # would-be stamp never moved the watermark.
+        assert framed == [b"1e12 n0 x", first, second]
+        assert (stats.reordered, stats.late) == (0, 0)
 
 
 class TestGrouping:

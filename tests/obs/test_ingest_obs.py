@@ -6,14 +6,13 @@ import urllib.request
 
 import pytest
 
-from repro.logsim import CorruptionSpec, IngestStats, corrupt_window
+from repro.logsim import IngestStats
 from repro.obs import (
     INGEST_DECODED,
     INGEST_FUNNEL_STAGES,
     INGEST_LINES_READ,
     INGEST_QUARANTINE_BURN,
     INGEST_QUARANTINED,
-    LOGSIM_CORRUPTIONS,
     NEGATIVE_DELTA_T,
     Observability,
     ObsServer,
@@ -58,24 +57,6 @@ class TestRecordIngest:
             Observability(quarantine_slo=0.0)
         with pytest.raises(ValueError):
             Observability(quarantine_slo=1.5)
-
-
-class TestRecordCorruptions:
-    def test_injected_kinds_labeled(self):
-        from repro.core.events import LogEvent
-
-        events = [LogEvent(float(i), f"n{i % 3}", f"msg {i}")
-                  for i in range(300)]
-        _, report = corrupt_window(
-            events, CorruptionSpec.all_kinds(0.05), seed=1)
-        obs = Observability()
-        obs.record_corruptions(report)
-        snap = obs.registry.snapshot()
-        kinds = {s["labels"]["kind"]: s["value"]
-                 for s in snap[LOGSIM_CORRUPTIONS]["series"]}
-        assert kinds.get("truncated", 0) == report.truncated
-        assert kinds.get("dropped", 0) == report.dropped
-        assert "events_in" not in kinds  # volume fields are not faults
 
 
 class TestNegativeDeltaTMetric:

@@ -17,7 +17,6 @@ from repro.obs import (
     Registry,
     StreamLag,
     inter_arrival_budget,
-    quantile_from_histogram,
 )
 from repro.obs.live import live_rows
 
@@ -218,57 +217,6 @@ class TestDeadlineWithRealFleet:
         assert verdict.observed == n
         assert not verdict.ok, verdict.as_dict()
         assert verdict.over_budget == n
-
-
-class TestQuantileFromHistogram:
-    def test_empty_is_zero(self):
-        assert quantile_from_histogram([0, 0, 0], -2, 0.99) == 0.0
-
-    def test_returns_bucket_upper_bound(self):
-        # 10 observations in bucket 0 (≤ 2^-3), 1 in bucket 2 (≤ 2^-1).
-        counts = [10, 0, 1]
-        assert quantile_from_histogram(counts, -3, 0.5) == 2.0 ** -3
-        assert quantile_from_histogram(counts, -3, 0.99) == 2.0 ** -2
-
-    def test_overflow_bucket_capped_at_finite_edge(self):
-        counts = [0, 0, 5]  # all in +Inf overflow
-        assert quantile_from_histogram(counts, -3, 0.99) == 2.0 ** -2
-
-
-class TestEvaluateSnapshot:
-    def make_shard(self, registry, shard, latencies):
-        from repro.obs import PREDICTION_SECONDS
-
-        hist = registry.histogram(
-            PREDICTION_SECONDS, "latency", lo_exp=-20, hi_exp=4, shard=shard)
-        for v in latencies:
-            hist.observe(v)
-
-    def test_multi_shard_merge(self):
-        # Two worker shards: one fast, one with latencies past budget.
-        registry = Registry()
-        self.make_shard(registry, "0", [1e-5] * 50)
-        self.make_shard(registry, "1", [1e-5] * 45 + [0.5] * 5)
-        mon = DeadlineMonitor(0.01, quantile=0.99, slo_fraction=0.01)
-        verdict = mon.evaluate_snapshot(registry.snapshot())
-        assert verdict.observed == 100
-        assert verdict.over_budget == 5
-        assert not verdict.ok
-
-    def test_all_fast_shards_pass(self):
-        registry = Registry()
-        self.make_shard(registry, "0", [1e-5] * 50)
-        self.make_shard(registry, "1", [2e-5] * 50)
-        mon = DeadlineMonitor(0.01)
-        verdict = mon.evaluate_snapshot(registry.snapshot())
-        assert verdict.observed == 100
-        assert verdict.ok
-
-    def test_missing_histogram_is_empty_verdict(self):
-        mon = DeadlineMonitor(0.01)
-        verdict = mon.evaluate_snapshot({})
-        assert verdict.observed == 0
-        assert verdict.ok  # vacuous: nothing observed, nothing burned
 
 
 class TestLiveMonitorPublish:

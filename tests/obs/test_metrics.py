@@ -1,7 +1,5 @@
 """Tests for the allocation-free metric primitives and the registry."""
 
-import math
-
 import pytest
 
 from repro.obs.metrics import (
@@ -58,13 +56,6 @@ class TestHistogram:
         h.observe_many([0.5, 3.0])
         assert h.count == 3
         assert h.sum == pytest.approx(4.0)
-
-    def test_upper_bounds_align_with_counts(self):
-        h = Histogram(lo_exp=-2, hi_exp=2)
-        bounds = h.upper_bounds()
-        assert len(bounds) == len(h.counts)
-        assert bounds[-1] == math.inf
-        assert bounds[0] == pytest.approx(0.25)
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

@@ -156,8 +156,7 @@ class TestArtifactCacheEquivalence:
         monkeypatch.setenv("AAROHI_SCANNER_CACHE", str(tmp_path))
         gen = ClusterLogGenerator(HPC1, seed=3)
         spec = gen.store.lex_spec()
-        compiled = spec.compile()
-        persistence.save_cached_scanner(compiled)
+        compiled = persistence.compile_scanner_cached(spec)  # cold: persists
         loaded = persistence.load_cached_scanner(spec)
         assert loaded is not None
         assert loaded.dfa.n_states == compiled.dfa.n_states

@@ -346,8 +346,8 @@ def sort_buffer_replay(times, horizon):
     order = []
     for i, t in enumerate(times):
         if not math.isnan(t):
-            order.extend(s.index for s in buffer.push(_Stamped(t, i)))
-    order.extend(s.index for s in buffer.flush())
+            order.extend(s.item for s in buffer.push(_Stamped(t, i)))
+    order.extend(s.item for s in buffer.flush())
     return order, stats.reordered, stats.late
 
 

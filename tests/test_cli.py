@@ -436,6 +436,41 @@ class TestPredictWatch:
                   and 'rule="quarantine-burn"' in line]
         assert states and states[0] >= 1
 
+    @pytest.mark.parametrize("horizon", ["0", "5"])
+    def test_watch_matches_one_shot(self, tmp_path, capsys, horizon):
+        # A watched run frames the file once, reorder horizon included,
+        # and runs its slices on run_lines: it predicts and counts what
+        # the one-shot pass over the whole file does.
+        log = tmp_path / "dirty.log"
+        assert main([
+            "generate", "--system", "HPC3", "--seed", "6",
+            "--duration", "3600", "--nodes", "24", "--failures", "6",
+            "--corrupt", "0.02", "--out", str(log),
+        ]) == 0
+        runs = {}
+        for mode, extra in (("once", []),
+                            ("watch", ["--watch", "--slices", "4"])):
+            capsys.readouterr()
+            assert main([
+                "predict", "--system", "HPC3", "--seed", "6",
+                "--log", str(log), "--json", "--on-error", "quarantine",
+                "--reorder-horizon", horizon, *extra,
+            ]) == 0
+            out = capsys.readouterr().out
+            # The watch frames print first; the JSON document is last.
+            runs[mode] = json.loads(out[out.index('{\n  "system"'):])
+
+        def keys(payload):
+            return sorted((p["node"], p["chain"], p["flagged_at"])
+                          for p in payload["predictions"])
+
+        once, watch = runs["once"], runs["watch"]
+        assert keys(once) and keys(watch) == keys(once)
+        assert once["ingest"]["quarantined"]
+        assert bool(once["ingest"]["reordered"]) == (horizon != "0")
+        assert watch["ingest"] == once["ingest"]
+        assert watch["stats"] == once["stats"]
+
 
 class TestObsReportErrors:
     def run_report(self, capsys, *argv):
