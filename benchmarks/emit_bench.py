@@ -10,7 +10,7 @@ Measures sustained events/s on the discard-heavy realistic stream for
   with a native scanner: record split, header check and scan in one C
   pass over the raw blob (rejected lines never decoded),
 
-plus **ingest** (mmap vs ``read()`` vs decoded-text line reading) and
+plus **ingest** (byte columns vs decoded-text line reading) and
 **scanner startup** (cold merged-DFA compilation vs warm load from the
 compiled-artifact cache, and the native kernel's cold ``cc`` compile
 vs warm shared-object load, see :mod:`repro.persistence`).  Everything is
@@ -144,40 +144,34 @@ def measure_hotpath(
 
 
 def measure_ingest(gen, n_events: int = 20_000, rounds: int = 5) -> dict:
-    """mmap vs ``read()`` vs decoded-text ingest, records/s best-of-N.
+    """Byte-column vs decoded-text ingest, records/s best-of-N.
 
-    All three read the same on-disk window: the byte path twice (mmap
-    via a path argument, one-shot ``read()`` via an open binary
-    handle — both split records and parse headers without decoding
-    payloads) and the text path via :func:`read_log` (full per-line
-    UTF-8 decode into events)."""
-    from repro.logsim.stream import read_log, read_record_batch
+    Both read the same on-disk window through the one record reader
+    (:func:`~repro.logsim.stream.frame_records` over fixed-size reads):
+    :func:`~repro.logsim.stream.read_byte_batch` parses headers without
+    decoding payloads, :func:`~repro.logsim.stream.read_log` decodes
+    every line into an event."""
+    from repro.logsim.stream import read_byte_batch, read_log
 
     events = discard_heavy_stream(gen, n_events)
-    mmap_best = read_best = text_best = 0.0
+    batch_best = text_best = 0.0
     with tempfile.TemporaryDirectory(prefix="aarohi-bench-ingest-") as tmp:
         path = Path(tmp) / "window.log"
         path.write_text(
             "".join(e.to_line() + "\n" for e in events), encoding="utf-8")
         for _ in range(rounds):
             t0 = time.perf_counter()
-            n = len(read_record_batch(path, on_error="strict"))
-            mmap_best = max(mmap_best, n / (time.perf_counter() - t0))
-
-            with open(path, "rb") as fh:
-                t0 = time.perf_counter()
-                n = len(read_record_batch(fh, on_error="strict"))
-                read_best = max(read_best, n / (time.perf_counter() - t0))
+            n = len(read_byte_batch(path, on_error="strict"))
+            batch_best = max(batch_best, n / (time.perf_counter() - t0))
 
             t0 = time.perf_counter()
             n = sum(1 for _ in read_log(path, on_error="strict"))
             text_best = max(text_best, n / (time.perf_counter() - t0))
     return {
         "records": n_events,
-        "mmap_records_per_s": round(mmap_best),
-        "read_records_per_s": round(read_best),
+        "byte_batch_records_per_s": round(batch_best),
         "decoded_text_records_per_s": round(text_best),
-        "mmap_vs_decoded_text": round(mmap_best / text_best, 2),
+        "byte_batch_vs_decoded_text": round(batch_best / text_best, 2),
     }
 
 

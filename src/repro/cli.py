@@ -64,13 +64,18 @@ except ImportError:
             " install the [fast] extra (pip install 'repro[fast]')")
 from .obs import (
     FlightRecorder,
+    HistoryRing,
     LiveMonitor,
     Observability,
     ObsServer,
     QualityScoreboard,
+    RuleEngine,
     SpanClock,
     Tracer,
+    daemon_ruleset,
+    default_ruleset,
     inter_arrival_budget,
+    load_rules,
 )
 from .reporting import render_table
 
@@ -157,8 +162,6 @@ def _ingest_summary(stats: IngestStats) -> Optional[str]:
         parts.append(f"{stats.reordered} reordered")
     if stats.late:
         parts.append(f"{stats.late} late (past the horizon)")
-    if stats.out_of_order:
-        parts.append(f"{stats.out_of_order} out of order")
     return "; ".join(parts)
 
 
@@ -234,7 +237,8 @@ def _make_obs(
     spans = SpanClock(spans_sample) if spans_sample > 0.0 else None
     flight = FlightRecorder(directory=flight_dir) if flight_dir else None
     history, rules = _make_history(
-        history_interval, rules_source, default_on=watch)
+        history_interval, rules_source,
+        default_ruleset() if watch else None)
     return Observability(tracer=tracer, live=live, quality=quality,
                          spans=spans, flight=flight,
                          history=history, rules=rules)
@@ -243,35 +247,28 @@ def _make_obs(
 def _make_history(
     history_interval: Optional[float],
     rules_source: Optional[str],
-    *,
-    default_on: bool = False,
+    default_rules=None,
 ):
     """Build the (history ring, rule engine) pair the flags ask for.
 
-    ``--watch`` (``default_on``) arms both by default — the dashboard's
-    trend columns and firing-alerts banner need them — while an
-    explicit ``--history``/``--rules`` wins over the default.
+    ``default_rules`` is the command's ruleset when ``--rules`` names
+    none: the shipped rules under ``--watch`` and ``obs-serve`` (the
+    dashboard's trend columns and firing-alerts banner need them), the
+    daemon rules under ``serve``, none under a plain ``predict``.  A
+    ruleset arms the ring; ``--history`` sets only its interval.
     """
-    from .obs import HistoryRing, RuleEngine, default_ruleset, load_rules
-
-    if history_interval is None and rules_source is None and default_on:
-        return HistoryRing(), RuleEngine(default_ruleset())
-    history = None
-    if history_interval is not None:
-        if history_interval < 0:
-            raise SystemExit("--history must be >= 0 seconds")
-        history = HistoryRing(interval=history_interval)
-    rules = None
+    if history_interval is not None and history_interval < 0:
+        raise SystemExit("--history must be >= 0 seconds")
     if rules_source:
         try:
-            loaded = (default_ruleset() if rules_source == "default"
-                      else load_rules(rules_source))
+            default_rules = (default_ruleset() if rules_source == "default"
+                             else load_rules(rules_source))
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot load rules {rules_source!r}: {exc}")
-        rules = RuleEngine(loaded)
-        if history is None:
-            history = HistoryRing()
-    return history, rules
+    rules = RuleEngine(default_rules) if default_rules is not None else None
+    if history_interval is not None:
+        return HistoryRing(interval=history_interval), rules
+    return (HistoryRing() if rules is not None else None), rules
 
 
 def _finish_obs(args: argparse.Namespace, obs: Optional[Observability]) -> None:
@@ -888,17 +885,6 @@ def _serve_bundle(args: argparse.Namespace):
         timeout=gen.recommended_timeout, system=args.system)
 
 
-def _make_serve_history(history_interval, rules_source):
-    """Serve self-monitors by default with the daemon ruleset (the
-    shipped rules plus shard-down / handoff-spike / backpressure);
-    explicit flags win."""
-    from .obs import HistoryRing, RuleEngine, daemon_ruleset
-
-    if history_interval is None and rules_source is None:
-        return HistoryRing(), RuleEngine(daemon_ruleset())
-    return _make_history(history_interval, rules_source, default_on=False)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded live-ingest daemon until SIGTERM/SIGINT, then
     drain gracefully and write the run's accounting."""
@@ -908,7 +894,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     bundle = _serve_bundle(args)
     flight = (FlightRecorder(directory=args.flight_dir)
               if args.flight_dir else None)
-    history, rules = _make_serve_history(args.history, args.rules)
+    history, rules = _make_history(
+        args.history, args.rules, daemon_ruleset())
     obs = Observability(flight=flight, history=history, rules=rules)
     try:
         daemon = FleetDaemon(
@@ -1146,8 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "and on /debug/flight")
     p.add_argument("--history", type=float, default=None,
                    metavar="SECONDS",
-                   help="history-ring capture interval (default: armed, "
-                        "capturing at most once per second)")
+                   help="history-ring capture interval; the rules stay "
+                        "armed (default: at most once per second)")
     p.add_argument("--rules", default=None, metavar="RULES",
                    help="alert rules: a [[rule]] TOML file or 'default' "
                         "(default: the shipped ruleset; serves /alerts)")
@@ -1194,8 +1181,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm the flight recorder (shutdown + alert "
                         "capsules land in DIR)")
     p.add_argument("--history", type=float, default=None, metavar="SECONDS",
-                   help="history-ring capture interval (default: armed, "
-                        "capturing at most once per second)")
+                   help="history-ring capture interval; the rules stay "
+                        "armed (default: at most once per second)")
     p.add_argument("--rules", default=None, metavar="RULES",
                    help="alert rules: a [[rule]] TOML file or 'default' "
                         "(default: the daemon ruleset — shipped rules "

@@ -28,8 +28,8 @@ oracle that shares no code with the sharded path.  The pieces:
   with every result;
 * **sources** — each connection and each tailed file is a generator
   of byte chunks, framed into records by
-  :func:`~repro.logsim.stream.frame_records`, the reader the CLI's
-  sliced replays share too;
+  :func:`~repro.logsim.stream.frame_records`, the one record reader
+  every Python path that reads log bytes shares;
 * **reorder repair** — with a positive horizon, each source frames
   through its own :class:`~repro.logsim.stream.SortBuffer` over the
   record timestamps (each forwarder is near-sorted on its own; the
@@ -860,10 +860,18 @@ class FleetDaemon:
     def stop(self, drain: bool = True, timeout: float = 60.0) -> DaemonReport:
         """Graceful shutdown: close sources, optionally drain, retire
         workers, and return the final accounting (predictions sorted by
-        flag time)."""
+        flag time).
+
+        Each open connection's read side is shut, so its reader takes
+        what the kernel already holds, reaches EOF and flushes its
+        reorder buffer through :meth:`submit`; bytes a sender has not
+        sent by then are not ingested.  Only after the one drain does
+        ``submit`` start refusing lines.  ``drain=False`` refuses them
+        at once."""
         deadline = _time.monotonic() + timeout
         with self._lock:
             self._accepting = False
+            self._stopping = not drain
         for server in self._tcp_servers:
             try:
                 server.close()
@@ -871,33 +879,20 @@ class FleetDaemon:
                 pass
         for thread in self._source_threads:
             thread.join(timeout=5.0)
-        if drain:
-            # Graceful half: let open connections finish at their own
-            # EOF, so bytes already on the wire are still predicted on.
-            with self._lock:
-                conn_threads = list(self._conn_threads)
-            for thread in conn_threads:
-                thread.join(timeout=max(0.0, deadline - _time.monotonic()))
-        drained = self.drain(timeout) if drain else True
         with self._lock:
-            self._stopping = True
             conns = list(self._conns)
             conn_threads = list(self._conn_threads)
         for conn in conns:
             try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
+                conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
         for thread in conn_threads:
-            thread.join(timeout=5.0)
-        if drain and drained:
-            # Connection teardown may have flushed reorder buffers.
-            drained = self.drain(timeout)
+            thread.join(timeout=max(0.0, deadline - _time.monotonic()))
+        drained = (self.drain(max(0.0, deadline - _time.monotonic()))
+                   if drain else True)
         with self._lock:
+            self._stopping = True
             for shard in self._shards:
                 if shard.proc is not None and shard.proc.is_alive():
                     try:

@@ -272,34 +272,28 @@ class PredictorFleet:
     ) -> FleetReport:
         """Replay serialized log lines through the fleet, tolerantly.
 
-        ``source`` is a path / text handle (routed through
-        :func:`~repro.logsim.stream.read_log`) or an iterable of lines
-        (:func:`~repro.logsim.stream.decode_lines`).  ``on_error``
-        selects the decode policy — the default keeps the replay alive
-        across malformed lines, quarantining them into the report's
-        :attr:`~FleetReport.ingest` counters.  A positive
-        ``reorder_horizon`` orders the decoded events the way a
-        :class:`~repro.logsim.stream.SortBuffer` would, so near-sorted
-        input (clock skew, interleaved controllers) reaches the engines
-        in time order.  When the fleet carries an Observability, the
-        ingest funnel is folded in alongside the run's other series.
+        ``source`` is a path, a byte buffer, a text handle or an
+        iterable of lines.  ``on_error`` selects the decode policy — the
+        default keeps the replay alive across malformed lines,
+        quarantining them into the report's :attr:`~FleetReport.ingest`
+        counters.  A positive ``reorder_horizon`` orders the decoded
+        events the way a :class:`~repro.logsim.stream.SortBuffer` would,
+        so near-sorted input (clock skew, interleaved controllers)
+        reaches the engines in time order.  When the fleet carries an
+        Observability, the ingest funnel is folded in alongside the
+        run's other series.
 
         A native scanner fed a path or byte buffer under a tolerant
         policy and ``timing`` other than ``"full"`` takes the fused C
         pass (:meth:`_run_fused`), reorder horizon or not.  Everything
-        else takes the decoded path: a byte buffer through byte ingest
-        (:func:`~repro.logsim.stream.read_byte_batch`) and then decode,
-        any other source through the text reader.
+        else takes the decoded path:
+        :func:`~repro.logsim.stream.read_log`, which frames a path or
+        byte buffer by the fused pass's record rule, then
+        :func:`~repro.logsim.stream.sorted_stream` under a horizon.
         """
         from pathlib import Path
 
-        from ..logsim.stream import (
-            IngestStats,
-            decode_lines,
-            read_byte_batch,
-            read_log,
-            sorted_stream,
-        )
+        from ..logsim.stream import IngestStats, read_log, sorted_stream
 
         stats = IngestStats()
         span = self._span_start()
@@ -322,22 +316,9 @@ class PredictorFleet:
                 reorder_horizon=reorder_horizon, stats=stats, span=span)
             report.ingest = stats
             return report
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            # Raw buffers can still reach the decoded path (timing=
-            # "full", a strict policy, or a str-kernel fleet fed a byte
-            # blob): ingest at the byte layer, then decode for the
-            # event driver.
-            events = iter(read_byte_batch(
-                source, on_error=on_error,
-                reorder_horizon=reorder_horizon, stats=stats,
-            ).decode_events())
-        else:
-            if isinstance(source, (str, Path)) or hasattr(source, "read"):
-                events = read_log(source, on_error=on_error, stats=stats)
-            else:
-                events = decode_lines(source, on_error=on_error, stats=stats)
-            if reorder_horizon > 0:
-                events = sorted_stream(events, reorder_horizon, stats)
+        events = read_log(source, on_error=on_error, stats=stats)
+        if reorder_horizon > 0:
+            events = sorted_stream(events, reorder_horizon, stats)
         if span is not None:
             span.lap(STAGE_INGEST)  # iterator setup; the read is lazy
         events = list(events)
@@ -371,7 +352,7 @@ class PredictorFleet:
         shape, or an escaped message).  Suspects re-run the tolerant
         Python parser, so quarantine decisions, counts, and warn-policy
         logging are identical to
-        :func:`~repro.logsim.stream.read_record_batch`; a decoded
+        :func:`~repro.logsim.stream.read_byte_batch`; a decoded
         suspect writes its time back into the record times and is
         tokenized through the scanner like any other line.  With a
         positive ``reorder_horizon`` the scanner's ``reorder`` replays

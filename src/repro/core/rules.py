@@ -56,12 +56,6 @@ class RuleSet:
     subchain_nts: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     group_nts: Dict[str, List[Tuple[Symbol, ...]]] = field(default_factory=dict)
 
-    def rule_of(self, chain_id: str) -> ChainRule:
-        for rule in self.rules:
-            if rule.chain_id == chain_id:
-                return rule
-        raise KeyError(chain_id)
-
     def describe(self) -> str:
         """Human-readable dump in the style of Table IV."""
         lines = ["P_FC:"]

@@ -5,7 +5,7 @@
 * :mod:`.faults` — failure-chain definitions and ΔT / lead-gap models
 * :mod:`.systems` — HPC1–HPC4 configs (Table II)
 * :mod:`.generator` — seeded workload generation with chain injection
-* :mod:`.stream` — merge / serialize / replay plumbing
+* :mod:`.stream` — framing / serialize / replay plumbing
 """
 
 # The simulator half (catalogs/faults/generator/corruptions) needs
@@ -36,17 +36,12 @@ from .stream import (
     ByteRecordBatch,
     IngestStats,
     SortBuffer,
-    StreamOrderError,
     clip_window,
     decode_lines,
     frame_records,
-    iter_byte_records,
-    merge_streams,
     read_byte_batch,
     read_log,
-    read_record_batch,
     read_truth,
-    sort_record_batch,
     sorted_stream,
     split_by_node,
     write_log,
@@ -81,7 +76,6 @@ __all__ = [
     "NodeName",
     "SIMULATOR_AVAILABLE",
     "SortBuffer",
-    "StreamOrderError",
     "SystemConfig",
     "catalog_for",
     "chain_defs_for",
@@ -94,14 +88,10 @@ __all__ = [
     "evaluate_placement",
     "file_sink",
     "frame_records",
-    "iter_byte_records",
-    "merge_streams",
     "parse_time_prefix",
     "read_byte_batch",
     "read_log",
-    "read_record_batch",
     "read_truth",
-    "sort_record_batch",
     "sorted_stream",
     "split_by_node",
     "stream_log",

@@ -27,7 +27,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, IO, Optional, Union
 
-from .stream import iter_byte_records
+from .stream import byte_chunks, frame_records
 
 Sink = Callable[[bytes], object]
 
@@ -86,7 +86,9 @@ def stream_log(
     min_sleep: float = 0.005,
 ) -> EmitStats:
     """Ship ``source``'s records to ``sink`` as newline-terminated
-    bytes, paced at ``pace``× event time (``0`` = no pacing).
+    bytes, paced at ``pace``× event time (``0`` = no pacing).  Records
+    are framed by :func:`~repro.logsim.stream.frame_records`, so a CRLF
+    log's records go out with LF endings.
 
     Records are coalesced into buffers of up to ``chunk`` lines between
     sink calls; a pacing wait always flushes first, so everything due
@@ -117,7 +119,7 @@ def stream_log(
     t0: Optional[float] = None  # first parseable event time
     wall0 = clock()
     last_offset = 0.0  # schedule inherited by unparseable records
-    for record in iter_byte_records(source):
+    for record in frame_records(byte_chunks(source)):
         if pace > 0:
             t = parse_time_prefix(record)
             if t is None:

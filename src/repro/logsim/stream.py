@@ -1,9 +1,9 @@
-"""Stream plumbing: merging, serialization, tolerant replay.
+"""Stream plumbing: framing, serialization, tolerant replay.
 
 The HSS aggregation point (Fig. 16) sees one time-ordered stream merged
-from every controller.  These helpers merge per-source event iterators
-by timestamp (heap merge, lazily), write/read the syslog-like text form,
-and replay a recorded window as an iterator.
+from every controller.  These helpers frame that stream's bytes into
+records, write/read the syslog-like text form, and replay a recorded
+window as an iterator.
 
 Real Cray syslog is not byte-perfect: records get truncated by crashing
 writers, garbled in transit, duplicated by retransmission, and skewed
@@ -16,12 +16,13 @@ gracefully instead of assuming pristine input:
 * :class:`IngestStats` carries the funnel counters, whose identity
   ``decoded + quarantined == lines_read`` is asserted by the tests;
 * :class:`SortBuffer` re-sorts a *near*-sorted stream within a bounded
-  time horizon (clock skew, interleaved controller writes), and
-  :func:`merge_streams` grows a disorder guard so unsorted inputs are
-  detected instead of silently corrupting downstream ΔT state;
+  time horizon (clock skew, interleaved controller writes);
 * :func:`frame_records` turns a byte stream that arrives in pieces (a
-  socket, a tailed file, a whole file) into ordered records, through a
-  :class:`SortBuffer` when a horizon is set.
+  socket, a tailed file, a file or byte buffer read in
+  :func:`byte_chunks`) into ordered records, through a
+  :class:`SortBuffer` when a horizon is set.  It is the one record
+  reader: every Python path that reads log bytes frames them here, by
+  the same rule as the native kernel's fused pass.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import logging
 import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import (IO, Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -50,10 +52,6 @@ ERROR_POLICIES = ("strict", "warn", "quarantine")
 WARN_LINE_CAP = 5
 
 
-class StreamOrderError(ValueError):
-    """A guarded stream produced an out-of-order event."""
-
-
 @dataclass
 class IngestStats:
     """Counters describing one ingest pass (decode funnel + ordering).
@@ -69,7 +67,6 @@ class IngestStats:
     # quarantine reasons → counts (LogDecodeError.reason tags)
     quarantined_by_reason: Dict[str, int] = field(default_factory=dict)
     # ordering discipline
-    out_of_order: int = 0  # disordered events seen by a merge guard
     reordered: int = 0  # arrival inversions a SortBuffer repaired
     late: int = 0  # events beyond the reorder horizon (emitted as-is)
 
@@ -101,7 +98,6 @@ class IngestStats:
             "decoded": self.decoded,
             "quarantined": self.quarantined,
             "quarantined_by_reason": dict(self.quarantined_by_reason),
-            "out_of_order": self.out_of_order,
             "reordered": self.reordered,
             "late": self.late,
         }
@@ -111,59 +107,6 @@ def _check_policy(on_error: str) -> None:
     if on_error not in ERROR_POLICIES:
         raise ValueError(
             f"unknown error policy {on_error!r}; expected one of {ERROR_POLICIES}")
-
-
-def merge_streams(
-    *streams: Iterable[LogEvent],
-    on_disorder: str = "pass",
-    stats: Optional[IngestStats] = None,
-) -> Iterator[LogEvent]:
-    """Lazily merge time-ordered event streams into one ordered stream.
-
-    ``heapq.merge`` assumes each input is itself sorted; an unsorted
-    input silently yields out-of-order output.  The guard makes that
-    failure mode explicit:
-
-    * ``on_disorder="pass"`` — emit as-is (counting into ``stats`` when
-      given); with no ``stats`` this is the zero-overhead original path;
-    * ``"warn"`` — count, log once per merge, keep going;
-    * ``"raise"`` — raise :class:`StreamOrderError` at the first
-      backwards timestamp.
-
-    Downstream consumers never see *silent* corruption: the matcher's
-    negative-ΔT clamp (see :mod:`repro.core.matcher`) absorbs whatever
-    the chosen policy lets through.
-    """
-    if on_disorder not in ("pass", "warn", "raise"):
-        raise ValueError(f"unknown disorder policy {on_disorder!r}")
-    merged = heapq.merge(*streams, key=lambda e: e.time)
-    if on_disorder == "pass" and stats is None:
-        return merged
-    return _guarded(merged, on_disorder, stats)
-
-
-def _guarded(
-    events: Iterable[LogEvent], on_disorder: str, stats: Optional[IngestStats]
-) -> Iterator[LogEvent]:
-    last = float("-inf")
-    disordered = 0
-    for event in events:
-        if event.time < last:
-            disordered += 1
-            if stats is not None:
-                stats.out_of_order += 1
-            if on_disorder == "raise":
-                raise StreamOrderError(
-                    f"event at t={event.time:.6f} after t={last:.6f} "
-                    f"(node {event.node})")
-            if on_disorder == "warn" and disordered == 1:
-                _log.warning(
-                    "merge_streams: out-of-order event at t=%.6f after "
-                    "t=%.6f (node %s); counting further occurrences",
-                    event.time, last, event.node)
-        else:
-            last = event.time
-        yield event
 
 
 class SortBuffer:
@@ -324,76 +267,57 @@ def decode_lines(
 
 
 def read_log(
-    source: Union[str, Path, IO[str]],
+    source: Union[str, Path, bytes, bytearray, memoryview, Iterable[str]],
     *,
     on_error: str = "warn",
     stats: Optional[IngestStats] = None,
 ) -> Iterator[LogEvent]:
-    """Parse a log file produced by :func:`write_log` lazily.
+    """Parse a log produced by :func:`write_log` lazily.
+
+    A path or a byte buffer is framed by :func:`frame_records` (a record
+    ends at LF alone, one trailing CR is stripped, blank records are
+    skipped: the native kernel's fused pass splits the same way) and
+    each record is replace-decoded, so even invalid UTF-8 reaches the
+    decoder as (quarantinable) text under every policy.  A text handle
+    or an iterable of lines goes to :func:`decode_lines` as it is.
 
     The default policy (``"warn"``) keeps the stream alive across
     malformed, truncated, or mojibake lines — they are quarantined and
     counted into ``stats`` instead of aborting the replay; pass
-    ``on_error="strict"`` for the old raise-on-first-error behavior.
-    File sources are opened with ``errors="replace"`` under the
-    tolerant policies, so even invalid UTF-8 bytes reach the decoder as
-    (quarantinable) text rather than killing the file iterator.
+    ``on_error="strict"`` to raise :class:`LogDecodeError` at the first.
     """
-    _check_policy(on_error)
-    if isinstance(source, (str, Path)):
-        errors = "strict" if on_error == "strict" else "replace"
-        with open(source, "r", encoding="utf-8", errors=errors) as fh:
-            yield from decode_lines(fh, on_error=on_error, stats=stats)
-        return
-    yield from decode_lines(source, on_error=on_error, stats=stats)
+    if isinstance(source, (str, Path, bytes, bytearray, memoryview)):
+        source = (record.decode("utf-8", "replace")
+                  for record in frame_records(byte_chunks(source)))
+    return decode_lines(source, on_error=on_error, stats=stats)
 
 
 # -- byte-level ingest ------------------------------------------------
 #
 # Raw UTF-8 records, split without decoding.  The native scan kernel's
 # fused pass (PredictorFleet._run_fused) reads a whole buffer from
-# open_byte_buffer and re-parses only its suspect records with
-# parse_record_bytes.  read_record_batch is the Python reference for
-# that pass's ingest decisions, and the route a byte blob takes into a
-# fleet that decodes (the str kernels, timing="full", a strict policy):
-# it parses *headers* eagerly (timestamp — the quarantine decision
-# needs it — and the node/message field split) and leaves node and
-# message bytes undecoded until decode_events.
+# open_byte_buffer, splits it in C by frame_records' rule, and re-parses
+# only its suspect records with parse_record_bytes.  Every Python reader
+# frames through frame_records, a file or byte buffer over byte_chunks.
+
+#: Read size of :func:`byte_chunks` over a file.
+CHUNK_BYTES = 1 << 20
 
 
-def iter_byte_records(
+def byte_chunks(
     source: Union[str, Path, bytes, bytearray, memoryview, IO[bytes]],
 ) -> Iterator[bytes]:
-    """Split a byte source into newline-delimited records.
-
-    * paths are **mmapped** (``ACCESS_READ``) — the file never transits
-      the Python heap as a whole; each record is sliced out on demand
-      (slices are immutable ``bytes``);
-    * binary file objects are drained with one ``read()``;
-    * ``bytes``/``bytearray``/``memoryview`` buffers (socket-style
-      receive windows) are split in place.
-
-    Blank records are skipped, matching the text pipeline.
-    """
+    """``source``'s bytes as :func:`frame_records` takes them: a path or
+    a binary handle in :data:`CHUNK_BYTES` reads, a byte buffer as one
+    chunk."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        yield bytes(source)  # records must be immutable, hashable bytes
+        return
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            try:
-                buf: Union[bytes, mmap.mmap] = mmap.mmap(
-                    fh.fileno(), 0, access=mmap.ACCESS_READ)
-            except (ValueError, OSError):  # empty or unmappable file
-                buf = fh.read()
-            try:
-                yield from _split_records(buf)
-            finally:
-                if isinstance(buf, mmap.mmap):
-                    buf.close()
+            yield from iter(partial(fh.read, CHUNK_BYTES), b"")
         return
-    if hasattr(source, "read"):
-        yield from _split_records(source.read())
-        return
-    if isinstance(source, (bytearray, memoryview)):
-        source = bytes(source)  # slices must be immutable/hashable
-    yield from _split_records(source)
+    yield from iter(partial(source.read, CHUNK_BYTES), b"")
 
 
 @contextmanager
@@ -428,27 +352,13 @@ def open_byte_buffer(
     yield source
 
 
-def _split_records(buf) -> Iterator[bytes]:
-    find = buf.find
-    n = len(buf)
-    start = 0
-    while start < n:
-        nl = find(b"\n", start)
-        if nl < 0:
-            yield buf[start:]
-            return
-        if nl > start:
-            yield buf[start:nl]
-        start = nl + 1
-
-
 @dataclass
 class ByteRecordBatch:
     """A record stream with parsed headers and undecoded payloads.
 
     Parallel lists: ``times[i]`` (epoch seconds, parsed eagerly — the
     quarantine decision requires it), ``nodes[i]`` and ``messages[i]``
-    (raw UTF-8 bytes), decoded together by :meth:`decode_events`.
+    (raw UTF-8 bytes).
     """
 
     times: List[float]
@@ -458,31 +368,27 @@ class ByteRecordBatch:
     def __len__(self) -> int:
         return len(self.times)
 
-    def decode_events(self) -> List[LogEvent]:
-        """Fully decode into :class:`LogEvent` objects: the decoded
-        path's byte ingest, never the fused pass."""
-        return [
-            LogEvent(t, str(n, "utf-8", "replace"), str(m, "utf-8", "replace"))
-            for t, n, m in zip(self.times, self.nodes, self.messages)
-        ]
 
-
-def read_record_batch(
+def read_byte_batch(
     source: Union[str, Path, bytes, bytearray, memoryview, IO[bytes]],
     *,
     on_error: str = "warn",
+    reorder_horizon: float = 0.0,
     stats: Optional[IngestStats] = None,
 ) -> ByteRecordBatch:
-    """Byte-level analog of :func:`read_log`: mmap/split/validate into
-    a :class:`ByteRecordBatch` under the same error policies.
+    """Byte-level analog of :func:`read_log` + :func:`sorted_stream`:
+    the records :func:`frame_records` frames from ``source``, each
+    header-parsed by :func:`~repro.core.events.parse_record_bytes`
+    under the same error policies into a :class:`ByteRecordBatch`,
+    then reordered by :func:`sorted_stream` over the parsed times
+    under a positive ``reorder_horizon`` (so no header is parsed
+    twice).
 
-    Quarantine decisions and counts match the text pipeline line for
-    line (asserted by the ingest equivalence tests); the funnel
+    Quarantine decisions and counts match the text pipeline record for
+    record (asserted by the ingest equivalence tests); the funnel
     identity ``decoded + quarantined == lines_read`` holds on every
     exit path.  Under ``"strict"`` the first undecodable record raises
-    :class:`LogDecodeError` (the text pipeline may instead surface a
-    ``UnicodeDecodeError`` from the file reader for invalid UTF-8 —
-    both abort ingest; byte ingest pins down *which record*).
+    :class:`LogDecodeError`.
     """
     _check_policy(on_error)
     strict = on_error == "strict"
@@ -494,14 +400,7 @@ def read_record_batch(
     quarantined = 0
     by_reason: Dict[str, int] = {}
     try:
-        for record in iter_byte_records(source):
-            if record.endswith(b"\r"):
-                # Text-mode reads normalize CRLF; serialized messages
-                # never end in a raw \r (escape_message), so stripping
-                # one here keeps the pipelines identical on CRLF logs.
-                record = record[:-1]
-                if not record:
-                    continue
+        for record in frame_records(byte_chunks(source)):
             lines_read += 1
             try:
                 t, node, message = parse_record_bytes(record)
@@ -531,6 +430,11 @@ def read_record_batch(
                 stats.quarantined_by_reason[reason] = (
                     stats.quarantined_by_reason.get(reason, 0) + n
                 )
+    if reorder_horizon > 0:
+        order = [s.item for s in sorted_stream(
+            map(_Stamped, times, range(len(times))), reorder_horizon, stats)]
+        times, nodes, messages = (
+            [column[i] for i in order] for column in (times, nodes, messages))
     return ByteRecordBatch(times, nodes, messages)
 
 
@@ -542,52 +446,16 @@ class _Stamped(NamedTuple):
     item: object
 
 
-def sort_record_batch(
-    batch: ByteRecordBatch,
-    horizon_s: float,
-    stats: Optional[IngestStats] = None,
-) -> ByteRecordBatch:
-    """Bounded-horizon reorder of a batch — :class:`SortBuffer`
-    semantics (including ``reordered``/``late`` accounting) applied to
-    the parallel lists by index."""
-    buffer = SortBuffer(horizon_s, stats)
-    order: List[int] = []
-    for i, t in enumerate(batch.times):
-        order.extend(s.item for s in buffer.push(_Stamped(t, i)))
-    order.extend(s.item for s in buffer.flush())
-    return ByteRecordBatch(
-        times=[batch.times[i] for i in order],
-        nodes=[batch.nodes[i] for i in order],
-        messages=[batch.messages[i] for i in order],
-    )
-
-
-def read_byte_batch(
-    source: Union[str, Path, bytes, bytearray, memoryview, IO[bytes]],
-    *,
-    on_error: str = "warn",
-    reorder_horizon: float = 0.0,
-    stats: Optional[IngestStats] = None,
-) -> ByteRecordBatch:
-    """One-call byte ingest: :func:`read_record_batch` plus the optional
-    bounded-horizon reorder — the byte analog of ``read_log`` +
-    ``sorted_stream`` as :meth:`PredictorFleet.run_lines` composes them.
-    """
-    batch = read_record_batch(source, on_error=on_error, stats=stats)
-    if reorder_horizon > 0:
-        batch = sort_record_batch(batch, reorder_horizon, stats)
-    return batch
-
-
 def frame_records(
     chunks: Iterable[bytes],
     reorder_horizon: float = 0.0,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[bytes]:
     """Frame a byte stream that arrives in arbitrary chunks into its
-    newline-delimited records, in order: the one reader behind
-    ``aarohi serve``'s sockets and tailed files and the CLI's sliced
-    replays.
+    newline-delimited records, in order: the one record reader, behind
+    ``aarohi serve``'s sockets and tailed files, the CLI's sliced
+    replays, ``aarohi stream``, :func:`read_log` and
+    :func:`read_byte_batch`.
 
     Each chunk is split once, and a record cut by chunk boundaries is
     joined when its newline arrives, so a sender that never sends one
@@ -615,14 +483,13 @@ def frame_records(
             head.append(records[0])
             records[0] = b"".join(head)
         head = [records.pop()]
-        for record in records:
-            if record.endswith(b"\r"):
-                record = record[:-1]
-            if not record:
-                continue
-            if sort is None:
-                yield record
-                continue
+        # A CR ending records[0] may have arrived in an earlier chunk.
+        if b"\r" in chunk or records[0].endswith(b"\r"):
+            records = [r[:-1] if r.endswith(b"\r") else r for r in records]
+        if sort is None:
+            yield from filter(None, records)
+            continue
+        for record in filter(None, records):
             try:
                 stamp = parse_record_bytes(record)[0]
             except LogDecodeError:

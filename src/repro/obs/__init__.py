@@ -131,7 +131,6 @@ from .names import (  # noqa: F401  (canonical names, re-exported)
     INGEST_FUNNEL_STAGES,
     INGEST_LATE,
     INGEST_LINES_READ,
-    INGEST_OUT_OF_ORDER,
     INGEST_QUARANTINE_BURN,
     INGEST_QUARANTINE_FRACTION,
     INGEST_QUARANTINED,
@@ -425,9 +424,6 @@ class Observability:
         registry.counter(
             INGEST_QUARANTINED, "undecodable lines quarantined",
             **labels).set_total(ingest.quarantined)
-        registry.counter(
-            INGEST_OUT_OF_ORDER, "disordered events seen by merge guards",
-            **labels).set_total(ingest.out_of_order)
         registry.counter(
             INGEST_REORDERED, "arrival inversions repaired by sort buffers",
             **labels).set_total(ingest.reordered)
@@ -908,7 +904,6 @@ class Observability:
                 "quarantine_fraction": fraction,
                 "slo_fraction": self.quarantine_slo,
                 "burn_rate": burn,
-                "out_of_order": ingest.out_of_order,
                 "late": ingest.late,
                 "ok": burn <= 1.0,
             }

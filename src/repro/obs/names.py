@@ -33,7 +33,6 @@ NEGATIVE_DELTA_T = "aarohi_negative_delta_t_total"
 INGEST_LINES_READ = "aarohi_ingest_lines_read_total"
 INGEST_DECODED = "aarohi_ingest_decoded_total"
 INGEST_QUARANTINED = "aarohi_ingest_quarantined_total"
-INGEST_OUT_OF_ORDER = "aarohi_ingest_out_of_order_total"
 INGEST_REORDERED = "aarohi_ingest_reordered_total"
 INGEST_LATE = "aarohi_ingest_late_total"
 INGEST_QUARANTINE_FRACTION = "aarohi_ingest_quarantine_fraction"

@@ -162,9 +162,6 @@ class DFA:
             return DEAD
         return self.transitions[state * self.n_classes + cls]
 
-    def accept_tag(self, state: int) -> Optional[int]:
-        return self.accepts[state]
-
     def match(self, text: str, pos: int = 0) -> Tuple[Optional[int], int]:
         """Longest match of the DFA starting at ``text[pos]``.
 

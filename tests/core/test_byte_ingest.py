@@ -1,12 +1,14 @@
 """Byte-level ingest and the fleet byte hot path.
 
-Covers the zero-copy ingest sources (mmap'd files, binary handles,
-socket-style buffers), the ingest equivalence contract against the
-text pipeline (quarantine decisions and counts line for line, invalid
-UTF-8 included), and the fleet wiring: ``run_lines`` over byte records
-— the fused native pass, or byte ingest then decode — must produce the
-same predictions, ingest funnel, and scanner funnel as the decoded str
-path, in one fleet and sharded.
+Covers the byte sources the one record reader (``frame_records`` over
+``byte_chunks``: files and binary handles in fixed-size reads, byte
+buffers whole) frames alike, the ingest equivalence contract between
+``read_byte_batch`` and the text pipeline (quarantine decisions and
+counts line for line, invalid UTF-8 included), and the fleet wiring:
+``run_lines`` over byte records — the fused native pass, or
+``read_log`` then decode — must produce the same predictions, ingest
+funnel, and scanner funnel as the decoded str path, in one fleet and
+sharded.
 """
 
 import io
@@ -23,12 +25,13 @@ from repro.logsim import (
     CorruptionSpec,
     IngestStats,
     corrupt_window,
-    iter_byte_records,
+    frame_records,
     read_byte_batch,
     read_log,
-    read_record_batch,
     write_log,
 )
+from repro.logsim import stream
+from repro.logsim.stream import byte_chunks, open_byte_buffer
 from repro.persistence import PredictorBundle
 
 BACKENDS = ["str"] + (["native"] if native_available() else [])
@@ -72,35 +75,52 @@ def prediction_keys(predictions):
             for p in predictions]
 
 
+def framed(source):
+    return list(frame_records(byte_chunks(source)))
+
+
 class TestByteSources:
-    def test_mmap_handle_and_buffer_agree(self, log_path):
+    def test_mmap_handle_and_buffer_agree(self, log_path, window,
+                                          monkeypatch):
+        # A path and a binary handle arrive in fixed-size reads, a
+        # buffer in one chunk; the framer reads them alike, and the
+        # fused pass's mmap holds the same bytes.
         blob = log_path.read_bytes()
-        from_path = list(iter_byte_records(log_path))
-        from_handle = list(iter_byte_records(io.BytesIO(blob)))
-        from_buffer = list(iter_byte_records(blob))
-        from_view = list(iter_byte_records(memoryview(blob)))
-        assert from_path == from_handle == from_buffer == from_view
+        from_path = framed(log_path)
+        from_handle = framed(io.BytesIO(blob))
+        from_buffer = framed(blob)
+        from_view = framed(memoryview(blob))
+        with open_byte_buffer(log_path) as mapped:
+            from_mmap = framed(bytes(mapped))
+        assert from_path == from_handle == from_buffer == from_view == \
+            from_mmap
+        assert len(from_path) == len(window.events)
         assert all(isinstance(r, bytes) for r in from_view)
+        # Reads that cut records mid-way frame the same records.
+        monkeypatch.setattr(stream, "CHUNK_BYTES", 4093)
+        assert len(list(byte_chunks(log_path))) > 1
+        assert framed(log_path) == from_path
 
     def test_blank_records_and_crlf(self):
         blob = (b"\n\n" + line(1.5, "n0", "hello") + b"\r\n" + b"\r\n"
                 + line(2.5, "n0", "world") + b"\n")
-        records = list(iter_byte_records(blob))
-        assert records == [line(1.5, "n0", "hello") + b"\r", b"\r",
-                           line(2.5, "n0", "world")]
-        batch = read_record_batch(blob, on_error="quarantine")
+        assert framed(blob) == [line(1.5, "n0", "hello"),
+                                line(2.5, "n0", "world")]
+        batch = read_byte_batch(blob, on_error="quarantine")
         assert batch.messages == [b"hello", b"world"]
         assert batch.times == [1.5, 2.5]
 
     def test_missing_trailing_newline(self):
         blob = line(1.0, "n0", "alpha") + b"\n" + line(2.0, "n0", "beta")
-        batch = read_record_batch(blob)
+        batch = read_byte_batch(blob)
         assert batch.messages == [b"alpha", b"beta"]
 
     def test_empty_file_mmap_fallback(self, tmp_path):
         empty = tmp_path / "empty.log"
         empty.write_bytes(b"")
-        assert list(iter_byte_records(empty)) == []
+        with open_byte_buffer(empty) as buf:  # an empty file cannot map
+            assert buf == b""
+        assert framed(empty) == []
         assert len(read_byte_batch(empty)) == 0
 
     def test_reorder_horizon_sorts_batch(self):
@@ -120,10 +140,11 @@ class TestIngestEquivalence:
         events = list(read_log(log_path, stats=text_stats))
         assert byte_stats.as_dict() == text_stats.as_dict()
         assert byte_stats.funnel_ok
-        decoded = batch.decode_events()
-        assert [(e.time, e.node, e.message) for e in decoded] == \
-            [(e.time, e.node, e.message) for e in events]
-        assert len(decoded) == len(window.events)
+        assert batch.times == [e.time for e in events]
+        assert [n.decode() for n in batch.nodes] == [e.node for e in events]
+        assert [m.decode() for m in batch.messages] == \
+            [e.message for e in events]
+        assert len(batch) == len(window.events)
 
     def test_corrupted_batch_quarantines_like_text(self, window):
         lines, report = corrupt_window(
@@ -156,8 +177,8 @@ class TestIngestEquivalence:
         ]
         blob = b"\n".join(records) + b"\n"
         byte_stats, text_stats = IngestStats(), IngestStats()
-        batch = read_record_batch(blob, on_error="quarantine",
-                                  stats=byte_stats)
+        batch = read_byte_batch(blob, on_error="quarantine",
+                                stats=byte_stats)
         text = blob.decode("utf-8", "replace")
         events = list(read_log(io.StringIO(text), on_error="quarantine",
                                stats=text_stats))
@@ -184,8 +205,8 @@ class TestFleetBytePath:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_byte_blob_matches_run(self, gen, window, backend):
-        # native runs the fused pass over the blob; str ingests it at
-        # the byte layer, then decodes.
+        # native runs the fused pass over the blob; str reads it
+        # through read_log's framer, then decodes.
         blob = "\n".join(e.to_line() for e in window.events).encode() + b"\n"
         buffered = make_fleet(gen, backend).run_lines(blob, timing="off")
         direct = make_fleet(gen, backend).run(window.events)
@@ -206,6 +227,29 @@ class TestFleetBytePath:
         assert prediction_keys(byte_report.predictions) == \
             prediction_keys(str_report.predictions)
         assert byte_report.ingest.as_dict() == str_report.ingest.as_dict()
+
+    def test_lone_carriage_returns_split_alike(self, gen, window, tmp_path):
+        # A raw CR inside a record ends nothing: a str fleet reading the
+        # file frames it as the fused native pass splits it.
+        records = []
+        for i, e in enumerate(window.events):
+            record = e.to_line().encode()
+            if i % 97 == 0:
+                cut = len(record) - len(e.message.encode()) // 2
+                record = record[:cut] + b"\r" + record[cut:]
+            records.append(record)
+        path = tmp_path / "lone-cr.log"
+        path.write_bytes(b"\n".join(records) + b"\n")
+        reports = [
+            make_fleet(gen, backend).run_lines(
+                path, on_error="quarantine", timing="off")
+            for backend in ("str", "native")]
+        assert reports[0].predictions
+        assert full_keys(reports[0].predictions) == \
+            full_keys(reports[1].predictions)
+        assert reports[0].ingest.as_dict() == reports[1].ingest.as_dict()
+        assert reports[0].ingest.lines_read == len(records)
+        assert reports[0].ingest.quarantined == 0
 
     def test_full_timing_byte_blob_decodes(self, gen, window):
         # timing="full" needs per-event tokenize timing, so a byte blob
@@ -279,8 +323,8 @@ class TestFusedNativePath:
     """run_lines with a native scanner, timing other than "full" and a
     tolerant policy routes through the fused single-pass C kernel, with
     or without a reorder horizon; everything observable must match a
-    str fleet over the same bytes (byte ingest, the Python SortBuffer,
-    then decode) and over the same text."""
+    str fleet over the same bytes and over the same file (read_log's
+    framer, decode, then the Python SortBuffer)."""
 
     def fused_fleet(self, gen):
         fleet = make_fleet(gen, "native")
@@ -290,8 +334,8 @@ class TestFusedNativePath:
 
     def three_way(self, gen, source, text_path, horizon):
         """Run the fused pass over ``source`` and hold it to a str fleet
-        over the same bytes (byte ingest, the Python SortBuffer, then
-        decode) and over the same text read from ``text_path``."""
+        over the same bytes and over the same file read from
+        ``text_path``."""
         def run(fleet, src):
             return fleet.run_lines(src, on_error="quarantine",
                                    reorder_horizon=horizon, timing="off")
@@ -349,8 +393,8 @@ class TestFusedNativePath:
         assert fused.ingest.reordered > 0 and fused.ingest.late > 0
 
     def test_clean_blob_matches_bytes_pipeline(self, gen, window, log_path):
-        # The reference is byte ingest over the same file's bytes, then
-        # decode and the str kernels.
+        # The reference is a str fleet over the same file's bytes:
+        # read_log's framer, decode and the str kernels.
         fused = self.fused_fleet(gen).run_lines(log_path, timing="off")
         plain = make_fleet(gen, "str").run_lines(
             log_path.read_bytes(), timing="off")
@@ -414,9 +458,9 @@ class TestParallelBytePath:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallel_matches_serial(self, gen, window, backend):
         """A daemon ships each chunk as one bytes blob and its workers
-        ingest it at the byte layer (the fused pass on native, byte
-        ingest then decode on str); it must predict exactly what one
-        str fleet predicts over the same lines."""
+        ingest it at the byte layer (the fused pass on native, read_log
+        then decode on str); it must predict exactly what one str fleet
+        predicts over the same lines."""
         from repro.core.daemon import FleetDaemon
 
         bundle = PredictorBundle(

@@ -653,6 +653,36 @@ class TestReorderRepair:
         assert report.ingest.late == 0
         assert report.ingest.quarantined == 1
 
+    def test_stop_flushes_an_open_connection(self):
+        # A forwarder that never hangs up: stop() ends the connection's
+        # read side, so the lines still inside the horizon reach the
+        # workers, and it does not wait for the sender's own EOF.
+        bundle = make_bundle()
+        lines = make_lines(["n0", "n1", "n2"], reps=2, dt=1.0)
+        assert len(lines) == 30
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+            reorder_horizon=10.0,
+        ).start()
+        try:
+            assert daemon.wait_ready(30.0)
+            with socket.create_connection(daemon.listen_tcp()) as sock:
+                sock.sendall(("\n".join(lines) + "\n").encode())
+                # The last 10 s of lines wait in the connection's buffer.
+                assert wait_lines(daemon, 20)
+                start = time.monotonic()
+                report = daemon.stop(drain=True, timeout=10.0)
+                elapsed = time.monotonic() - start
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert daemon.status()["lines_received"] == 30
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert len(report.predictions) == 6
+        assert report.drained
+        assert elapsed < 5.0
+
     def test_tailed_file_sort_buffer_repairs_skew(self, tmp_path):
         # A tailed file frames through the same reader as a connection,
         # horizon included.

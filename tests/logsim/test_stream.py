@@ -1,4 +1,4 @@
-"""Tests for stream plumbing (merge / serialize / tolerant replay)."""
+"""Tests for stream plumbing (framing / serialize / tolerant replay)."""
 
 import io
 
@@ -10,11 +10,9 @@ from repro.core.events import LogDecodeError, LogEvent
 from repro.logsim import (
     IngestStats,
     SortBuffer,
-    StreamOrderError,
     clip_window,
     decode_lines,
     frame_records,
-    merge_streams,
     read_log,
     sorted_stream,
     split_by_node,
@@ -24,31 +22,6 @@ from repro.logsim import (
 
 def ev(t, node="c0-0c0s0n0", msg="hello world"):
     return LogEvent(time=t, node=node, message=msg)
-
-
-class TestMerge:
-    def test_merges_in_time_order(self):
-        a = [ev(1.0), ev(4.0)]
-        b = [ev(2.0), ev(3.0)]
-        merged = list(merge_streams(a, b))
-        assert [e.time for e in merged] == [1.0, 2.0, 3.0, 4.0]
-
-    def test_lazy(self):
-        def infinite():
-            t = 0.0
-            while True:
-                t += 1.0
-                yield ev(t)
-
-        merged = merge_streams(infinite(), [ev(0.5)])
-        assert next(merged).time == 0.5
-        assert next(merged).time == 1.0
-
-    @given(st.lists(st.lists(st.floats(0, 1e6), max_size=10).map(sorted), max_size=4))
-    def test_merge_property(self, streams):
-        events = [[ev(t) for t in s] for s in streams]
-        merged = [e.time for e in merge_streams(*events)]
-        assert merged == sorted(t for s in streams for t in s)
 
 
 class TestSerialization:
@@ -155,43 +128,6 @@ class TestErrorPolicies:
         assert a.quarantined == 4
         assert a.quarantined_by_reason == {"truncated": 2, "bad_timestamp": 2}
         assert a.funnel_ok
-
-
-class TestMergeGuard:
-    def test_pass_without_stats_is_raw_merge(self):
-        # The zero-overhead path: unsorted input flows through unchecked.
-        out = list(merge_streams([ev(5.0), ev(1.0)]))
-        assert [e.time for e in out] == [5.0, 1.0]
-
-    def test_pass_with_stats_counts(self):
-        stats = IngestStats()
-        out = list(merge_streams([ev(5.0), ev(1.0), ev(6.0)], stats=stats))
-        assert len(out) == 3
-        assert stats.out_of_order == 1
-
-    def test_warn_counts_all_disorder(self):
-        stats = IngestStats()
-        out = list(merge_streams(
-            [ev(5.0), ev(1.0), ev(2.0), ev(6.0)],
-            on_disorder="warn", stats=stats))
-        assert len(out) == 4
-        assert stats.out_of_order == 2
-
-    def test_raise_policy(self):
-        with pytest.raises(StreamOrderError):
-            list(merge_streams([ev(5.0), ev(1.0)], on_disorder="raise"))
-
-    def test_sorted_inputs_never_trip_the_guard(self):
-        stats = IngestStats()
-        out = list(merge_streams(
-            [ev(1.0), ev(3.0)], [ev(2.0), ev(4.0)],
-            on_disorder="raise", stats=stats))
-        assert [e.time for e in out] == [1.0, 2.0, 3.0, 4.0]
-        assert stats.out_of_order == 0
-
-    def test_unknown_disorder_policy(self):
-        with pytest.raises(ValueError):
-            merge_streams([], on_disorder="shrug")
 
 
 class TestSortBuffer:
@@ -334,6 +270,41 @@ class TestFrameRecords:
         # would-be stamp never moved the watermark.
         assert framed == [b"1e12 n0 x", first, second]
         assert (stats.reordered, stats.late) == (0, 0)
+
+
+class TestReadLogFrames:
+    """``read_log`` over a path or a byte buffer reads exactly the
+    records ``frame_records`` frames: a lone CR stays inside its
+    record, as the native kernel's fused pass keeps it."""
+
+    RECORDS = [
+        ev(1.0, msg="lone carriage").to_line().encode().replace(
+            b"lone ", b"lone\r"),
+        ev(2.0, node="n1").to_line().encode(),
+        b"truncated",
+        ev(3.0, msg="unterminated").to_line().encode(),
+    ]
+    # CRLF, blank records (bare and CRLF) and an unterminated last one.
+    BLOB = (b"\n" + RECORDS[0] + b"\r\n\r\n" + RECORDS[1] + b"\n\n"
+            + RECORDS[2] + b"\n" + RECORDS[3])
+
+    def test_path_and_bytes_read_the_framed_records(self, tmp_path):
+        assert list(frame_records([self.BLOB])) == self.RECORDS
+        want_stats = IngestStats()
+        want = list(decode_lines(
+            (r.decode() for r in frame_records([self.BLOB])),
+            on_error="quarantine", stats=want_stats))
+        assert [e.message for e in want] == [
+            "lone\rcarriage", "hello world", "unterminated"]
+        assert (want_stats.lines_read, want_stats.quarantined) == (4, 1)
+        path = tmp_path / "framed.log"
+        path.write_bytes(self.BLOB)
+        for source in (path, str(path), self.BLOB, bytearray(self.BLOB),
+                       memoryview(self.BLOB)):
+            stats = IngestStats()
+            assert list(read_log(
+                source, on_error="quarantine", stats=stats)) == want
+            assert stats.as_dict() == want_stats.as_dict()
 
 
 class TestGrouping:

@@ -695,6 +695,44 @@ class TestPredictHistoryFlags:
         # A healthy run must not report firing alerts.
         assert "alerts firing" not in capsys.readouterr().err
 
+    def test_history_keeps_the_watch_rules(self, tmp_path, capsys):
+        # --history sets the ring's interval; the shipped rules a
+        # watched run arms stay armed.
+        from repro.obs import ALERT_STATE, default_ruleset
+
+        log = self._log(tmp_path)
+        metrics = tmp_path / "watch.prom"
+        assert main([
+            "predict", "--system", "HPC3", "--seed", "5",
+            "--log", str(log), "--watch", "--slices", "2",
+            "--history", "0", "--metrics", str(metrics),
+        ]) == 0
+        capsys.readouterr()
+        rules = {line.split('rule="', 1)[1].split('"', 1)[0]
+                 for line in metrics.read_text().splitlines()
+                 if line.startswith(ALERT_STATE + "{")}
+        assert rules == {r.id for r in default_ruleset()}
+        assert len(rules) == 4
+
+    def test_history_keeps_the_serve_rules(self, monkeypatch):
+        import repro.core.daemon as daemon_module
+        from repro.obs import daemon_ruleset
+
+        built = {}
+
+        def capture(bundle, **kwargs):
+            built.update(kwargs)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(daemon_module, "FleetDaemon", capture)
+        with pytest.raises(SystemExit, match="captured"):
+            main(["serve", "--system", "HPC3", "--history", "5"])
+        obs = built["obs"]
+        assert obs.history.interval == 5.0
+        assert [r.id for r in obs.rules.rules] == \
+            [r.id for r in daemon_ruleset()]
+        assert len(obs.rules.rules) == 7
+
     def test_negative_history_rejected(self, tmp_path, capsys):
         log = self._log(tmp_path)
         with pytest.raises(SystemExit, match="--history must be"):
