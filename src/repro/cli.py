@@ -38,6 +38,7 @@ import math
 import signal
 import sys
 import time
+from itertools import islice
 from statistics import mean
 from typing import Callable, List, Optional
 
@@ -52,6 +53,7 @@ from .logsim import (
     write_log,
     write_truth,
 )
+from .logsim.stream import byte_chunks
 
 try:  # the simulator half of logsim needs numpy (the [fast] extra)
     from .logsim import ClusterLogGenerator, CorruptionSpec, corrupt_window
@@ -362,33 +364,39 @@ def _replay_slices(
     calling ``after_slice(done, total)`` (in framed lines) after each:
     the replay behind ``predict --watch`` and ``obs-serve``.
 
-    The file is framed once, with the reorder horizon applied across
-    the whole stream (a buffer per slice would restart at every slice
-    boundary and change the predictions).  Each slice of records then
-    runs as one blob through ``run_lines`` at ``timing="sampled"`` —
-    the fused pass on ``native`` — so the replay predicts what a
-    one-shot ``predict`` does.  The framer's ``reordered``/``late``
-    fold into the fleet's obs before the first slice, and each slice
-    folds its own decode funnel before its history capture, so every
-    slice's rules pass sees the run's quarantine burn so far.
+    A first pass counts the framed records, which sizes the slices.  The
+    second frames the file in fixed-size reads, with the reorder horizon
+    applied across the whole stream (a buffer per slice would restart at
+    every slice boundary and change the predictions), and runs each
+    slice as soon as it is framed, as one blob through ``run_lines`` at
+    ``timing="sampled"`` — the fused pass on ``native`` — so the replay
+    predicts what a one-shot ``predict`` does while it holds one slice
+    of the file at a time.  Before each slice the framer's
+    ``reordered``/``late`` so far fold into the fleet's obs, and the
+    slice folds its own decode funnel before its history capture, so
+    every slice's rules pass sees the run's quarantine burn so far.
     """
     from .core.fleet import FleetReport
 
     total = FleetReport(ingest=IngestStats())
-    with open(args.log, "rb") as fh:
-        records = list(frame_records(
-            (fh.read(),), args.reorder_horizon, total.ingest))
-    fleet.obs.record_ingest(total.ingest)
-    size = max(1, math.ceil(len(records) / max(1, args.slices)))
-    for start in range(0, len(records), size):
+    n_records = sum(1 for _ in frame_records(byte_chunks(args.log)))
+    size = max(1, math.ceil(n_records / max(1, args.slices)))
+    framed = IngestStats()  # the framer's counts since the last fold
+    records = frame_records(
+        byte_chunks(args.log), args.reorder_horizon, framed)
+    done = 0
+    for piece in iter(lambda: list(islice(records, size)), []):
+        fleet.obs.record_ingest(framed)
+        total.ingest.add(framed)
+        framed.reordered = framed.late = 0  # the framer counts on
         report = fleet.run_lines(
-            b"\n".join(records[start:start + size]),
-            on_error=args.on_error, timing="sampled")
+            b"\n".join(piece), on_error=args.on_error, timing="sampled")
         total.predictions.extend(report.predictions)
         total.stats.add(report.stats)
         total.ingest.add(report.ingest)
         total.nodes = report.nodes
-        after_slice(min(start + size, len(records)), len(records))
+        done += len(piece)
+        after_slice(done, n_records)
     return total
 
 
@@ -462,7 +470,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "translate_evictions": funnel.get("translate_evictions", 0),
             },
             "ingest": ingest.as_dict(),
-        }, indent=2))
+        }))
         return 0
     rows = [
         (p.node, p.chain_id, f"{p.flagged_at:.3f}",

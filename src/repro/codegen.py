@@ -109,9 +109,9 @@ class ScanKernels(NamedTuple):
     ``scan_records`` is the native backend's fused ingest+scan entry
     point (``None`` elsewhere): one C pass over a raw record blob that
     splits on newlines, header-checks each record, parses its time, and
-    scans accepted messages; ``reorder`` replays the reorder buffer over
-    the per-record times it returns — see
-    :func:`repro.native.make_kernels`.
+    scans accepted messages, interning its hits' node ids; ``reorder``
+    replays the reorder buffer over the per-record times it returns and
+    emits the hits in that order — see :func:`repro.native.make_kernels`.
     """
 
     tokenize: Callable[[str], Optional[int]]
@@ -330,7 +330,6 @@ _NATIVE_HEADER = '''\
 #define N_SLOTS {n_slots}u
 #define MEMO_LEN {memo_len}
 #define DEAD16 0xFFFFu
-#define SUSPECT (-2)
 
 static const uint16_t WALK[] = {{{walk}}};
 static const int32_t ACCEPT[] = {{{accept}}};
@@ -662,37 +661,110 @@ int64_t aarohi_count_lines(const char *blob, size_t blen) {
     return n;
 }
 
+/* One aarohi_scan_records call's output.  Hits (records whose message
+ * scanned to a token) are listed in record order, each with its record
+ * index, token and node id (its time is its record's); suspects
+ * (records Python must re-parse) are listed apart, each with its record
+ * index and span.  A node id indexes the node spans, which hold each
+ * distinct node span of the call once, in order of first appearance.
+ * Every column has room for cap entries, so the caller may append the
+ * hits it decodes from suspects; all columns share one allocation,
+ * released by aarohi_records_free. */
+typedef struct {
+    int64_t records, ok, cap, hits, suspects, nodes;
+    int64_t *hit_idx;        /* base of the shared allocation */
+    int32_t *hit_tok;
+    int32_t *hit_node;
+    int64_t *suspect_idx, *suspect_start, *suspect_len;
+    int64_t *node_start, *node_len;
+} aarohi_records;
+
+/* The call's node interning table: open-addressed node ids + 1
+ * (0 = empty slot) keyed on the span bytes, doubled when half full. */
+typedef struct {
+    uint32_t *slots;
+    size_t mask;
+} node_table;
+
+static int node_table_grow(node_table *tab, const aarohi_records *out,
+                           const char *blob) {
+    size_t mask = tab->mask * 2 + 1;
+    uint32_t *slots = calloc(mask + 1, sizeof(uint32_t));
+    if (!slots)
+        return -1;
+    for (int64_t id = 0; id < out->nodes; id++) {
+        size_t i = (size_t)hash_key(
+            (const unsigned char *)blob + out->node_start[id],
+            (size_t)out->node_len[id]) & mask;
+        while (slots[i])
+            i = (i + 1) & mask;
+        slots[i] = (uint32_t)id + 1u;
+    }
+    free(tab->slots);
+    tab->slots = slots;
+    tab->mask = mask;
+    return 0;
+}
+
+/* The node id of span[0:len], interning the span on first sight;
+ * -1 when the table cannot grow. */
+static int64_t intern_node(node_table *tab, aarohi_records *out,
+                           const char *blob, const char *span, size_t len) {
+    size_t i = (size_t)hash_key((const unsigned char *)span, len)
+        & tab->mask;
+    uint32_t slot;
+    while ((slot = tab->slots[i])) {
+        int64_t id = (int64_t)slot - 1;
+        if (out->node_len[id] == (int64_t)len
+                && memcmp(blob + out->node_start[id], span, len) == 0)
+            return id;
+        i = (i + 1) & tab->mask;
+    }
+    if (out->nodes >= INT32_MAX)
+        return -1;
+    int64_t id = out->nodes++;
+    out->node_start[id] = span - blob;
+    out->node_len[id] = (int64_t)len;
+    tab->slots[i] = (uint32_t)id + 1u;
+    if ((size_t)out->nodes * 2 > tab->mask
+            && node_table_grow(tab, out, blob) < 0)
+        return -1;
+    return id;
+}
+
 /* Fused ingest+scan: split a raw record blob on newlines, strip one
  * trailing CR per record, skip blanks, header-split each record on its
  * first two spaces and parse the timestamp.  Records that pass are
  * counted ok, their time stored in times[record], and their message
- * scanned; records that do not (or whose message contains a backslash,
- * i.e. possible escape sequences) get a NaN time and are emitted as
- * SUSPECT for the caller to re-parse.  Each emission carries the
- * record index, the time, and a span: the node id for a hit, the whole
- * record for a suspect.  Emissions are in record order, so the
- * caller's downstream chain state sees the exact stream order.  The
- * item arrays share one allocation; aarohi_records_free(*out_idx)
- * releases it.  Returns -1 when that allocation fails, -2 when the
- * blob holds more than cap records. */
+ * scanned; a hit interns its node span.  Records that do not pass (or
+ * whose message contains a backslash, i.e. possible escape sequences)
+ * get a NaN time and are listed as suspects for the caller to re-parse.
+ * Returns -1 when an allocation fails, -2 when the blob holds more than
+ * cap records; *out is filled only on success. */
 int aarohi_scan_records(void *h, const char *blob, size_t blen,
-                        int64_t cap, double *times,
-                        int64_t *n_records, int64_t *n_ok,
-                        int64_t **out_idx, int32_t **out_tok,
-                        double **out_t, int64_t **out_start,
-                        int64_t **out_len, int64_t *n_out) {
+                        int64_t cap, double *times, aarohi_records *out) {
     aarohi_state *st = h;
     size_t c = cap > 0 ? (size_t)cap : 1;
-    char *block = malloc(c * (3 * sizeof(int64_t) + sizeof(double)
-                              + sizeof(int32_t)));
-    if (!block)
+    aarohi_records r;
+    memset(&r, 0, sizeof(r));
+    char *block = malloc(c * (6 * sizeof(int64_t) + 2 * sizeof(int32_t)));
+    node_table tab = {calloc(256, sizeof(uint32_t)), 255};
+    if (!block || !tab.slots) {
+        free(block);
+        free(tab.slots);
         return -1;
-    int64_t *idx = (int64_t *)block;
-    int64_t *start = idx + c;
-    int64_t *lens = start + c;
-    double *tt = (double *)(lens + c);
-    int32_t *toks = (int32_t *)(tt + c);
-    int64_t records = 0, ok = 0, k = 0;
+    }
+    r.cap = (int64_t)c;
+    r.hit_idx = (int64_t *)block;
+    r.suspect_idx = r.hit_idx + c;
+    r.suspect_start = r.suspect_idx + c;
+    r.suspect_len = r.suspect_start + c;
+    r.node_start = r.suspect_len + c;
+    r.node_len = r.node_start + c;
+    r.hit_tok = (int32_t *)(r.node_len + c);
+    r.hit_node = r.hit_tok + c;
+    int rc = 0;
+    int64_t records = 0, ok = 0, k = 0, m = 0;
     const char *p = blob;
     const char *endp = blob + blen;
     for (;;) {
@@ -702,8 +774,8 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
             e--;
         if (e > p) {
             if (records >= cap) {
-                free(block);
-                return -2;
+                rc = -2;
+                break;
             }
             int64_t rec = records++;
             size_t rlen = (size_t)(e - p);
@@ -722,23 +794,25 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
                 suspect = 1;
             if (suspect) {
                 times[rec] = NAN;
-                idx[k] = rec;
-                toks[k] = SUSPECT;
-                tt[k] = NAN;
-                start[k] = p - blob;
-                lens[k] = (int64_t)rlen;
-                k++;
+                r.suspect_idx[m] = rec;
+                r.suspect_start[m] = p - blob;
+                r.suspect_len[m] = (int64_t)rlen;
+                m++;
             } else {
                 ok++;
                 times[rec] = t;
                 int32_t tok = scan_message(
                     st, (const unsigned char *)msg, mlen);
                 if (tok >= 0) {
-                    idx[k] = rec;
-                    toks[k] = tok;
-                    tt[k] = t;
-                    start[k] = sp1 + 1 - blob;
-                    lens[k] = sp2 - sp1 - 1;
+                    int64_t id = intern_node(
+                        &tab, &r, blob, sp1 + 1, (size_t)(sp2 - sp1 - 1));
+                    if (id < 0) {
+                        rc = -1;
+                        break;
+                    }
+                    r.hit_idx[k] = rec;
+                    r.hit_tok[k] = tok;
+                    r.hit_node[k] = (int32_t)id;
                     k++;
                 }
             }
@@ -747,19 +821,22 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
             break;
         p = nl + 1;
     }
-    *n_records = records;
-    *n_ok = ok;
-    *n_out = k;
-    *out_idx = idx;
-    *out_tok = toks;
-    *out_t = tt;
-    *out_start = start;
-    *out_len = lens;
+    free(tab.slots);
+    if (rc) {
+        free(block);
+        return rc;
+    }
+    r.records = records;
+    r.ok = ok;
+    r.hits = k;
+    r.suspects = m;
+    *out = r;
     return 0;
 }
 
-void aarohi_records_free(int64_t *idx) {
-    free(idx);
+void aarohi_records_free(aarohi_records *out) {
+    free(out->hit_idx);
+    out->hit_idx = NULL;
 }
 
 /* The reorder buffer's pending records, a binary min-heap on (time,
@@ -806,33 +883,74 @@ static pending heap_pop(pending *heap, int64_t *size) {
     return top;
 }
 
-/* SortBuffer (repro.logsim.stream) replayed over a per-record time
- * array: NaN marks a record that is not in the stream.  A record is
- * counted reordered when it arrives behind the high-water time, and
- * late (emitted at once) when it arrives at or behind the emit
- * watermark; otherwise it waits until the high-water time passes it by
- * the horizon.  rank[i] receives record i's emission position (-1 for
- * NaN), *last the last record emitted (-1 when none).  Returns the
- * number emitted, or -1 when the heap cannot be allocated. */
+/* The records' emission order: SortBuffer (repro.logsim.stream)
+ * replayed over a per-record time array under a positive horizon, and
+ * record order otherwise.  NaN marks a record that is not in the
+ * stream.  Under a horizon a record is counted reordered when it
+ * arrives behind the high-water time, and late (emitted at once) when
+ * it arrives at or behind the emit watermark; otherwise it waits until
+ * the high-water time passes it by the horizon.  rank[i] receives
+ * record i's emission position (-1 for NaN); counts receives the
+ * reordered and late counts and the last record emitted (-1 when none).
+ *
+ * Given hits (an aarohi_scan_records output, plus any hits the caller
+ * appended), the call also writes them out in emission order into out,
+ * as four columns of hits->hits entries each: record index (int64),
+ * time (double, the record's), token and node id (int32).  Each hit
+ * must name a distinct record in the stream.  Returns the number of
+ * records emitted, -1 when an allocation fails, or -2 when a hit names
+ * a record outside the stream or one another hit names. */
 int64_t aarohi_reorder(const double *times, int64_t n, double horizon,
-                       int64_t *rank, int64_t *reordered, int64_t *late,
-                       int64_t *last) {
-    pending *heap = malloc((size_t)(n > 0 ? n : 1) * sizeof(pending));
-    if (!heap)
-        return -1;
-    int64_t size = 0, emitted = 0, re = 0, lt = 0, tail = -1;
+                       int64_t *rank, int64_t *counts,
+                       const aarohi_records *hits, char *out) {
+    int64_t nh = hits ? hits->hits : 0;
+    int64_t *out_idx = (int64_t *)out;
+    double *out_t = (double *)(out_idx + nh);
+    int32_t *out_tok = (int32_t *)(out_t + nh);
+    int32_t *out_node = out_tok + nh;
+    /* Until a record is emitted, rank[] marks it: -1 for no hit, and
+     * -2 - j for hit j. */
+    for (int64_t i = 0; i < n; i++)
+        rank[i] = -1;
+    for (int64_t j = 0; j < nh; j++) {
+        int64_t i = hits->hit_idx[j];
+        if (i < 0 || i >= n || isnan(times[i]) || rank[i] != -1)
+            return -2;
+        rank[i] = -2 - j;
+    }
+    pending *heap = NULL;
+    if (horizon > 0) {
+        heap = malloc((size_t)(n > 0 ? n : 1) * sizeof(pending));
+        if (!heap)
+            return -1;
+    }
+    int64_t size = 0, emitted = 0, re = 0, lt = 0, tail = -1, k = 0;
+#define EMIT(rec) do {                                          \
+        int64_t i_ = (rec), j_ = -2 - rank[i_];                 \
+        rank[i_] = emitted++;                                   \
+        tail = i_;                                              \
+        if (j_ >= 0) {                                          \
+            out_idx[k] = i_;                                    \
+            out_tok[k] = hits->hit_tok[j_];                     \
+            out_t[k] = times[i_];                               \
+            out_node[k] = hits->hit_node[j_];                   \
+            k++;                                                \
+        }                                                       \
+    } while (0)
     double high = -INFINITY, emitted_to = -INFINITY;
     for (int64_t i = 0; i < n; i++) {
         double t = times[i];
-        rank[i] = -1;
         if (isnan(t))
             continue;
+        if (!heap) {
+            EMIT(i);
+            continue;
+        }
         if (t < high)
             re++;
         if (t <= emitted_to) {
             lt++;
-            rank[i] = emitted++;
-            tail = i;
+            EMIT(i);
             continue;
         }
         pending item = {t, i};
@@ -843,19 +961,16 @@ int64_t aarohi_reorder(const double *times, int64_t n, double horizon,
         while (size && heap[0].t <= watermark) {
             pending out = heap_pop(heap, &size);
             emitted_to = out.t;
-            rank[out.i] = emitted++;
-            tail = out.i;
+            EMIT(out.i);
         }
     }
-    while (size) {
-        pending out = heap_pop(heap, &size);
-        rank[out.i] = emitted++;
-        tail = out.i;
-    }
+    while (size)
+        EMIT(heap_pop(heap, &size).i);
+#undef EMIT
     free(heap);
-    *reordered = re;
-    *late = lt;
-    *last = tail;
+    counts[0] = re;
+    counts[1] = lt;
+    counts[2] = tail;
     return emitted;
 }
 '''

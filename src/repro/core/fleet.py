@@ -9,7 +9,6 @@ collects predictions.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass, field, fields
 from operator import add, attrgetter, sub
@@ -345,27 +344,28 @@ class PredictorFleet:
         """Native fused ingest+scan: one C pass over the raw blob.
 
         The kernel's ``scan_records`` returns every record's epoch time
-        (parsed in C, bit-identical to the Python parse) and, in record
-        order, only the records Python must look at: template *hits*
-        (with their time and node span) and *suspects* (records that
-        failed the strict C header check — malformed, odd timestamp
-        shape, or an escaped message).  Suspects re-run the tolerant
-        Python parser, so quarantine decisions, counts, and warn-policy
-        logging are identical to
-        :func:`~repro.logsim.stream.read_byte_batch`; a decoded
+        (parsed in C, bit-identical to the Python parse), the template
+        *hits* in record order as arrays (record index, token, node id),
+        each distinct node span of the call once, and apart from the
+        hits the *suspects*: records that failed the strict C
+        header check (malformed, odd timestamp shape, or an escaped
+        message).  Each distinct node decodes once, through the fleet's
+        node-name cache.  Suspects re-run the tolerant Python parser, so
+        quarantine decisions, counts, and warn-policy logging are
+        identical to :func:`~repro.logsim.stream.read_byte_batch`; a decoded
         suspect writes its time back into the record times and is
-        tokenized through the scanner like any other line.  With a
-        positive ``reorder_horizon`` the scanner's ``reorder`` replays
-        the :class:`~repro.logsim.stream.SortBuffer` over those times
-        in C, and the hits are routed in its emission order; its
-        ``reordered``/``late`` counts join the ingest funnel.  Suspect
-        decode and the reorder call form the decode stage.  So the
-        per-node chain engines see the exact feed sequence of the
-        unfused pipeline — predictions are byte-identical (asserted by
-        the fused-equivalence tests).  ``timing`` is ``"off"`` or
-        ``"sampled"``; under ``"sampled"`` the routing loop clocks each
-        FC-related hit's chain check, so every prediction carries its
-        measured ``prediction_time``.
+        tokenized through the scanner like any other line, and a hit
+        joins the scan's.  The scanner's ``reorder`` then emits the hits
+        in stream order: record order, or under a positive
+        ``reorder_horizon`` the :class:`~repro.logsim.stream.SortBuffer`
+        replayed in C over those times, whose ``reordered``/``late``
+        counts join the ingest funnel.  Suspect decode and the reorder
+        call form the decode stage.  So the per-node chain engines see
+        the exact feed sequence of the unfused pipeline — predictions
+        are byte-identical (asserted by the fused-equivalence tests).
+        ``timing`` is ``"off"`` or ``"sampled"``; under ``"sampled"``
+        the routing loop clocks each FC-related hit's chain check, so
+        every prediction carries its measured ``prediction_time``.
         """
         from ..logsim.stream import WARN_LINE_CAP, _log, open_byte_buffer
         from .events import LogDecodeError, parse_record_bytes
@@ -373,66 +373,54 @@ class PredictorFleet:
         obs = self.obs
         t_run = _time.perf_counter() if obs is not None else 0.0
         warn = on_error == "warn"
-        known_node = self._node_names.get
         node_name = self._node_name
         scanner = self.scanner
         tokenize = scanner.tokenize
         quarantined = 0
         by_reason: Dict[str, int] = {}
-        suspect_decoded = 0
-        hits: List[tuple] = []  # (node, event time, token), record order
-        where: List[int] = []  # the record index of each hit
         with open_byte_buffer(source) as blob:
             if span is not None:
                 span.lap(STAGE_INGEST)  # open/mmap; the read is the scan
-            n_records, n_ok, items, times = scanner.scan_records(blob)
+            scan = scanner.scan_records(blob)
             if span is not None:
-                span.lap(STAGE_SCAN, n_records)
-            for index, token, t, start, length in items:
-                piece = blob[start:start + length]  # node id, or record
-                if type(piece) is not bytes:  # bytearray source
-                    piece = bytes(piece)
-                if token < 0:  # suspect: the tolerant Python parse path
-                    try:
-                        t, piece, message = parse_record_bytes(piece)
-                    except LogDecodeError as exc:
-                        quarantined += 1
-                        reason = exc.reason
-                        by_reason[reason] = by_reason.get(reason, 0) + 1
-                        if warn and quarantined <= WARN_LINE_CAP:
-                            _log.warning("quarantined record (%s)", exc)
-                        continue
-                    suspect_decoded += 1
-                    times[index] = t
-                    token = tokenize(message)
-                    if token is None:
-                        continue
-                hits.append((known_node(piece) or node_name(piece), t, token))
-                where.append(index)
+                span.lap(STAGE_SCAN, scan.n_records)
+            handed_over = scan.n_hits + len(scan.suspects)
+            names = [node_name(bytes(blob[start:start + length]))
+                     for start, length in scan.nodes]
+            for index, start, length in scan.suspects:
+                try:
+                    t, node, message = parse_record_bytes(
+                        bytes(blob[start:start + length]))
+                except LogDecodeError as exc:
+                    quarantined += 1
+                    reason = exc.reason
+                    by_reason[reason] = by_reason.get(reason, 0) + 1
+                    if warn and quarantined <= WARN_LINE_CAP:
+                        _log.warning("quarantined record (%s)", exc)
+                    continue
+                scan.times[index] = t
+                token = tokenize(message)
+                if token is not None:
+                    scan.add_hit(index, token, len(names))
+                    names.append(node_name(node))
         if warn and quarantined > WARN_LINE_CAP:
             _log.warning(
                 "quarantined %d further records (suppressed per-record "
                 "warnings after the first %d)",
                 quarantined - WARN_LINE_CAP, WARN_LINE_CAP)
-        if reorder_horizon > 0:
-            rank, reordered, late, last = scanner.reorder(
-                times, n_records, reorder_horizon)
-            stats.reordered += reordered
-            stats.late += late
-            keys = [rank[i] for i in where]
-            hits = [hits[j] for j in sorted(range(len(hits)),
-                                            key=keys.__getitem__)]
-        else:
-            # Without a horizon the last record emitted is the last
-            # one that decoded (NaN marks a quarantined one).
-            last = next((i for i in range(n_records - 1, -1, -1)
-                         if not math.isnan(times[i])), None)
-        last_time = None if last is None else times[last]
+        emission = scanner.reorder(
+            scan.times, scan.n_records, reorder_horizon, scan)
+        stats.reordered += emission.reordered
+        stats.late += emission.late
+        last_time = (None if emission.last is None
+                     else scan.times[emission.last])
         if span is not None:
-            span.lap(STAGE_DECODE, len(items))
-        report = self._route_hits(hits, timing, span)
-        decoded = n_ok + suspect_decoded
-        stats.lines_read += n_records
+            span.lap(STAGE_DECODE, handed_over)
+        _, tokens, times, nodes = emission.hits
+        report = self._route_hits(
+            zip(map(names.__getitem__, nodes), times, tokens), timing, span)
+        decoded = scan.n_records - quarantined
+        stats.lines_read += scan.n_records
         stats.decoded += decoded
         stats.quarantined += quarantined
         for reason, n in by_reason.items():

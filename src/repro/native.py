@@ -22,6 +22,14 @@ callable kernels:
   C-side state (bounded memo + funnel counters), so several scanners
   can share one cached library.  The funnel counters are read through
   a zero-copy ``ctypes`` view — always current, no refresh call.
+* **fused pass hand-off** — ``scan_records`` returns a
+  :class:`RecordScan`: per-record times, the hits as C arrays with
+  node ids interned per call (each distinct node span listed once),
+  and the suspect records apart for Python to re-parse.  ``reorder``
+  emits those hits, plus any the caller decoded from suspects, in
+  stream order (the reorder buffer's, or record order) as
+  :class:`Emission` columns, so no per-hit tuple is built on the way
+  to the chain engines.
 
 Every failure path (no compiler, compile error, unloadable object)
 returns ``None`` and the caller degrades to the ``str`` kernels; the
@@ -39,17 +47,11 @@ import subprocess
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 #: Bump to invalidate every cached native shared object (ABI or
 #: generated-source semantics change).
-NATIVE_KERNEL_VERSION = 2
-
-#: Suspect marker in ``scan_records`` output: the record failed the
-#: C fast-path header check and must be re-parsed (and its message
-#: scanned) by Python.  Distinct from -1, which plain scans use for
-#: "no match".
-SUSPECT_RECORD = -2
+NATIVE_KERNEL_VERSION = 3
 
 _CC_TIMEOUT = 120  # seconds; a hung compiler must not hang the scanner
 
@@ -184,6 +186,106 @@ def compile_kernel_library(
     return lib
 
 
+_p_i64 = ctypes.POINTER(ctypes.c_int64)
+_p_i32 = ctypes.POINTER(ctypes.c_int32)
+
+
+class _Records(ctypes.Structure):
+    """Mirror of the kernel's ``aarohi_records``: one fused pass's
+    output columns, in one C allocation."""
+
+    _fields_ = [
+        ("records", ctypes.c_int64), ("ok", ctypes.c_int64),
+        ("cap", ctypes.c_int64), ("hits", ctypes.c_int64),
+        ("suspects", ctypes.c_int64), ("nodes", ctypes.c_int64),
+        ("hit_idx", _p_i64), ("hit_tok", _p_i32), ("hit_node", _p_i32),
+        ("suspect_idx", _p_i64), ("suspect_start", _p_i64),
+        ("suspect_len", _p_i64),
+        ("node_start", _p_i64), ("node_len", _p_i64),
+    ]
+
+
+class RecordScan:
+    """One ``scan_records`` pass over a record blob.
+
+    ``n_records`` counts the blob's records (blank ones excluded),
+    ``n_ok`` those the C header check accepted and scanned, and
+    ``times`` is the per-record ``c_double`` time array (at least
+    ``n_records`` long, NaN for a suspect until the caller writes its
+    parsed time back).  ``nodes`` lists each distinct node span of the
+    blob's hits once, as ``(start, length)``: a hit's node id is its
+    position there.  ``suspects`` lists, in record order, the records
+    Python must re-parse, as ``(index, start, length)`` spans of the
+    whole record.  The hits stay in C until :meth:`hits` copies them
+    out or the kernels' ``reorder`` call emits them; :meth:`add_hit`
+    appends one the caller decoded from a suspect.
+    """
+
+    __slots__ = ("n_records", "n_ok", "times", "nodes", "suspects",
+                 "_out", "_free")
+
+    def __init__(self, lib: ctypes.CDLL, out: _Records, times):
+        self._out = out
+        self._free = lib.aarohi_records_free
+        self.times = times
+        self.n_records = out.records
+        self.n_ok = out.ok
+        m = out.suspects
+        self.suspects: List[tuple] = list(zip(
+            out.suspect_idx[:m], out.suspect_start[:m],
+            out.suspect_len[:m]))
+        u = out.nodes
+        self.nodes: List[tuple] = list(zip(
+            out.node_start[:u], out.node_len[:u]))
+
+    @property
+    def n_hits(self) -> int:
+        return self._out.hits
+
+    def add_hit(self, index: int, token: int, node: int) -> None:
+        """Append a hit on record ``index`` (its time already written to
+        ``times``) with node id ``node``, an id past :attr:`nodes`
+        included: the caller names what each id means."""
+        out = self._out
+        k = out.hits
+        if k >= out.cap:
+            raise ValueError("more hits than records")
+        out.hit_idx[k] = index
+        out.hit_tok[k] = token
+        out.hit_node[k] = node
+        out.hits = k + 1
+
+    def hits(self) -> Tuple[list, list, list, list]:
+        """The hits' ``(index, token, time, node)`` columns, in record
+        order, then the added ones."""
+        out = self._out
+        index = out.hit_idx[:out.hits]
+        return (index, out.hit_tok[:out.hits],
+                [self.times[i] for i in index], out.hit_node[:out.hits])
+
+    def __del__(self):
+        self._free(self._out)
+
+
+class Emission(NamedTuple):
+    """The ``reorder`` call's result.
+
+    ``rank`` holds each record's emission position (a ``c_int64`` array,
+    -1 for a record not in the stream), ``reordered`` and ``late`` are
+    the reorder buffer's two counts, and ``last`` is the last record
+    emitted (``None`` when none was).  Given a :class:`RecordScan`,
+    ``hits`` is its hits' ``(index, token, time, node)`` columns in
+    emission order, as sequences of ``int``/``float``; ``None``
+    otherwise.
+    """
+
+    rank: object
+    reordered: int
+    late: int
+    last: Optional[int]
+    hits: Optional[tuple]
+
+
 def _bind(lib: ctypes.CDLL) -> None:
     """Declare the kernel ABI once per loaded library."""
     if getattr(lib, "_aarohi_bound", False):
@@ -216,17 +318,15 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.aarohi_scan_blob.restype = c_int64
     lib.aarohi_count_lines.argtypes = [c_char_p, c_size_t]
     lib.aarohi_count_lines.restype = c_int64
+    p_records = ctypes.POINTER(_Records)
     lib.aarohi_scan_records.argtypes = [
-        c_void_p, c_char_p, c_size_t, c_int64, p_f64,
-        p_i64, p_i64,
-        ctypes.POINTER(p_i64), ctypes.POINTER(p_i32), ctypes.POINTER(p_f64),
-        ctypes.POINTER(p_i64), ctypes.POINTER(p_i64), p_i64,
-    ]
+        c_void_p, c_char_p, c_size_t, c_int64, p_f64, p_records]
     lib.aarohi_scan_records.restype = ctypes.c_int
-    lib.aarohi_records_free.argtypes = [p_i64]
+    lib.aarohi_records_free.argtypes = [p_records]
     lib.aarohi_records_free.restype = None
     lib.aarohi_reorder.argtypes = [
-        p_f64, c_int64, ctypes.c_double, p_i64, p_i64, p_i64, p_i64]
+        p_f64, c_int64, ctypes.c_double, p_i64, p_i64, p_records,
+        c_char_p]
     lib.aarohi_reorder.restype = c_int64
     lib._aarohi_bound = True
 
@@ -346,72 +446,53 @@ def make_kernels(lib: ctypes.CDLL):
         return token, end.value
 
     def scan_records(blob):
-        """One fused pass over a raw record blob.
-
-        Returns ``(n_records, n_ok, items, times)``: the record count
-        (blank records excluded), the count the C header check accepted
-        and scanned, an in-order list of ``(index, token, time, start,
-        length)``, and the per-record ``c_double`` time array (at least
-        ``n_records`` long).  ``index`` is the record's position among
-        the records.  For a hit, ``time`` is its epoch time and
-        ``blob[start:start + length]`` its node id; for a suspect
-        (``token`` is :data:`SUSPECT_RECORD`) Python must re-parse
-        ``blob[start:start + length]``, the whole record, and ``time``
-        is NaN — as is the suspect's entry in ``times``, until the
-        caller writes the parsed time back.
-        """
+        """One fused pass over a raw record blob, as a
+        :class:`RecordScan`: record counts and times, the hits with
+        interned node ids, the distinct node spans and the suspects."""
         cbuf, size = _as_cbuf(blob)
         cap = lib.aarohi_count_lines(cbuf, size)
         times = (ctypes.c_double * cap)()
-        n_records = ctypes.c_int64(0)
-        n_ok = ctypes.c_int64(0)
-        n_out = ctypes.c_int64(0)
-        idx_p = ctypes.POINTER(ctypes.c_int64)()
-        tok_p = ctypes.POINTER(ctypes.c_int32)()
-        t_p = ctypes.POINTER(ctypes.c_double)()
-        start_p = ctypes.POINTER(ctypes.c_int64)()
-        len_p = ctypes.POINTER(ctypes.c_int64)()
+        records = _Records()
         rc = lib.aarohi_scan_records(
-            handle, cbuf, size, cap, times,
-            ctypes.byref(n_records), ctypes.byref(n_ok),
-            ctypes.byref(idx_p), ctypes.byref(tok_p), ctypes.byref(t_p),
-            ctypes.byref(start_p), ctypes.byref(len_p),
-            ctypes.byref(n_out),
-        )
+            handle, cbuf, size, cap, times, ctypes.byref(records))
         if rc == -1:
             raise MemoryError("native record-scan allocation failed")
         if rc:  # more records than counted: the buffer changed under us
             raise RuntimeError("record blob changed during the scan")
-        try:
-            k = n_out.value
-            items: List[tuple] = (
-                list(zip(idx_p[:k], tok_p[:k], t_p[:k], start_p[:k],
-                         len_p[:k])) if k else [])
-        finally:
-            lib.aarohi_records_free(idx_p)
-        return n_records.value, n_ok.value, items, times
+        return RecordScan(lib, records, times)
 
-    def reorder(times, n, horizon):
-        """:class:`~repro.logsim.stream.SortBuffer` replayed in C over
-        ``times[:n]`` (a ``c_double`` array, NaN = not in the stream).
-
-        Returns ``(rank, reordered, late, last)``: each record's
-        emission position (a ``c_int64`` array, -1 for NaN), the
-        buffer's two ordering counts, and the last record emitted
-        (``None`` when none was).
+    def reorder(times, n, horizon, hits=None):
+        """The emission order of ``times[:n]`` (a ``c_double`` array,
+        NaN = not in the stream): :class:`~repro.logsim.stream.SortBuffer`
+        replayed in C under a positive ``horizon``, record order
+        otherwise.  Given ``hits``, a :class:`RecordScan` over those
+        records, the same call emits its hits in that order.  Returns
+        an :class:`Emission`.
         """
         if not 0 <= n <= len(times):
             raise ValueError(f"{n} records but {len(times)} times")
         rank = (ctypes.c_int64 * n)()
-        reordered = ctypes.c_int64(0)
-        late = ctypes.c_int64(0)
-        last = ctypes.c_int64(-1)
-        if lib.aarohi_reorder(
-                times, n, horizon, rank, ctypes.byref(reordered),
-                ctypes.byref(late), ctypes.byref(last)) < 0:
+        counts = (ctypes.c_int64 * 3)()
+        records = out = columns = None
+        if hits is not None:
+            # One Python-owned buffer holds the four output columns;
+            # their views iterate as plain ints and floats.
+            k = hits.n_hits
+            records = ctypes.byref(hits._out)
+            buf = bytearray(24 * k)
+            out = (ctypes.c_char * len(buf)).from_buffer(buf)
+            view = memoryview(buf)
+            columns = (view[:8 * k].cast("q"), view[16 * k:20 * k].cast("i"),
+                       view[8 * k:16 * k].cast("d"), view[20 * k:].cast("i"))
+        rc = lib.aarohi_reorder(times, n, horizon, rank, counts, records, out)
+        if rc == -1:
             raise MemoryError("native reorder allocation failed")
-        return (rank, reordered.value, late.value,
-                last.value if last.value >= 0 else None)
+        if rc < 0:
+            raise ValueError("a hit names a record outside the stream, "
+                             "or one another hit names")
+        reordered, late, last = counts
+        return Emission(rank, reordered, late,
+                        last if last >= 0 else None, columns)
 
     return (tokenize, scan_hits, match_span, NativeMemo(state),
             state.counts, scan_records, reorder)

@@ -216,8 +216,8 @@ class TemplateScanner:
     :meth:`repro.obs.Obs.record_scanner` turns the difference into a
     fallback counter.  ``scan_records`` (fused ingest+scan over a raw
     record blob) and ``reorder`` (the reorder buffer over that pass's
-    record times) are the native backend's extra entry points, ``None``
-    on ``str``.
+    record times, emitting its hits in stream order) are the native
+    backend's extra entry points, ``None`` on ``str``.
     """
 
     __slots__ = ("compiled", "backend", "requested_backend", "tokenize",

@@ -392,6 +392,60 @@ class TestFusedNativePath:
         assert fused.ingest.quarantined > 0
         assert fused.ingest.reordered > 0 and fused.ingest.late > 0
 
+    @pytest.mark.parametrize("horizon", [0.0, 0.5, 5.0])
+    def test_hand_off_matches_str_across_calls(self, gen, window, horizon):
+        # The kernel hands hits over as arrays with interned node ids.
+        # Two predicted nodes' ids carry invalid UTF-8; the window runs as
+        # two calls on one fleet, so the second call's nodes come from
+        # the fleet's node-name cache; one escaped record (a suspect)
+        # decodes to a node no hit had, and two suspects quarantine.
+        lines, _ = displaced_suspect_lines(gen, window.events)
+        tokenize = make_fleet(gen, "str").scanner.tokenize
+        fc = next(e for e in window.events
+                  if gen.chains.is_relevant(tokenize(e.message)))
+        lines[10:10] = [
+            LogEvent(fc.time, "ghost-node", fc.message + " \\").to_line(),
+            "2020-13-45T99:00:00.000000+00:00 c0 link down",
+            "2020-09-13"]
+        failing = sorted({p.node for p in make_fleet(gen, "str").run_lines(
+            "\n".join(lines).encode(), on_error="quarantine",
+            reorder_horizon=horizon, timing="off").predictions})[:2]
+        renamed = {node.encode(): node.encode() + b"\xff\xfe"
+                   for node in failing}
+
+        def encode(line):
+            parts = line.encode().split(b" ", 2)
+            if len(parts) == 3:
+                parts[1] = renamed.get(parts[1], parts[1])
+            return b" ".join(parts)
+
+        records = [encode(line) for line in lines]
+        half = len(records) // 2
+        calls = [b"\n".join(records[:half]) + b"\n",
+                 b"\n".join(records[half:]) + b"\n"]
+        fleets = self.fused_fleet(gen), make_fleet(gen, "str")
+        predicted = set()
+        for n, blob in enumerate(calls):
+            fused, plain = (fleet.run_lines(
+                blob, on_error="quarantine", reorder_horizon=horizon,
+                timing="off") for fleet in fleets)
+            assert fused.predictions
+            assert full_keys(fused.predictions) == \
+                full_keys(plain.predictions)
+            assert fused.ingest.as_dict() == plain.ingest.as_dict()
+            assert fused.ingest.funnel_ok
+            assert fused.nodes == plain.nodes
+            assert {node: (p.stats.lines_tokenized, p.stats.predictions)
+                    for node, p in fused.touched.items()} == \
+                {node: (p.stats.lines_tokenized, p.stats.predictions)
+                 for node, p in plain.touched.items()}
+            predicted |= {p.node for p in fused.predictions}
+            if n == 0:
+                assert "ghost-node" in fused.touched
+                assert fused.ingest.quarantined == 2
+        bad = {node + "\ufffd\ufffd" for node in failing}
+        assert bad <= set(fleets[0].nodes) and predicted & bad
+
     def test_clean_blob_matches_bytes_pipeline(self, gen, window, log_path):
         # The reference is a str fleet over the same file's bytes:
         # read_log's framer, decode and the str kernels.

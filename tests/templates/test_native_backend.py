@@ -6,13 +6,15 @@ the ``native`` backend: the compiler probe and its two degradation
 levels (no compiler at resolve time, failed compile at build time),
 the shared-object artifact cache keyed on source + compiler identity,
 the single-flight compile election, the fused ``scan_records`` entry
-point's record accounting and C-parsed record times, and the
-``reorder`` kernel against the Python reorder buffer.
+point's record accounting, interned node spans and C-parsed record
+times, and the ``reorder`` kernel against the Python reorder buffer,
+including the hits it emits in that order.
 """
 
 import ctypes
 import itertools
 import math
+import random
 import threading
 from datetime import datetime, timezone
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro import native, persistence
 from repro.codegen import resolve_backend
-from repro.core.events import LogEvent, parse_record_bytes
+from repro.core.events import LogDecodeError, LogEvent, parse_record_bytes
 from repro.logsim.stream import IngestStats, SortBuffer, _Stamped
 from repro.logsim import HPC1, ClusterLogGenerator
 from repro.templates import TemplateStore
@@ -258,44 +260,54 @@ class TestScanRecords:
         blob = (b"\n\n" + good[0] + b"\r\n" + b"not a record\n"
                 + b"\n".join(good[1:]) + b"\n")
         records = split_records(blob)
-        n_records, n_ok, items, times = s.scan_records(blob)
-        assert n_records == len(good) + 1 == len(records)  # malformed counts
-        assert n_ok == len(good)
-        suspects = [it for it in items if it[1] == native.SUSPECT_RECORD]
-        assert len(suspects) == 1
-        index, _, t, start, length = suspects[0]
+        scan = s.scan_records(blob)
+        times = scan.times
+        # malformed counts
+        assert scan.n_records == len(good) + 1 == len(records)
+        assert scan.n_ok == len(good)
+        assert len(scan.suspects) == 1
+        index, start, length = scan.suspects[0]
         assert records[index] == b"not a record"
         assert bytes(blob[start:start + length]) == b"not a record"
-        assert math.isnan(t) and math.isnan(times[index])
+        assert math.isnan(times[index])
         # Every emitted hit re-tokenizes to its reported token, and
         # carries its record's parsed time and node.
-        hits = [it for it in items if it[1] != native.SUSPECT_RECORD]
+        hits = list(zip(*scan.hits()))
         assert hits
-        for index, token, t, start, length in hits:
+        for index, token, t, node in hits:
             message = records[index].split(b" ", 2)[2]
             assert s.tokenize(message) == token
-            parsed_t, node, _ = parse_record_bytes(records[index])
+            parsed_t, parsed_node, _ = parse_record_bytes(records[index])
             assert t == parsed_t == times[index]
-            assert bytes(blob[start:start + length]) == node
-        # Items come in record order, and every accepted record has its
-        # time: the last one is the last good record's.
-        assert [it[0] for it in items] == sorted(it[0] for it in items)
-        assert times[n_records - 1] == parse_record_bytes(good[-1])[0]
+            start, length = scan.nodes[node]
+            assert bytes(blob[start:start + length]) == parsed_node
+        # Each distinct node span is listed once.
+        spans = [bytes(blob[a:a + n]) for a, n in scan.nodes]
+        assert len(set(spans)) == len(spans)
+        # Hits and suspects come in record order, and every accepted
+        # record has its time: the last one is the last good record's.
+        assert [h[0] for h in hits] == sorted(h[0] for h in hits)
+        assert [x[0] for x in scan.suspects] == \
+            sorted(x[0] for x in scan.suspects)
+        assert times[scan.n_records - 1] == parse_record_bytes(good[-1])[0]
 
     def test_empty_and_blank_blobs(self, scanner):
         s, _ = self.native(scanner)
-        assert s.scan_records(b"")[:3] == (0, 0, [])
-        assert s.scan_records(b"\n\r\n\n")[:3] == (0, 0, [])
+        for blob in (b"", b"\n\r\n\n"):
+            scan = s.scan_records(blob)
+            assert (scan.n_records, scan.n_ok, scan.suspects,
+                    scan.nodes) == (0, 0, [], [])
+            assert scan.hits() == ([], [], [], [])
 
     def test_backslash_record_is_suspect(self, scanner):
         # Escape sequences take the Python unescape path, so the C side
         # must flag them rather than scan the raw message.
         s, _ = self.native(scanner)
         blob = record(5.0, "n0", "with \\n escape") + b"\n"
-        n_records, n_ok, items, times = s.scan_records(blob)
-        assert n_records == 1 and n_ok == 0
-        assert [it[1] for it in items] == [native.SUSPECT_RECORD]
-        assert math.isnan(times[0])
+        scan = s.scan_records(blob)
+        assert scan.n_records == 1 and scan.n_ok == 0
+        assert [x[0] for x in scan.suspects] == [0] and scan.n_hits == 0
+        assert math.isnan(scan.times[0])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.datetimes(
@@ -310,10 +322,10 @@ class TestScanRecords:
         text = [d.replace(tzinfo=timezone.utc).isoformat(
             timespec="microseconds") for d in stamps]
         blob = b"".join(f"{x} n0 m\n".encode() for x in text)
-        n_records, n_ok, _, times = s.scan_records(blob)
-        assert n_records == n_ok == len(text)
+        scan = s.scan_records(blob)
+        assert scan.n_records == scan.n_ok == len(text)
         for i, x in enumerate(text):
-            assert times[i] == datetime.fromisoformat(x).timestamp(), x
+            assert scan.times[i] == datetime.fromisoformat(x).timestamp(), x
 
     @pytest.mark.parametrize("stamp, exact", [
         ("2255-06-05T23:47:34.740992+00:00", True),
@@ -328,13 +340,15 @@ class TestScanRecords:
         # the record goes back to Python, which still decodes it.
         s, _ = self.native(scanner)
         blob = f"{stamp} n0 link failed x\n".encode()
-        _, n_ok, items, times = s.scan_records(blob)
+        scan = s.scan_records(blob)
+        times = scan.times
         expected = datetime.fromisoformat(stamp).timestamp()
         if exact:
-            assert n_ok == 1 and times[0] == expected
+            assert scan.n_ok == 1 and times[0] == expected
         else:
-            assert n_ok == 0 and math.isnan(times[0])
-            assert [it[1] for it in items] == [native.SUSPECT_RECORD]
+            assert scan.n_ok == 0 and math.isnan(times[0])
+            assert [x[0] for x in scan.suspects] == [0] \
+                and scan.n_hits == 0
             assert parse_record_bytes(blob.rstrip())[0] == expected
 
 
@@ -379,7 +393,8 @@ class TestReorderKernel:
         times = data.draw(self.near_sorted())
         n = len(times)
         arr = (ctypes.c_double * n)(*times)
-        rank, reordered, late, last = scanner.reorder(arr, n, horizon)
+        rank, reordered, late, last, hits = scanner.reorder(arr, n, horizon)
+        assert hits is None
         order, ref_reordered, ref_late = sort_buffer_replay(times, horizon)
         emitted = sorted((r, i) for i, r in enumerate(rank) if r >= 0)
         assert [i for _, i in emitted] == order
@@ -388,6 +403,86 @@ class TestReorderKernel:
                    if math.isnan(t))
         assert (reordered, late) == (ref_reordered, ref_late)
         assert last == (order[-1] if order else None)
+
+    @staticmethod
+    def displaced_blob(seed=3):
+        """Hits, chatter, escaped records (suspects that decode) and
+        truncated ones (suspects that quarantine) from six node ids, one
+        of them invalid UTF-8; a third of the stamps are displaced by up
+        to 8 s."""
+        rng = random.Random(seed)
+        lines = []
+        for i in range(600):
+            t = 1000.0 + i * 0.25
+            if rng.random() < 0.3:
+                t += rng.uniform(-8.0, 8.0)
+            node = f"n{rng.randrange(5)}"
+            message = rng.choice([
+                "link failed x", f"node {node} health check failed",
+                "all quiet", "link failed x\\y", "quiet \\ too"])
+            line = record(t, node, message)
+            if rng.random() < 0.05:
+                line = line[:20]  # truncated: quarantined
+            elif rng.random() < 0.1:
+                line = line.replace(node.encode(), b"n\xff\xfe", 1)
+            lines.append(line)
+        return b"\n".join(lines) + b"\n"
+
+    @pytest.mark.parametrize("horizon", [0.0, 0.5, 5.0])
+    def test_hits_leave_in_emission_order(self, scanner, horizon):
+        # The fused pass's hand-off: the scan's hits, plus the hits the
+        # caller decodes from suspects, leave the reorder call in the
+        # emission order of the reorder buffer's reference replay.
+        blob = self.displaced_blob()
+        scan = scanner.scan_records(blob)
+        nodes = [blob[a:a + n] for a, n in scan.nodes]
+        expected = {index: (token, nodes[node])
+                    for index, token, _, node in zip(*scan.hits())}
+        added = quarantined = 0
+        for index, start, length in scan.suspects:
+            try:
+                t, node, message = parse_record_bytes(
+                    blob[start:start + length])
+            except LogDecodeError:
+                quarantined += 1
+                continue
+            scan.times[index] = t
+            token = scanner.tokenize(message)
+            if token is not None:
+                scan.add_hit(index, token, len(nodes))
+                nodes.append(node)
+                expected[index] = (token, node)
+                added += 1
+        assert added and quarantined and b"n\xff\xfe" in nodes
+        times = scan.times[:scan.n_records]
+        emission = scanner.reorder(
+            scan.times, scan.n_records, horizon, scan)
+        index, tokens, hit_times, node_ids = emission.hits
+        if horizon > 0:
+            order, reordered, late = sort_buffer_replay(times, horizon)
+            assert (emission.reordered, emission.late) == (reordered, late)
+            assert reordered
+        else:
+            order = [i for i, t in enumerate(times) if not math.isnan(t)]
+            assert (emission.reordered, emission.late) == (0, 0)
+        assert emission.last == order[-1]
+        assert list(index) == [i for i in order if i in expected]
+        assert [(token, nodes[node])
+                for token, node in zip(tokens, node_ids)] == \
+            [expected[i] for i in index]
+        assert list(hit_times) == [times[i] for i in index]
+
+    def test_rejects_hits_outside_the_stream(self, scanner):
+        # A hit on a record with no time (a suspect not written back),
+        # or a second hit on one record, cannot be placed.
+        blob = self.displaced_blob()
+        for pick in (
+                lambda scan: scan.suspects[0][0],
+                lambda scan: scan.hits()[0][0]):
+            scan = scanner.scan_records(blob)
+            scan.add_hit(pick(scan), 1, 0)
+            with pytest.raises(ValueError):
+                scanner.reorder(scan.times, scan.n_records, 5.0, scan)
 
     def test_rejects_more_records_than_times(self, scanner):
         with pytest.raises(ValueError):

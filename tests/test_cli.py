@@ -121,7 +121,9 @@ class TestJsonOutput:
             "--log", str(log), "--json",
         ])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1  # one compact document
+        payload = json.loads(out)
         assert payload["system"] == "HPC3"
         assert payload["predictions"]
         first = payload["predictions"][0]
@@ -457,8 +459,9 @@ class TestPredictWatch:
                 "--reorder-horizon", horizon, *extra,
             ]) == 0
             out = capsys.readouterr().out
-            # The watch frames print first; the JSON document is last.
-            runs[mode] = json.loads(out[out.index('{\n  "system"'):])
+            # The watch frames print first; the JSON document, one
+            # compact line, is last.
+            runs[mode] = json.loads(out[out.index('{"system"'):])
 
         def keys(payload):
             return sorted((p["node"], p["chain"], p["flagged_at"])
