@@ -54,22 +54,11 @@ from .logsim import (
     write_truth,
 )
 from .logsim.stream import byte_chunks
-
-try:  # the simulator half of logsim needs numpy (the [fast] extra)
-    from .logsim import ClusterLogGenerator, CorruptionSpec, corrupt_window
-except ImportError:
-    CorruptionSpec = corrupt_window = None
-
-    def ClusterLogGenerator(*_args, **_kwargs):
-        raise SystemExit(
-            "this command drives the log simulator, which requires numpy:"
-            " install the [fast] extra (pip install 'repro[fast]')")
 from .obs import (
     FlightRecorder,
     HistoryRing,
     LiveMonitor,
     Observability,
-    ObsServer,
     QualityScoreboard,
     RuleEngine,
     SpanClock,
@@ -83,6 +72,20 @@ from .reporting import render_table
 
 
 SIGTERM_EXIT = 143  # 128 + SIGTERM, the conventional termination code
+
+
+def ClusterLogGenerator(config, seed: int):
+    """The log simulator's generator for ``config``, imported by the
+    commands that drive it.  This module's top level stays light: a
+    ``serve`` started as ``aarohi serve`` or ``python -m repro.cli``
+    re-imports it in every spawned shard worker (DESIGN.md §5.14)."""
+    try:  # the simulator half of logsim needs numpy (the [fast] extra)
+        from .logsim.generator import ClusterLogGenerator as generator
+    except ImportError:
+        raise SystemExit(
+            "this command drives the log simulator, which requires numpy:"
+            " install the [fast] extra (pip install 'repro[fast]')")
+    return generator(config, seed=seed)
 
 
 class _Terminated(Exception):
@@ -297,6 +300,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         duration=args.duration, n_nodes=args.nodes, n_failures=args.failures,
     )
     if args.corrupt > 0:
+        from .logsim.corruptions import CorruptionSpec, corrupt_window
+
         spec = CorruptionSpec.all_kinds(args.corrupt)
         lines, report = corrupt_window(
             window.events, spec, seed=args.seed)
@@ -795,6 +800,8 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
     code reflects the final deadline verdict (0 = feasible, 1 = budget
     blown); SIGTERM drains gracefully (shutdown capsule + final
     ``--metrics`` snapshot) and exits 143."""
+    from .obs.server import ObsServer
+
     _install_sigterm()
     config = system_by_name(args.system)
     gen = ClusterLogGenerator(config, seed=args.seed)
@@ -941,6 +948,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         endpoints.append(f"tail {path}")
     server = None
     if args.http_port is not None:
+        from .obs.server import ObsServer
+
         server = ObsServer(
             obs, host=args.http_host, port=args.http_port).start()
         endpoints.append(f"http {server.url('/metrics')}")

@@ -11,51 +11,20 @@
 * :mod:`.leadtime` — prediction↔failure pairing and lead-time metrics
 """
 
-from .adaptive import AdaptationEvent, AdaptiveFleet
-from .audit import AuditLog, AuditRecord, read_audit_log
-from .chains import ChainSet, FailureChain, common_subchains
-from .daemon import DaemonReport, FleetDaemon, shard_of
-from .events import LogEvent, NodeFailure, Prediction, Severity, TokenEvent
-from .fleet import FleetReport, PredictorFleet
-from .grammar_builder import build_chain_tables, factored_grammar, flat_grammar
-from .leadtime import LeadTimeRecord, LeadTimeReport, pair_predictions
-from .matcher import ChainMatcher, Match, MatcherStats, OracleTracker
-from .predictor import AarohiPredictor, PredictorStats
-from .rules import ChainRule, FactoredRule, RuleSet, build_rules
+from ..lazy import lazy_exports
 
-__all__ = [
-    "AarohiPredictor",
-    "AdaptationEvent",
-    "AdaptiveFleet",
-    "AuditLog",
-    "AuditRecord",
-    "ChainMatcher",
-    "ChainRule",
-    "ChainSet",
-    "DaemonReport",
-    "FactoredRule",
-    "FleetDaemon",
-    "FailureChain",
-    "FleetReport",
-    "LeadTimeRecord",
-    "LeadTimeReport",
-    "LogEvent",
-    "Match",
-    "MatcherStats",
-    "NodeFailure",
-    "OracleTracker",
-    "Prediction",
-    "PredictorFleet",
-    "PredictorStats",
-    "RuleSet",
-    "Severity",
-    "TokenEvent",
-    "build_chain_tables",
-    "build_rules",
-    "common_subchains",
-    "factored_grammar",
-    "flat_grammar",
-    "pair_predictions",
-    "shard_of",
-    "read_audit_log",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "adaptive": ("AdaptationEvent", "AdaptiveFleet"),
+    "audit": ("AuditLog", "AuditRecord", "read_audit_log"),
+    "chains": ("ChainSet", "FailureChain", "common_subchains"),
+    "daemon": ("DaemonReport", "FleetDaemon", "shard_of"),
+    "events": ("LogEvent", "NodeFailure", "Prediction", "Severity",
+               "TokenEvent"),
+    "fleet": ("FleetReport", "PredictorFleet"),
+    "grammar_builder": ("build_chain_tables", "factored_grammar",
+                        "flat_grammar"),
+    "leadtime": ("LeadTimeRecord", "LeadTimeReport", "pair_predictions"),
+    "matcher": ("ChainMatcher", "Match", "MatcherStats", "OracleTracker"),
+    "predictor": ("AarohiPredictor", "PredictorStats"),
+    "rules": ("ChainRule", "FactoredRule", "RuleSet", "build_rules"),
+})

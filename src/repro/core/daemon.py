@@ -99,6 +99,7 @@ from ..obs import (
     DAEMON_TAIL_ROTATIONS,
     DAEMON_UPTIME_SECONDS,
     DAEMON_WORKER_DEATHS,
+    DAEMON_WORKER_START_SECONDS,
     Observability,
     SpanClock,
     diff_snapshots,
@@ -220,6 +221,7 @@ class _Shard:
     __slots__ = (
         "index", "proc", "work_q", "result_q", "generation", "pending",
         "next_seq", "up", "was_up", "last_state", "acked", "collector",
+        "spawned_at", "start_s",
     )
 
     def __init__(self, index: int):
@@ -242,6 +244,10 @@ class _Shard:
         self.last_state: Dict[str, dict] = {}
         self.acked = 0
         self.collector: Optional[threading.Thread] = None
+        # Spawn → "up" of the last worker to report up: after a
+        # takeover, lines routed here wait at least this long.
+        self.spawned_at = 0.0
+        self.start_s: Optional[float] = None
 
 
 class DaemonReport(NamedTuple):
@@ -378,6 +384,7 @@ class FleetDaemon:
         """(Re)spawn one shard worker; caller holds the lock."""
         shard.generation += 1
         shard.up = False
+        shard.spawned_at = _time.monotonic()
         shard.work_q = self._ctx.Queue()
         shard.result_q = self._ctx.Queue()
         shard.proc = self._ctx.Process(
@@ -483,6 +490,7 @@ class FleetDaemon:
                 _, _, restored = msg
                 shard.up = True
                 shard.was_up = True
+                start_s = shard.start_s = _time.monotonic() - shard.spawned_at
                 self._chains_restored += restored
                 self._refresh_status()
             elif kind == "ack":
@@ -508,6 +516,11 @@ class FleetDaemon:
         # Obs fold-in strictly after the daemon lock is released (the
         # facade lock nests obs→status-read, never obs→daemon-lock).
         if kind == "up":
+            with obs.lock:
+                obs.registry.histogram(
+                    DAEMON_WORKER_START_SECONDS,
+                    "shard worker spawn to up, first starts and takeovers",
+                ).observe(start_s)
             self._publish_metrics()
             return
         # One facade-locked block per chunk, so a scrape or a rule
@@ -591,6 +604,9 @@ class FleetDaemon:
             "chains_restored": self._chains_restored,
             "backpressure_stalls": self._stalls,
             "tail_rotations": self._rotations,
+            "worker_start_s": [
+                None if s.start_s is None else round(s.start_s, 4)
+                for s in self._shards],
             "uptime_s": (
                 round(_time.monotonic() - self._started_at, 3)
                 if self._started_at is not None else 0.0),

@@ -34,10 +34,8 @@ from ..obs.tracing import (
     PREDICTION_FIRED,
     TOKEN_ADVANCED,
 )
-from ..parsegen import END, FeedResult, StreamingParser
 from .chains import ChainSet
 from .events import LogEvent, Prediction
-from .grammar_builder import terminal_name
 from .matcher import ChainMatcher, Match, MatcherStats
 
 Tokenizer = Callable[[str], Optional[int]]
@@ -304,10 +302,19 @@ class _LalrEngine(_Engine):
     """
 
     def __init__(self, chains: ChainSet, timeout: Optional[float]):
+        # The parser generator loads here, so a matcher-backed process
+        # (every daemon shard) never imports it.
+        from ..parsegen import END, FeedResult, StreamingParser
+        from .grammar_builder import terminal_name
+
         self.chains = chains
         self.timeout = chains.suggest_timeout() if timeout is None else timeout
         self.tables = chains.lalr_tables
         self.parser = StreamingParser(self.tables)
+        self._end = END
+        self._accepted = FeedResult.ACCEPTED
+        self._error = FeedResult.ERROR
+        self._terminal_name = terminal_name
         self._last_time = 0.0
         self._start_time = 0.0
         self._tokens: List[int] = []
@@ -356,9 +363,9 @@ class _LalrEngine(_Engine):
             active = False
         name = self._names.get(token)
         if name is None:
-            name = self._names[token] = terminal_name(token)
+            name = self._names[token] = self._terminal_name(token)
         result = parser.feed(name, token)
-        if result is FeedResult.ERROR:
+        if result is self._error:
             stats.skipped += 1
             return None  # skip (mid-chain mismatch or irrelevant start)
         if not active:
@@ -384,7 +391,7 @@ class _LalrEngine(_Engine):
         # Probe-free completion check: feed($end) directly — rejection
         # is non-destructive, so a mid-chain configuration is untouched,
         # and acceptance replaces the old would_accept+feed double walk.
-        if parser.feed(END) is FeedResult.ACCEPTED:
+        if parser.feed(self._end) is self._accepted:
             chain_id = parser.result  # set by the accept action
             tokens = tuple(self._tokens)
             parser.reset()
@@ -435,8 +442,8 @@ class _LalrEngine(_Engine):
         for tok in state["tokens"]:
             name = names.get(tok)
             if name is None:
-                name = names[tok] = terminal_name(tok)
-            if parser.feed(name, tok) is FeedResult.ERROR:
+                name = names[tok] = self._terminal_name(tok)
+            if parser.feed(name, tok) is self._error:
                 parser.reset()
                 self._tokens.clear()
                 raise ValueError(

@@ -21,6 +21,7 @@ cluster's life, with four ingredient kinds:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -108,11 +109,13 @@ class ClusterLogGenerator:
 
     def _to_failure_chain(self, chain_def: ChainDef) -> FailureChain:
         tokens = tuple(self._token_of[k] for k in chain_def.phrase_keys)
-        # Trained ΔT stats: the model's expected gaps (used for timeouts).
+        # Trained ΔT stats: the model's expected gaps (used for timeouts),
+        # seeded by the chain id's CRC-32 so that every process (whatever
+        # its PYTHONHASHSEED) trains the same chains.
         deltas = tuple(
             float(m)
             for m in chain_def.deltas.sample(
-                np.random.default_rng(hash(chain_def.chain_id) % (2**32)),
+                np.random.default_rng(zlib.crc32(chain_def.chain_id.encode())),
                 len(tokens) - 1,
             )
         )

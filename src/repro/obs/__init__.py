@@ -46,6 +46,7 @@ import functools
 import threading
 from typing import List, Optional, Sequence
 
+from ..lazy import lazy_exports
 from .exposition import (
     PrometheusParseError,
     histogram_series,
@@ -108,6 +109,7 @@ from .names import (  # noqa: F401  (canonical names, re-exported)
     DAEMON_TAIL_ROTATIONS,
     DAEMON_UPTIME_SECONDS,
     DAEMON_WORKER_DEATHS,
+    DAEMON_WORKER_START_SECONDS,
     DEADLINE_BREACHES,
     DEADLINE_BUDGET,
     DEADLINE_OK,
@@ -185,7 +187,6 @@ from .rules import (
     rules_to_toml,
     validate_rules,
 )
-from .server import ObsServer
 from .spans import (
     SPAN_STAGES,
     STAGE_DECODE,
@@ -209,6 +210,10 @@ from .tracing import (
     read_trace,
     realized_lead_times,
 )
+
+# The HTTP plane is the only ``http.server`` user; a process that never
+# serves it (a daemon shard worker) never imports it.
+_, __getattr__, __dir__ = lazy_exports(__name__, {"server": ("ObsServer",)})
 
 
 def _locked(method):

@@ -108,6 +108,7 @@ DAEMON_WORKER_DEATHS = "aarohi_daemon_worker_deaths_total"
 DAEMON_HANDOFFS = "aarohi_daemon_handoffs_total"
 DAEMON_CHAINS_RESTORED = "aarohi_daemon_chains_restored_total"
 DAEMON_TAIL_ROTATIONS = "aarohi_daemon_tail_rotations_total"
+DAEMON_WORKER_START_SECONDS = "aarohi_daemon_worker_start_seconds"
 
 # -- history ring + alert rules (ISSUE 8) ------------------------------
 HISTORY_CAPTURES = "aarohi_history_captures_total"

@@ -9,44 +9,19 @@ The streaming driver's non-destructive token rejection is the substrate
 for Aarohi's Algorithm 2 (skip unexpected phrases mid-chain).
 """
 
-from .analysis import first_sets, follow_sets, nullable_set
-from .dsl import GrammarSyntaxError, format_grammar, parse_grammar
-from .cfg import ACCEPT, END, AugmentedGrammar, Grammar, GrammarError, Production
-from .lalr import compute_lookaheads
-from .lr0 import build_lr0
-from .runtime import FeedResult, LRParser, ParseError, StreamingParser
-from .sampling import UnproductiveGrammarError, sample_sentence, sample_sentences
-from .tables import Action, ActionKind, Conflict, ConflictError, ParseTables, build_tables
-from .variants import build_canonical_lr1_tables, build_slr_tables
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ACCEPT",
-    "Action",
-    "ActionKind",
-    "AugmentedGrammar",
-    "Conflict",
-    "ConflictError",
-    "END",
-    "FeedResult",
-    "Grammar",
-    "GrammarError",
-    "GrammarSyntaxError",
-    "LRParser",
-    "ParseError",
-    "ParseTables",
-    "Production",
-    "StreamingParser",
-    "build_lr0",
-    "build_canonical_lr1_tables",
-    "build_slr_tables",
-    "build_tables",
-    "format_grammar",
-    "parse_grammar",
-    "compute_lookaheads",
-    "first_sets",
-    "follow_sets",
-    "nullable_set",
-    "sample_sentence",
-    "sample_sentences",
-    "UnproductiveGrammarError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis": ("first_sets", "follow_sets", "nullable_set"),
+    "dsl": ("GrammarSyntaxError", "format_grammar", "parse_grammar"),
+    "cfg": ("ACCEPT", "END", "AugmentedGrammar", "Grammar", "GrammarError",
+            "Production"),
+    "lalr": ("compute_lookaheads",),
+    "lr0": ("build_lr0",),
+    "runtime": ("FeedResult", "LRParser", "ParseError", "StreamingParser"),
+    "sampling": ("UnproductiveGrammarError", "sample_sentence",
+                 "sample_sentences"),
+    "tables": ("Action", "ActionKind", "Conflict", "ConflictError",
+               "ParseTables", "build_tables"),
+    "variants": ("build_canonical_lr1_tables", "build_slr_tables"),
+})

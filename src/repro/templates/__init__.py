@@ -6,31 +6,12 @@
 * :mod:`.spell` — Spell LCS-based streaming log parser (baseline)
 """
 
-from .drain import DrainGroup, DrainParser
-from .masking import MASK, make_masker, mask_message, template_tokens
-from .spell import LCSObject, SpellParser, lcs_length, lcs_sequence
-from .store import (
-    NaiveTemplateScanner,
-    Template,
-    TemplateScanner,
-    TemplateStore,
-    template_to_pattern,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "DrainGroup",
-    "DrainParser",
-    "LCSObject",
-    "MASK",
-    "NaiveTemplateScanner",
-    "SpellParser",
-    "lcs_length",
-    "lcs_sequence",
-    "Template",
-    "TemplateScanner",
-    "TemplateStore",
-    "make_masker",
-    "mask_message",
-    "template_to_pattern",
-    "template_tokens",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "drain": ("DrainGroup", "DrainParser"),
+    "masking": ("MASK", "make_masker", "mask_message", "template_tokens"),
+    "spell": ("LCSObject", "SpellParser", "lcs_length", "lcs_sequence"),
+    "store": ("NaiveTemplateScanner", "Template", "TemplateScanner",
+              "TemplateStore", "template_to_pattern"),
+})

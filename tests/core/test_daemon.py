@@ -161,6 +161,7 @@ class TestKillMinus9Drill:
                 assert daemon.drain(30.0)
                 before = daemon.status()
                 assert before["ok"] and before["up"] == n_shards
+                assert all(s > 0 for s in before["worker_start_s"])
 
                 pid = daemon.worker_pid(0)
                 os.kill(pid, signal.SIGKILL)
@@ -223,6 +224,9 @@ class TestKillMinus9Drill:
         assert "aarohi_daemon_worker_deaths_total 1" in text
         assert "aarohi_daemon_handoffs_total 1" in text
         assert "aarohi_daemon_shards_up 2" in text
+        # Both first starts and the replacement's start are observed.
+        assert "aarohi_daemon_worker_start_seconds_count 3" in text
+        assert all(s > 0 for s in status["worker_start_s"])
 
 
 class TestKillBetweenDeltaAcks:

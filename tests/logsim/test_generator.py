@@ -1,7 +1,13 @@
 """Tests for workload generation and the end-to-end predict pipeline."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import PredictorFleet, pair_predictions
 from repro.logsim import (
@@ -81,6 +87,26 @@ class TestGenerator:
         b = ClusterLogGenerator(HPC3, seed=7).generate_window(
             duration=600, n_nodes=10, n_failures=3)
         assert [e.to_line() for e in a.events] == [e.to_line() for e in b.events]
+
+    def test_trained_chains_independent_of_hash_seed(self):
+        """The chains' trained ΔT stats are the same in every process,
+        whatever its PYTHONHASHSEED (str hashes are salted per run)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        code = (
+            "import json\n"
+            "from repro.logsim import HPC3, ClusterLogGenerator\n"
+            "from repro.persistence import chains_to_dict\n"
+            "gen = ClusterLogGenerator(HPC3, seed=7)\n"
+            "print(json.dumps(chains_to_dict(gen.chains)))\n")
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert outs[0] == outs[1]
 
     def test_events_sorted(self, gen):
         window = gen.generate_window(duration=1200, n_nodes=12, n_failures=4)
