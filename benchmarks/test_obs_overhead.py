@@ -5,8 +5,8 @@ registry path accumulates per batch, the counting scanner derives its
 common-path funnel stages arithmetically, and the tracer touches only
 FC-related tokens.  This bench measures all three fleet configurations
 (off / metrics / metrics+full-sampling tracer) interleaved on the HPC1
-discard-heavy stream, asserts the ≥95% floor, and writes the numbers to
-``BENCH_obs.json``.
+discard-heavy stream and asserts the ≥95% floor.  It leaves
+``BENCH_obs.json`` alone: ``benchmarks/obs_overhead.py`` writes it.
 
 Before timing anything, a differential check confirms instrumentation
 never changes predictions.
@@ -29,7 +29,6 @@ from obs_overhead import (
     measure_obs_overhead,
     measure_spans_overhead,
     spans_gate_ok,
-    write_bench_json,
 )
 
 
@@ -63,8 +62,6 @@ def test_obs_overhead(benchmark, emit, generators):
     measured["live"] = live
     history = measure_history_overhead(gen)
     measured["history"] = history
-    results = {"HPC1": measured}
-    write_bench_json(results)
 
     emit("obs_overhead", render_table(
         ["config", "events/s", "vs off"],

@@ -55,18 +55,11 @@ from .logsim import (
 )
 from .logsim.stream import byte_chunks
 from .obs import (
-    FlightRecorder,
-    HistoryRing,
     LiveMonitor,
     Observability,
-    QualityScoreboard,
-    RuleEngine,
     SpanClock,
     Tracer,
-    daemon_ruleset,
-    default_ruleset,
     inter_arrival_budget,
-    load_rules,
 )
 from .reporting import render_table
 
@@ -228,6 +221,8 @@ def _make_obs(
             or spans_sample or flight_dir
             or history_interval is not None or rules_source):
         return None
+    from .obs import FlightRecorder, QualityScoreboard, default_ruleset
+
     tracer = None
     if trace:
         tracer = Tracer(trace, sample=args.trace_sample)
@@ -262,6 +257,8 @@ def _make_history(
     daemon rules under ``serve``, none under a plain ``predict``.  A
     ruleset arms the ring; ``--history`` sets only its interval.
     """
+    from .obs import HistoryRing, RuleEngine, default_ruleset, load_rules
+
     if history_interval is not None and history_interval < 0:
         raise SystemExit("--history must be >= 0 seconds")
     if rules_source:
@@ -904,6 +901,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded live-ingest daemon until SIGTERM/SIGINT, then
     drain gracefully and write the run's accounting."""
     from .core.daemon import FleetDaemon
+    from .obs import FlightRecorder, daemon_ruleset
 
     _install_sigterm()
     bundle = _serve_bundle(args)

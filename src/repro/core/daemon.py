@@ -22,10 +22,11 @@ oracle that shares no code with the sharded path.  The pieces:
   node's lines always reach the same shard in arrival order;
 * **workers** — each shard process (:func:`_daemon_worker_main`)
   rebuilds the fleet from the bundle and the parent's compiled scanner
-  tables, then runs every chunk through :func:`_run_chunk` — one
-  tolerant ``run_lines`` call, the fused C pass on ``native`` — and
-  ships per-chunk ``IngestStats`` + shard-labeled obs registry deltas
-  with every result;
+  tables, which reach it first on its work queue, then runs every
+  chunk through :func:`_run_chunk` — one tolerant ``run_lines`` call,
+  the fused C pass on ``native`` — and ships per-chunk
+  ``IngestStats`` + shard-labeled obs registry deltas with every
+  result;
 * **sources** — each connection and each tailed file is a generator
   of byte chunks, framed into records by
   :func:`~repro.logsim.stream.frame_records`, the one record reader
@@ -51,9 +52,10 @@ Exactly-once under ``kill -9`` (the handoff protocol):
 2. Chunks are submitted at-least-once, results applied exactly-once:
    an ack from a stale worker generation is dropped, because its
    chunks will be replayed by the replacement.
-3. On worker death the supervisor bumps the shard generation, spawns a
-   replacement seeded with the **last acked** state snapshot, and
-   re-dispatches the pending chunks in sequence order.  The replayed
+3. On worker death — seen at once on the process sentinel — the
+   supervisor bumps the shard generation, spawns a replacement seeded
+   with the **last acked** state snapshot, and re-dispatches the
+   pending chunks in sequence order.  The replayed
    stream continues from precisely the state the acked prefix left
    behind, so predictions — and the ingest funnel identity
    ``decoded + quarantined == lines_read`` — are preserved across the
@@ -157,19 +159,19 @@ def _daemon_worker_main(
     shard: int,
     work_q,
     result_q,
-    bundle_dict: dict,
-    scanner_tables: dict,
     timeout: Optional[float],
     on_error: str,
     scan_backend: str,
     spans_sample: float,
-    init_state: Optional[dict],
     throttle_s: float,
 ) -> None:
     """One shard process: build the shard's fleet, then run chunks
     until the ``None`` sentinel.
 
-    The scanner is rebuilt from the parent's compiled tables (no regex
+    The spawn arguments are scalars and the two queues, so the parent's
+    ``Process.start()`` never waits for this process to boot.  The
+    first work item is ``(bundle dict, scanner tables, restore point or
+    None)``; the scanner is rebuilt from those tables (no regex
     compilation here, just kernel specialization).  The fleet reports
     into a process-local registry whose ``shard`` label keeps
     per-shard series distinct after the parent-side merge; a positive
@@ -185,6 +187,7 @@ def _daemon_worker_main(
     from ..persistence import PredictorBundle, scanner_from_artifact
     from ..templates.store import CountingTemplateScanner
 
+    bundle_dict, scanner_tables, init_state = work_q.get()
     obs = _ShardObservability(
         labels={"shard": str(shard)},
         spans=SpanClock(spans_sample) if spans_sample > 0.0 else None,
@@ -322,6 +325,8 @@ class FleetDaemon:
         self._ctx = mp.get_context("spawn")
 
         self._lock = threading.RLock()
+        # Notified as each shard reports up (``wait_ready``'s wake-up).
+        self._up = threading.Condition(self._lock)
         self._shards = [_Shard(i) for i in range(n_shards)]
         self._buffers: List[List[str]] = [[] for _ in range(n_shards)]
         self.predictions: List[Prediction] = []
@@ -372,16 +377,20 @@ class FleetDaemon:
 
     def wait_ready(self, timeout: float = 30.0) -> bool:
         """Block until every shard's worker has reported up."""
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            with self._lock:
-                if all(s.up for s in self._shards):
-                    return True
-            _time.sleep(0.01)
-        return False
+        with self._up:
+            return self._up.wait_for(
+                lambda: all(s.up for s in self._shards), timeout)
 
     def _spawn_worker(self, shard: _Shard, init_state: Optional[dict]) -> None:
-        """(Re)spawn one shard worker; caller holds the lock."""
+        """(Re)spawn one shard worker; caller holds the lock.
+
+        The spawn pickle carries scalars and the queues only, so
+        ``start()`` returns without waiting for the child to boot: the
+        shards boot side by side, and a takeover holds the lock for a
+        fork, not a boot.  The bundle, the scanner tables (~100 KB for
+        ``serve``'s default bundle, more than a pipe holds) and the
+        restore point go first on the work queue, whose feeder thread
+        writes them as the child reads them."""
         shard.generation += 1
         shard.up = False
         shard.spawned_at = _time.monotonic()
@@ -389,14 +398,14 @@ class FleetDaemon:
         shard.result_q = self._ctx.Queue()
         shard.proc = self._ctx.Process(
             target=_daemon_worker_main,
-            args=(shard.index, shard.work_q, shard.result_q,
-                  self._bundle_dict, self._tables, self.timeout,
+            args=(shard.index, shard.work_q, shard.result_q, self.timeout,
                   self.on_error, self.scan_backend, self.spans_sample,
-                  init_state, self.throttle_s),
+                  self.throttle_s),
             daemon=True,
             name=f"aarohi-shard-{shard.index}",
         )
         shard.proc.start()
+        shard.work_q.put((self._bundle_dict, self._tables, init_state))
         # Replay the unacked suffix in order; results for chunks the
         # dead worker also processed are deduplicated by generation.
         for item in shard.pending.items():
@@ -493,6 +502,7 @@ class FleetDaemon:
                 start_s = shard.start_s = _time.monotonic() - shard.spawned_at
                 self._chains_restored += restored
                 self._refresh_status()
+                self._up.notify_all()
             elif kind == "ack":
                 (_, _, seq, predictions, stats, obs_delta, chunk_ingest,
                  state) = msg
@@ -539,26 +549,31 @@ class FleetDaemon:
 
     # -- supervision ----------------------------------------------------
     def _supervise_loop(self) -> None:
+        from multiprocessing.connection import wait
+
         while True:
             with self._lock:
                 if self._stopped:
                     return
                 stopping = self._stopping
-                dead = [
-                    s for s in self._shards
-                    if s.proc is not None and not s.proc.is_alive()
-                ]
                 if not stopping:
-                    for shard in dead:
-                        self._takeover(shard)
+                    for shard in self._shards:
+                        if not shard.proc.is_alive():
+                            self._takeover(shard)
                 # Time-based flush so a trickle of lines (below
                 # chunk_lines) still reaches the workers promptly.
                 for shard_idx in range(self.n_shards):
                     if self._buffers[shard_idx]:
                         self._dispatch(shard_idx)
+                # A worker's sentinel turns ready when it exits, so a
+                # death ends the wait below at once.  Workers exit on
+                # purpose while stopping: wait on none of them then
+                # (a plain sleep), or the loop would spin.
+                sentinels = ([] if stopping
+                             else [s.proc.sentinel for s in self._shards])
             self._publish_metrics()
             self.obs.record_history()
-            _time.sleep(self.poll_interval)
+            wait(sentinels, self.poll_interval)
 
     def _takeover(self, shard: _Shard) -> None:
         """Replace a dead worker; caller holds the lock.
@@ -578,7 +593,8 @@ class FleetDaemon:
             old_work.cancel_join_thread()
         except (OSError, ValueError):
             pass
-        self._spawn_worker(shard, init_state={"nodes": shard.last_state})
+        # A copy: the queue pickles it later, on its feeder thread.
+        self._spawn_worker(shard, init_state={"nodes": dict(shard.last_state)})
 
     # -- status / metrics ----------------------------------------------
     def status(self) -> dict:

@@ -5,16 +5,10 @@ one merged minimized DFA, and tokenize text with longest-match /
 first-rule-wins semantics via :class:`Scanner`.
 """
 
-from .scanner import LexToken, Scanner, ScanError
-from .spec import CompiledLexSpec, LexRule, LexSpec, LexSpecError, spec_from_pairs
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CompiledLexSpec",
-    "LexRule",
-    "LexSpec",
-    "LexSpecError",
-    "LexToken",
-    "ScanError",
-    "Scanner",
-    "spec_from_pairs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "scanner": ("LexToken", "ScanError", "Scanner"),
+    "spec": ("CompiledLexSpec", "LexRule", "LexSpec", "LexSpecError",
+             "spec_from_pairs"),
+})

@@ -10,14 +10,12 @@ accept states are tagged with rule indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from ..regexlib import ast as rast
-from ..regexlib import parser as rparser
 from ..regexlib.dfa import DFA, from_nfa
-from ..regexlib.minimize import minimize
-from ..regexlib.nfa import from_asts
+
+if TYPE_CHECKING:
+    from ..regexlib.ast import Node
 
 
 @dataclass(frozen=True)
@@ -33,8 +31,10 @@ class LexRule:
     pattern: str
     skip: bool = False
 
-    def parse_ast(self) -> rast.Node:
-        return rparser.parse(self.pattern)
+    def parse_ast(self) -> Node:
+        from ..regexlib.parser import parse
+
+        return parse(self.pattern)
 
 
 class LexSpecError(ValueError):
@@ -68,15 +68,21 @@ class LexSpec:
         """Merge all rules into one tagged DFA.
 
         ``minimized=False`` skips Hopcroft minimization; used by the
-        Fig. 11 "optimization off" ablation.
+        Fig. 11 "optimization off" ablation.  The regex compiler is
+        imported here: a process that only loads finished tables (a
+        daemon shard) never needs it.
         """
+        from ..regexlib.minimize import minimize
+        from ..regexlib.nfa import from_asts
+        from ..regexlib.parser import RegexSyntaxError
+
         if not self.rules:
             raise LexSpecError("cannot compile an empty LexSpec")
         tagged = []
         for idx, rule in enumerate(self.rules):
             try:
                 tree = rule.parse_ast()
-            except rparser.RegexSyntaxError as exc:
+            except RegexSyntaxError as exc:
                 raise LexSpecError(f"rule {rule.name!r}: {exc}") from exc
             tagged.append((tree, idx))
         dfa = from_nfa(from_asts(tagged))
@@ -104,16 +110,6 @@ class CompiledLexSpec:
 
     def rule_of_tag(self, tag: int) -> LexRule:
         return self.spec.rules[tag]
-
-    @cached_property
-    def matcher(self) -> Callable[[str, int], Tuple[Optional[int], int]]:
-        """Closure-specialized ``match(text, pos=0)`` over the merged DFA.
-
-        Same contract as :meth:`longest_match` but with every table
-        bound into the closure (see :meth:`repro.regexlib.dfa.DFA.compile_matcher`);
-        hot callers (the online scanner) should grab this once.
-        """
-        return self.dfa.compile_matcher()
 
     def longest_match(self, text: str, pos: int) -> Tuple[Optional[int], int]:
         """(rule index, end) of the longest match at ``pos``; (None, pos) if none."""

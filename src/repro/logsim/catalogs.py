@@ -37,13 +37,6 @@ class CatalogEntry:
         return self.realize(rng, node)
 
 
-def _fixed(head: str) -> Realizer:
-    def realize(rng: np.random.Generator, node: str) -> str:
-        return head
-
-    return realize
-
-
 def _with_tail(head: str, tails: Sequence[str]) -> Realizer:
     def realize(rng: np.random.Generator, node: str) -> str:
         tail = tails[int(rng.integers(len(tails)))]

@@ -44,16 +44,9 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..lazy import lazy_exports
-from .exposition import (
-    PrometheusParseError,
-    histogram_series,
-    parse_prometheus,
-    render_json,
-    render_prometheus,
-)
 from .live import (
     DeadlineMonitor,
     DeadlineVerdict,
@@ -63,18 +56,6 @@ from .live import (
     QuantileSketch,
     StreamLag,
     inter_arrival_budget,
-)
-from .flight import (
-    FlightRecorder,
-    TRIGGER_ALERT,
-    TRIGGER_REASONS,
-    TRIGGER_SHUTDOWN,
-    read_capsule,
-)
-from .history import (
-    HistoryRing,
-    group_history_records,
-    parse_history_ndjson,
 )
 from .metrics import (
     Counter,
@@ -175,18 +156,6 @@ from .names import (  # noqa: F401  (canonical names, re-exported)
     TOKENS_ADVANCED,
     TOKENS_SKIPPED,
 )
-from .quality import DiscardDriftDetector, QualityScore, QualityScoreboard
-from .rules import (
-    AlertRule,
-    DAEMON_RULES,
-    DEFAULT_RULES,
-    RuleEngine,
-    daemon_ruleset,
-    default_ruleset,
-    load_rules,
-    rules_to_toml,
-    validate_rules,
-)
 from .spans import (
     SPAN_STAGES,
     STAGE_DECODE,
@@ -211,9 +180,29 @@ from .tracing import (
     realized_lead_times,
 )
 
-# The HTTP plane is the only ``http.server`` user; a process that never
-# serves it (a daemon shard worker) never imports it.
-_, __getattr__, __dir__ = lazy_exports(__name__, {"server": ("ObsServer",)})
+if TYPE_CHECKING:
+    from .flight import FlightRecorder
+    from .history import HistoryRing
+    from .quality import QualityScoreboard
+    from .rules import RuleEngine
+
+# Planes a daemon shard worker never runs load on first use: the HTTP
+# plane (the only ``http.server`` user), the rendering, the history
+# ring and alert rules, the flight recorder and the quality scoreboard.
+# The facade below imports each where it uses it.
+_, __getattr__, __dir__ = lazy_exports(__name__, {
+    "exposition": ("PrometheusParseError", "histogram_series",
+                   "parse_prometheus", "render_json", "render_prometheus"),
+    "flight": ("FlightRecorder", "TRIGGER_ALERT", "TRIGGER_REASONS",
+               "TRIGGER_SHUTDOWN", "read_capsule"),
+    "history": ("HistoryRing", "group_history_records",
+                "parse_history_ndjson"),
+    "quality": ("DiscardDriftDetector", "QualityScore", "QualityScoreboard"),
+    "rules": ("AlertRule", "DAEMON_RULES", "DEFAULT_RULES", "RuleEngine",
+              "daemon_ruleset", "default_ruleset", "load_rules",
+              "rules_to_toml", "validate_rules"),
+    "server": ("ObsServer",),
+})
 
 
 def _locked(method):
@@ -270,8 +259,12 @@ class Observability:
         # recorder without rules arms the shipped defaults.  Rules
         # evaluate over the ring; without one they get a default ring.
         if flight is not None and rules is None:
+            from .rules import RuleEngine, default_ruleset
+
             rules = RuleEngine(default_ruleset())
         if rules is not None and history is None:
+            from .history import HistoryRing
+
             history = HistoryRing()
         self.history = history
         self.rules = rules
@@ -605,6 +598,8 @@ class Observability:
         flight = self.flight
         if flight is None:
             return None
+        from .flight import TRIGGER_SHUTDOWN
+
         text = flight.trigger(
             TRIGGER_SHUTDOWN, snapshot=self.registry.snapshot(), **fields)
         self._publish_flight_gauges()
@@ -681,6 +676,8 @@ class Observability:
                 continue
             rule = engine.rule(transition["rule"])
             if flight is not None:
+                from .flight import TRIGGER_ALERT
+
                 text = flight.trigger(
                     TRIGGER_ALERT,
                     key=rule.id,
@@ -941,10 +938,14 @@ class Observability:
     # -- exposition ----------------------------------------------------
     @_locked
     def prometheus(self) -> str:
+        from .exposition import render_prometheus
+
         return render_prometheus(self.registry.snapshot())
 
     @_locked
     def json(self) -> str:
+        from .exposition import render_json
+
         return render_json(self.registry.snapshot())
 
     def close(self) -> None:

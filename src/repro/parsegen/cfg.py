@@ -13,7 +13,7 @@ left-hand side.  The default action returns the RHS value list itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 END = "$end"
 ACCEPT = "$accept"
@@ -48,8 +48,6 @@ class Grammar:
         g.add("S", ["A", "b"])
         g.add("A", ["a"], action=lambda v: v[0])
         g = g.augmented()
-
-    or in one shot with :meth:`from_rules`.
     """
 
     def __init__(self, start: str):
@@ -76,17 +74,6 @@ class Grammar:
         self.productions.append(prod)
         self._by_lhs.setdefault(lhs, []).append(prod)
         return prod
-
-    @classmethod
-    def from_rules(
-        cls,
-        start: str,
-        rules: Iterable[Tuple[str, Sequence[str]]],
-    ) -> "Grammar":
-        g = cls(start)
-        for lhs, rhs in rules:
-            g.add(lhs, rhs)
-        return g
 
     # -- queries -----------------------------------------------------
     @property

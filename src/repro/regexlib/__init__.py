@@ -8,33 +8,18 @@ generator in :mod:`repro.lexgen` reuses the same pieces with tagged
 accept states for first-rule-wins tokenization.
 """
 
-from .ast import literal
-from .charset import CharSet, partition_alphabet
-from .dfa import DEAD, DFA, TranslateTable, from_nfa
-from .matcher import Regex, compile
-from .minimize import minimize
-from .nfa import NFA, from_ast, from_asts
-from .ops import equivalent, find_distinguishing_string, tag_equivalent, to_dot
-from .parser import RegexSyntaxError, parse
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CharSet",
-    "DEAD",
-    "DFA",
-    "NFA",
-    "Regex",
-    "RegexSyntaxError",
-    "TranslateTable",
-    "compile",
-    "equivalent",
-    "find_distinguishing_string",
-    "from_ast",
-    "from_asts",
-    "from_nfa",
-    "literal",
-    "minimize",
-    "parse",
-    "tag_equivalent",
-    "to_dot",
-    "partition_alphabet",
-]
+# A shard worker loads only ``dfa`` and ``charset`` (it rebuilds its
+# scanner from finished tables); the compiler loads where it runs.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ast": ("literal",),
+    "charset": ("CharSet", "partition_alphabet"),
+    "dfa": ("DEAD", "DFA", "TranslateTable", "from_nfa"),
+    "matcher": ("Regex", "compile"),
+    "minimize": ("minimize",),
+    "nfa": ("NFA", "from_ast", "from_asts"),
+    "ops": ("equivalent", "find_distinguishing_string", "tag_equivalent",
+            "to_dot"),
+    "parser": ("RegexSyntaxError", "parse"),
+})

@@ -15,10 +15,12 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .charset import MAX_CODEPOINT, CharSet, partition_alphabet
-from .nfa import NFA
+
+if TYPE_CHECKING:
+    from .nfa import NFA
 
 DEAD = -1  # transition target meaning "no move"
 
@@ -156,12 +158,6 @@ class DFA:
     classifier: Classifier
     start: int = 0
 
-    def move(self, state: int, cp: int) -> int:
-        cls = self.classifier.classify(cp)
-        if cls < 0:
-            return DEAD
-        return self.transitions[state * self.n_classes + cls]
-
     def match(self, text: str, pos: int = 0) -> Tuple[Optional[int], int]:
         """Longest match of the DFA starting at ``text[pos]``.
 
@@ -196,43 +192,6 @@ class DFA:
                 best_tag = tag
                 best_end = i
         return best_tag, best_end
-
-    def compile_matcher(self) -> Callable[[str, int], Tuple[Optional[int], int]]:
-        """Build a closure-specialized ``match(text, pos=0)``.
-
-        All tables are captured as local tuples (immutable, contiguous)
-        so the scan loop pays no attribute lookups at all — the scanner
-        analog of flex emitting a flattened C loop.
-        """
-        transitions = tuple(self.transitions)
-        accepts = tuple(self.accepts)
-        n_classes = self.n_classes
-        ascii_table = tuple(self.classifier.ascii_table)
-        classify = self.classifier.classify
-        start = self.start
-
-        def match(text: str, pos: int = 0) -> Tuple[Optional[int], int]:
-            state = start
-            best_tag = accepts[state]
-            best_end = pos
-            i = pos
-            n = len(text)
-            while i < n:
-                cp = ord(text[i])
-                cls = ascii_table[cp] if cp < 128 else classify(cp)
-                if cls < 0:
-                    break
-                state = transitions[state * n_classes + cls]
-                if state < 0:
-                    break
-                i += 1
-                tag = accepts[state]
-                if tag is not None:
-                    best_tag = tag
-                    best_end = i
-            return best_tag, best_end
-
-        return match
 
     @cached_property
     def start_viable_ascii(self) -> bytes:

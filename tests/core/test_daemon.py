@@ -13,13 +13,20 @@ fixture from the state-handoff tests, so the drills also run on the
 no-numpy CI leg.  Run just these with ``pytest -m daemon``.
 """
 
+import gc
+import io
 import json
 import os
+import pickle
 import random
 import signal
 import socket
+import threading
 import time
 import urllib.request
+from multiprocessing import context as mp_context
+from multiprocessing import popen_spawn_posix, reduction, spawn
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +73,44 @@ def make_bundle() -> PredictorBundle:
     ]:
         store.add(pattern, severity, token=token)
     return PredictorBundle(store=store, chains=chains, timeout=120.0)
+
+
+#: A pipe's buffer on Linux.  A spawn pickle larger than this blocks
+#: ``Process.start()`` until the child has booted far enough to read it.
+PIPE_BYTES = 64 * 1024
+
+
+def make_wide_bundle() -> PredictorBundle:
+    """The two-chain fixture plus a 40-phrase chain no drill line walks:
+    its scanner tables outgrow a pipe's buffer, as those of ``serve``'s
+    default bundle (~99 KB) do."""
+    bundle = make_bundle()
+    rng = random.Random(7)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(4, 9)))
+             for _ in range(120)]
+    tokens = tuple(range(1000, 1040))
+    for token in tokens:
+        bundle.store.add(" ".join(rng.sample(words, 3)) + " *",
+                         Severity.UNKNOWN, token=token)
+    chains = ChainSet(list(bundle.chains) + [FailureChain("FC9", tokens)])
+    return PredictorBundle(store=bundle.store, chains=chains, timeout=120.0)
+
+
+def spawn_pickle_size(proc) -> int:
+    """Bytes ``proc.start()`` writes into its child's spawn pipe: the
+    preparation data, then the process object with its arguments, each
+    pickled as ``multiprocessing.popen_spawn_posix`` pickles them."""
+    popen = popen_spawn_posix.Popen.__new__(popen_spawn_posix.Popen)
+    popen._fds = []
+    buf = io.BytesIO()
+    mp_context.set_spawning_popen(popen)
+    try:
+        reduction.dump(spawn.get_preparation_data(proc.name), buf)
+        reduction.dump(proc, buf)
+    finally:
+        mp_context.set_spawning_popen(None)
+    return buf.tell()
 
 
 def make_lines(nodes, reps=2, t0=1000.0, dt=0.25):
@@ -296,6 +341,115 @@ class TestKillBetweenDeltaAcks:
         ingest = report.ingest
         assert ingest.lines_read == len(lines)
         assert ingest.decoded + ingest.quarantined == ingest.lines_read
+
+
+class TestSpawnHandOff:
+    """A worker's spawn arguments are scalars and its two queues; the
+    bundle, the scanner tables and the restore point reach it first on
+    its work queue.  So ``Process.start()`` never waits for a child to
+    boot, and a takeover, which spawns under the daemon lock, stalls no
+    other shard's ingest."""
+
+    def test_spawn_pickle_stays_far_below_the_pipe(self):
+        bundle = make_wide_bundle()
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=8, poll_interval=0.02)
+        assert len(pickle.dumps(daemon._tables)) > PIPE_BYTES
+        ctx = daemon._ctx
+        sizes = []
+
+        def process(**kwargs):
+            proc = ctx.Process(**kwargs)
+            sizes.append(spawn_pickle_size(proc))
+            return proc
+
+        daemon._ctx = SimpleNamespace(Queue=ctx.Queue, Process=process)
+        lines = make_lines([f"node{i:02d}" for i in range(8)], reps=2)
+        daemon.start()
+        try:
+            assert daemon.wait_ready(30.0)
+            for line in lines:
+                daemon.submit(line)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert len(sizes) == 2
+        assert max(sizes) < 8 * 1024, sizes
+        assert report.drained
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, lines)
+        assert len(report.predictions) == 8 * 2
+
+    def test_takeover_stalls_no_live_shard(self):
+        """Kill shard 0's worker while a thread submits lines for shard
+        1: every one of those ``submit`` calls returns in under 50 ms,
+        and the stream still equals one fleet over the same lines."""
+        bundle = make_wide_bundle()
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=8, poll_interval=0.02,
+        ).start()
+        names = [f"node{i:02d}" for i in range(64)]
+        dead = [n for n in names if daemon.shard_for(n) == 0][:4]
+        live = [n for n in names if daemon.shard_for(n) == 1][:4]
+        # Shard 0's nodes stand 3 phrases into FC5 when the axe falls.
+        walk = make_lines(dead, reps=1)
+        head, tail = walk[:3 * len(dead)], walk[3 * len(dead):]
+        feed = make_lines(live, reps=200)
+        fed = []
+        durations = []
+        feeding = threading.Event()
+        done = threading.Event()
+
+        def submit_live():
+            for line in feed:
+                if done.is_set():
+                    return
+                start = time.monotonic()
+                daemon.submit(line)
+                durations.append(time.monotonic() - start)
+                fed.append(line)
+                if len(fed) == 50:
+                    feeding.set()
+                time.sleep(0.001)
+
+        feeder = threading.Thread(target=submit_live)
+        # The test process's own heap is not the daemon's: keep it out
+        # of the collector's full passes, so the times are the daemon's.
+        gc.freeze()
+        try:
+            assert daemon.wait_ready(30.0)
+            for line in head:
+                daemon.submit(line)
+            assert daemon.drain(30.0)
+            feeder.start()
+            assert feeding.wait(30.0)
+            os.kill(daemon.worker_pid(0), signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while (daemon.status()["handoffs"] == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert daemon.wait_ready(30.0)
+            time.sleep(0.05)
+            done.set()
+            feeder.join(30.0)
+            for line in tail:
+                daemon.submit(line)
+            report = daemon.stop(drain=True)
+        finally:
+            done.set()
+            gc.unfreeze()
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert not feeder.is_alive()
+        assert max(durations) < 0.05, sorted(durations)[-5:]
+        status = daemon.status()
+        assert status["handoffs"] == 1
+        assert status["chains_restored"] == len(dead)
+        assert report.drained
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, head + fed + tail)
+        assert len(report.predictions) >= len(dead)
 
 
 class TestShardChunk:

@@ -34,20 +34,34 @@ from repro.templates import TemplateStore
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: What no chunk loop runs: numpy and the log simulator, the LALR parser
-#: generator, the Drain baseline and the HTTP plane.
+#: generator, the Drain baseline, the regex compiler (a shard rebuilds
+#: its scanner from finished tables), the HTTP plane and the obs planes
+#: a shard never arms.
 UNUSED = (
     "numpy",
     "http.server",
     "repro.logsim.generator",
     "repro.parsegen.sampling",
     "repro.templates.drain",
+    "repro.regexlib.ast",
+    "repro.regexlib.matcher",
+    "repro.regexlib.minimize",
+    "repro.regexlib.nfa",
+    "repro.regexlib.ops",
+    "repro.regexlib.parser",
+    "repro.lexgen.scanner",
+    "repro.obs.exposition",
+    "repro.obs.flight",
+    "repro.obs.history",
+    "repro.obs.quality",
+    "repro.obs.rules",
     "repro.obs.server",
 )
 
 #: Packages whose re-exports resolve on first access.
 LAZY_PACKAGES = (
     "repro.core", "repro.logsim", "repro.parsegen", "repro.templates",
-    "repro.obs",
+    "repro.obs", "repro.regexlib", "repro.lexgen",
 )
 
 try:
@@ -81,7 +95,9 @@ def loaded_after(imports: str) -> list:
 
 class TestClosures:
     def test_worker_imports_no_unused_module(self):
-        loaded = loaded_after("import repro.core.daemon, repro.persistence")
+        loaded = loaded_after(
+            "import repro.core.daemon, repro.persistence, "
+            "repro.templates.store")
         assert "repro.core.daemon" in loaded
         assert [m for m in UNUSED if m in loaded] == []
 
@@ -91,6 +107,21 @@ class TestClosures:
         unused = UNUSED + ("multiprocessing", "repro.core.daemon")
         assert [m for m in unused if m in loaded] == []
 
+    def test_compiler_loads_where_it_runs(self):
+        """A scanner still compiles in a fresh interpreter, and the
+        package name ``minimize`` stays the function after the compile
+        has imported the submodule of the same name."""
+        out = run_fresh(
+            "import json, types\n"
+            "from repro.lexgen import spec_from_pairs\n"
+            "compiled = spec_from_pairs([('a', 'ab*'), ('c', 'c+')]).compile()\n"
+            "from repro.regexlib import minimize\n"
+            "print(json.dumps({\n"
+            "    'match': compiled.longest_match('abbc', 0),\n"
+            "    'function': isinstance(minimize, types.FunctionType),\n"
+            "}))\n")
+        assert out == {"match": [0, 3], "function": True}
+
 
 WORDS = {
     176: "alpha x", 177: "bravo x", 178: "charlie x", 179: "delta x",
@@ -98,7 +129,9 @@ WORDS = {
 }
 
 #: Runs the real shard entry point on in-process queues, noting which
-#: modules are loaded when the worker reports up.
+#: modules are loaded when the worker reports up.  The parent's init
+#: item (bundle, scanner tables, no restore point) comes first on the
+#: work queue, as ``FleetDaemon`` hands it over.
 WORKER_RUN = """
 import json, queue, sys
 
@@ -119,12 +152,12 @@ class Results:
 
 
 work = queue.Queue()
+work.put((job["bundle"], job["tables"], None))
 work.put((0, job["blob"].encode()))
 work.put(None)
 results = Results()
 _daemon_worker_main(
-    0, work, results, job["bundle"], job["tables"], 120.0, "quarantine",
-    job["backend"], 0.0, None, 0.0)
+    0, work, results, 120.0, "quarantine", job["backend"], 0.0, 0.0)
 ack = results.msgs[1]
 print(json.dumps({
     "kinds": [msg[0] for msg in results.msgs],
