@@ -457,9 +457,46 @@ static const char *find_byte(const char *p, const char *end, char c) {
             return p;
     return NULL;
 }
+
+/* The end of the record at p (its newline, or NULL at the blob's end)
+ * in the same sweep that notes whether any byte before that end is a
+ * backslash.  Within a word a borrow can only flag a byte above a true
+ * match, so "any backslash below the first newline" is exact. */
+static const char *find_record_end(const char *p, const char *end,
+                                   int *backslash) {
+    const uint64_t ones = 0x0101010101010101ULL;
+    const uint64_t high = 0x8080808080808080ULL;
+    const uint64_t nl = ones * (unsigned char)'\n';
+    const uint64_t bs = ones * (unsigned char)'\\';
+    uint64_t v, a, b, seen = 0;
+    while (end - p >= 8) {
+        memcpy(&v, p, 8);
+        a = v ^ nl;
+        b = v ^ bs;
+        uint64_t m = (a - ones) & ~a & high;
+        b = (b - ones) & ~b & high;
+        if (m) {
+            *backslash = (seen | (b & ((m & -m) - 1))) != 0;
+            return p + (__builtin_ctzll(m) >> 3);
+        }
+        seen |= b;
+        p += 8;
+    }
+    for (; p < end && *p != '\n'; p++)
+        seen |= *p == '\\';
+    *backslash = seen != 0;
+    return p < end ? p : NULL;
+}
 #else
 static const char *find_byte(const char *p, const char *end, char c) {
     return memchr(p, c, (size_t)(end - p));
+}
+
+static const char *find_record_end(const char *p, const char *end,
+                                   int *backslash) {
+    const char *nl = find_byte(p, end, '\n');
+    *backslash = find_byte(p, nl ? nl : end, '\\') != NULL;
+    return nl;
 }
 #endif
 
@@ -544,6 +581,29 @@ int32_t aarohi_match_span(const char *msg, size_t len, size_t *end) {
     return ACCEPT[best];
 }
 
+/* Newlines + 1: the record-count bound the caller sizes the per-record
+ * time array with, and aarohi_scan_blob's message count.  A byte loop
+ * with a 64-bit sum compiles to one compare per byte, so newlines are
+ * summed in a byte accumulator over fixed 240-byte blocks (a multiple
+ * of the vector width, and under 256 so a lane cannot wrap): GCC 12+
+ * vectorizes that at -O2, and the attribute asks older GCCs to. */
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("tree-vectorize")))
+#endif
+int64_t aarohi_count_lines(const char *blob, size_t blen) {
+    const unsigned char *q = (const unsigned char *)blob;
+    int64_t n = 1;
+    for (; blen >= 240; q += 240, blen -= 240) {
+        uint8_t block = 0;
+        for (size_t j = 0; j < 240; j++)
+            block += q[j] == '\n';
+        n += block;
+    }
+    for (size_t j = 0; j < blen; j++)
+        n += q[j] == '\n';
+    return n;
+}
+
 int64_t aarohi_scan_blob(void *h, const char *blob, size_t blen,
                          int64_t n_expected, int32_t *out_idx,
                          int32_t *out_tok) {
@@ -551,20 +611,12 @@ int64_t aarohi_scan_blob(void *h, const char *blob, size_t blen,
     const char *p = blob;
     const char *endp = blob + blen;
     /* Desync guard: a message embedding a raw newline would shift
-     * every index after it.  Verify the message count first at memchr
+     * every index after it.  Verify the message count first at vector
      * pace — no state is touched on a mismatch, so the caller's
      * per-message fallback leaves the memo and funnel counters exactly
      * as a clean batch would have. */
-    {
-        /* Plain byte loop instead of per-line memchr calls: it
-         * auto-vectorizes, and 20k short lines would otherwise pay
-         * 20k call overheads just to be counted. */
-        int64_t msgs = 1;
-        for (const char *q = p; q < endp; q++)
-            msgs += (*q == '\n');
-        if (msgs != n_expected)
-            return -1;
-    }
+    if (aarohi_count_lines(blob, blen) != n_expected)
+        return -1;
     int64_t i = 0, k = 0;
     for (;;) {
         const char *nl = (p < endp) ? find_byte(p, endp, '\n') : NULL;
@@ -584,12 +636,15 @@ int64_t aarohi_scan_blob(void *h, const char *blob, size_t blen,
     return k;
 }
 
-/* Canonical Event.to_line timestamp: YYYY-MM-DDTHH:MM:SS.ffffff+00:00.
- * 'd' = any digit; everything else literal (so the UTC offset must be
- * exactly +00:00).  Range checks below make acceptance imply that
- * datetime.fromisoformat succeeds, so every record this passes is one
- * Python would decode — anything else goes back as a suspect. */
-static const char TS_PAT[33] = "dddd-dd-ddTdd:dd:dd.dddddd+00:00";
+/* Canonical Event.to_line timestamp: YYYY-MM-DDTHH:MM:SS.ffffff+00:00,
+ * 32 bytes, the UTC offset exactly +00:00.  Its minute, the first
+ * STAMP_KEY bytes, is checked against MINUTE_PAT ('d' = any digit,
+ * everything else literal) and the rest by ts_tail.  Range checks
+ * below make acceptance imply that datetime.fromisoformat succeeds, so
+ * every record this passes is one Python would decode — anything else
+ * goes back as a suspect. */
+#define STAMP_KEY 17
+static const char MINUTE_PAT[STAMP_KEY + 1] = "dddd-dd-ddTdd:dd:";
 
 /* |microseconds| up to which an int64 converts to double exactly. */
 #define EXACT_US 9007199254740992LL /* 2^53 */
@@ -605,24 +660,16 @@ static int64_t days_from_civil(int year, int mon, int day) {
     return era * 146097 + doe - 719468;
 }
 
-/* Parse a canonical stamp into *t, epoch seconds bit-identical to
- * datetime.fromisoformat(s).timestamp(): an aware datetime's timestamp
- * is its exact integer microseconds since 1970 divided once by 10**6,
- * correctly rounded, and for |us| <= 2^53 both operands are exact
- * doubles, so one IEEE division rounds to the same value.  Past 2^53
- * the int64 -> double step would round first; such stamps (before
- * 1685 or after 2255) return 0 and go back as suspects. */
-static int ts_parse(const unsigned char *s, size_t n, double *t) {
-    if (n != 32)
-        return 0;
-    for (size_t i = 0; i < 32; i++) {
-        char p = TS_PAT[i];
-        if (p == 'd') {
-            if (s[i] < '0' || s[i] > '9')
-                return 0;
-        } else if (s[i] != (unsigned char)p) {
+#define NOT_DIGIT(c) ((unsigned)((c) - '0') > 9u)
+
+/* The microseconds since 1970 at the minute s[0:STAMP_KEY] names, into
+ * *us; 0 (and *us untouched) unless the minute is canonical and names
+ * a real date and time. */
+static int ts_minute(const unsigned char *s, int64_t *us) {
+    for (size_t i = 0; i < STAMP_KEY; i++) {
+        unsigned char p = (unsigned char)MINUTE_PAT[i];
+        if (p == 'd' ? NOT_DIGIT(s[i]) : s[i] != p)
             return 0;
-        }
     }
     int year = (s[0] - '0') * 1000 + (s[1] - '0') * 100
              + (s[2] - '0') * 10 + (s[3] - '0');
@@ -630,7 +677,6 @@ static int ts_parse(const unsigned char *s, size_t n, double *t) {
     int day = (s[8] - '0') * 10 + (s[9] - '0');
     int hour = (s[11] - '0') * 10 + (s[12] - '0');
     int minute = (s[14] - '0') * 10 + (s[15] - '0');
-    int sec = (s[17] - '0') * 10 + (s[18] - '0');
     static const int mdays[13] = {0, 31, 28, 31, 30, 31, 30,
                                   31, 31, 30, 31, 30, 31};
     if (year == 0 || mon < 1 || mon > 12 || day < 1)
@@ -638,27 +684,62 @@ static int ts_parse(const unsigned char *s, size_t n, double *t) {
     int dmax = mdays[mon];
     if (mon == 2 && year % 4 == 0 && (year % 100 != 0 || year % 400 == 0))
         dmax = 29;
-    if (day > dmax || hour > 23 || minute > 59 || sec > 59)
+    if (day > dmax || hour > 23 || minute > 59)
         return 0;
+    *us = (days_from_civil(year, mon, day) * 86400
+           + hour * 3600 + minute * 60) * 1000000;
+    return 1;
+}
+
+/* True iff s[STAMP_KEY:32] reads SS.ffffff+00:00 (digits where SS and
+ * ffffff stand).  Every stamp takes this check, so it is spelled out
+ * without branches on the digits. */
+static int ts_tail(const unsigned char *s) {
+    int bad = NOT_DIGIT(s[17]) | NOT_DIGIT(s[18]) | (s[19] != '.')
+        | NOT_DIGIT(s[20]) | NOT_DIGIT(s[21]) | NOT_DIGIT(s[22])
+        | NOT_DIGIT(s[23]) | NOT_DIGIT(s[24]) | NOT_DIGIT(s[25]);
+    return !bad && memcmp(s + 26, "+00:00", 6) == 0;
+}
+
+/* One scan_records call's last canonical minute and its microseconds
+ * since 1970.  A run of stamps inside one minute parses that minute
+ * once: a stamp whose first STAMP_KEY bytes equal the key takes
+ * minute_us as is.  It starts at the epoch's minute, so no flag is
+ * needed for "nothing cached yet". */
+typedef struct {
+    unsigned char key[STAMP_KEY];
+    int64_t minute_us;
+} stamp_cache;
+
+/* Parse a canonical stamp into *t, epoch seconds bit-identical to
+ * datetime.fromisoformat(s).timestamp(): an aware datetime's timestamp
+ * is its exact integer microseconds since 1970 divided once by 10**6,
+ * correctly rounded, and for |us| <= 2^53 both operands are exact
+ * doubles, so one IEEE division rounds to the same value.  Past 2^53
+ * the int64 -> double step would round first; such stamps (before
+ * 1685 or after 2255) return 0 and go back as suspects.  The seconds,
+ * fraction, offset and that bound are checked on every stamp, cached
+ * minute or not; the cache only ever holds a minute ts_minute passed. */
+static int ts_parse(stamp_cache *cache, const unsigned char *s, size_t n,
+                    double *t) {
+    if (n != 32 || !ts_tail(s))
+        return 0;
+    int sec = (s[17] - '0') * 10 + (s[18] - '0');
+    if (sec > 59)
+        return 0;
+    if (memcmp(s, cache->key, STAMP_KEY) != 0) {
+        if (!ts_minute(s, &cache->minute_us))
+            return 0;
+        memcpy(cache->key, s, STAMP_KEY);
+    }
     int64_t frac = 0;
     for (size_t i = 20; i < 26; i++)
         frac = frac * 10 + (s[i] - '0');
-    int64_t us = ((days_from_civil(year, mon, day) * 86400
-                   + hour * 3600 + minute * 60 + sec) * 1000000) + frac;
+    int64_t us = cache->minute_us + sec * 1000000LL + frac;
     if (us > EXACT_US || us < -EXACT_US)
         return 0;
     *t = (double)us / 1e6;
     return 1;
-}
-
-/* Record-count bound of a blob (newlines + 1): the caller sizes the
- * per-record time array with it.  A plain byte loop auto-vectorizes. */
-int64_t aarohi_count_lines(const char *blob, size_t blen) {
-    int64_t n = 1;
-    const char *endq = blob + blen;
-    for (const char *q = blob; q < endq; q++)
-        n += (*q == '\n');
-    return n;
 }
 
 /* One aarohi_scan_records call's output.  Hits (records whose message
@@ -765,10 +846,13 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
     r.hit_node = r.hit_tok + c;
     int rc = 0;
     int64_t records = 0, ok = 0, k = 0, m = 0;
+    stamp_cache stamps = {.minute_us = 0};
+    memcpy(stamps.key, "1970-01-01T00:00:", STAMP_KEY);
     const char *p = blob;
     const char *endp = blob + blen;
     for (;;) {
-        const char *nl = (p < endp) ? find_byte(p, endp, '\n') : NULL;
+        int backslash;
+        const char *nl = find_record_end(p, endp, &backslash);
         const char *e = nl ? nl : endp;
         if (e > p && e[-1] == '\r')
             e--;
@@ -786,11 +870,13 @@ int aarohi_scan_records(void *h, const char *blob, size_t blen,
                 ? p + 32 : find_byte(p, e, ' ');
             const char *sp2 = sp1 ? find_byte(sp1 + 1, e, ' ') : NULL;
             double t = NAN;
-            int suspect = !sp2
-                || !ts_parse((const unsigned char *)p, (size_t)(sp1 - p), &t);
+            int suspect = !sp2 || !ts_parse(
+                &stamps, (const unsigned char *)p, (size_t)(sp1 - p), &t);
             const char *msg = sp2 ? sp2 + 1 : p;
             size_t mlen = sp2 ? (size_t)(e - msg) : 0;
-            if (!suspect && mlen && find_byte(msg, msg + mlen, '\\'))
+            /* The sweep saw a backslash somewhere in the record: only
+             * one in the message marks possible escapes. */
+            if (!suspect && backslash && find_byte(msg, e, '\\'))
                 suspect = 1;
             if (suspect) {
                 times[rec] = NAN;

@@ -7,16 +7,22 @@ levels (no compiler at resolve time, failed compile at build time),
 the shared-object artifact cache keyed on source + compiler identity,
 the single-flight compile election, the fused ``scan_records`` entry
 point's record accounting, interned node spans and C-parsed record
-times, and the ``reorder`` kernel against the Python reorder buffer,
-including the hits it emits in that order.
+times (held to a Python reference rule over generated blobs), the
+``reorder`` kernel against the Python reorder buffer, including the
+hits it emits in that order, and the generated C itself: it compiles
+with every warning an error, and runs clean under the address and
+undefined-behaviour sanitizers.
 """
 
 import ctypes
 import itertools
 import math
 import random
+import re
+import struct
+import subprocess
 import threading
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -240,6 +246,128 @@ def split_records(blob):
     return out
 
 
+# A generated record blob walks a clock from one of these stamps, so
+# its runs stay inside one minute or cross a minute, hour, day, month
+# or year, Feb 29 (leap and not), the epoch, and either 2^53 us edge.
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+US = timedelta(microseconds=1)
+EXACT_US = 2 ** 53
+ANCHORS_US = [(datetime(*a, tzinfo=timezone.utc) - EPOCH) // US for a in (
+    (2023, 12, 31, 23, 59, 58), (2024, 2, 28, 23, 59, 59),
+    (2024, 2, 29, 23, 59, 58), (2100, 2, 28, 23, 59, 59),
+    (2000, 2, 29, 23, 58, 59), (2024, 4, 30, 22, 59, 59),
+    (1970, 1, 1), (1969, 12, 31, 23, 59, 59),
+)] + [EXACT_US - 3, -EXACT_US - 2]
+STEPS_US = [0, 1, 2, 250_000, 999_999, 1_000_000, 59_000_000, 61_000_000]
+# Edits of the clock's stamp.  The clock mostly stays in the minute of
+# the record before, so a bad second, fraction or offset often follows
+# a valid stamp of the same minute.
+MUTATIONS = [
+    lambda t: t, lambda t: t, lambda t: t,
+    lambda t: t[:17] + b"60" + t[19:],      # second 60
+    lambda t: t[:18] + b"x" + t[19:],       # non-digit second
+    lambda t: t[:23] + b"/" + t[24:],       # non-digit fraction
+    lambda t: t[:26] + b"+01:00",           # offset not +00:00
+    lambda t: t[:26] + b"-00:00",
+    lambda t: t[:14] + b"60" + t[16:],      # minute 60
+    lambda t: t[:15] + b"a" + t[16:],       # non-digit minute
+    lambda t: t[:16] + b"." + t[17:],       # the minute's colon
+    lambda t: t[:21] + b"\\" + t[22:],      # backslash in the stamp
+    lambda t: t[:31],                       # short
+]
+NODES = [b"n0", b"c1\\x0", b"c2", b"a\\\\b"]
+MESSAGES = [b"link failed x", b"node n0 health check failed", b"all quiet",
+            b"link failed \\n x", b"quiet \\\\ too", b""]
+ENDINGS = [b"\n", b"\n", b"\r\n", b"\n\n", b"\r\n\r\n", b""]
+CANONICAL = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00")
+# How many choices each field of a stamp_blob item has.
+ITEM_SIZES = (len(STEPS_US), len(MUTATIONS), len(NODES) + 1, len(MESSAGES),
+              len(ENDINGS))
+
+
+def stamp_text(us):
+    return (EPOCH + us * US).isoformat(timespec="microseconds").encode()
+
+
+def stamp_blob(anchor, items):
+    """A blob of records walking the clock from ``ANCHORS_US[anchor]``:
+    each item is ``(step, mutation, node, message, ending)`` indices;
+    ``node`` past ``NODES`` writes a record with no header."""
+    us = ANCHORS_US[anchor]
+    out = []
+    for step, mutation, node, message, ending in items:
+        us += STEPS_US[step]
+        stamp = MUTATIONS[mutation](stamp_text(us))
+        if node < len(NODES):
+            out.append(b" ".join((stamp, NODES[node], MESSAGES[message])))
+        else:
+            out.append(stamp)
+        out.append(ENDINGS[ending])
+    return b"".join(out)
+
+
+def stamp_blobs():
+    item = st.tuples(*(st.integers(0, n - 1) for n in ITEM_SIZES))
+    return st.builds(stamp_blob, st.integers(0, len(ANCHORS_US) - 1),
+                     st.lists(item, max_size=30))
+
+
+def stamp_corpus(seed=5, n=40):
+    """``stamp_blobs`` drawn with ``random`` instead of hypothesis, for
+    callers outside a ``@given`` test."""
+    rng = random.Random(seed)
+    return [stamp_blob(rng.randrange(len(ANCHORS_US)),
+                       [tuple(rng.randrange(k) for k in ITEM_SIZES)
+                        for _ in range(rng.randrange(31))])
+            for _ in range(n)]
+
+
+def reference_record(record):
+    """The Python rule the fused pass keeps: ``(time, node, message)``
+    for a record it accepts, ``None`` for a suspect.  A record is
+    accepted iff its stamp is canonical, its message has no backslash,
+    and its stamp lies within 2^53 us of the epoch."""
+    parts = record.split(b" ", 2)
+    if len(parts) < 3:
+        return None
+    stamp, node, message = parts
+    if not CANONICAL.fullmatch(stamp) or b"\\" in message:
+        return None
+    try:
+        when = datetime.fromisoformat(stamp.decode())
+    except ValueError:
+        return None
+    if abs((when - EPOCH) // US) > EXACT_US:
+        return None
+    return when.timestamp(), node, message
+
+
+def assert_scan_follows_rule(scanner, oracle, blob):
+    """Hold one ``scan_records`` call over ``blob`` to
+    :func:`reference_record`, its hits to ``oracle`` (a str scanner)."""
+    records = split_records(blob)
+    expected = [reference_record(r) for r in records]
+    scan = scanner.scan_records(blob)
+    assert scan.n_records == len(records)
+    assert scan.n_ok == sum(e is not None for e in expected)
+    assert [x[0] for x in scan.suspects] == \
+        [i for i, e in enumerate(expected) if e is None]
+    hits = []
+    for i, e in enumerate(expected):
+        if e is None:
+            assert math.isnan(scan.times[i])
+            continue
+        t, node, message = e
+        assert scan.times[i] == t, records[i]
+        token = oracle.tokenize(message.decode())
+        if token is not None:
+            hits.append((i, token, t, node))
+    index, tokens, times, nodes = scan.hits()
+    assert list(zip(index, tokens, times,
+                    (bytes(blob[a:a + n]) for a, n in
+                     (scan.nodes[j] for j in nodes)))) == hits
+
+
 class TestScanRecords:
     @pytest.fixture(scope="class")
     def scanner(self):
@@ -252,6 +380,14 @@ class TestScanRecords:
         if s.backend != "native":
             pytest.skip("native kernels did not build")
         return s, gen
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        store = small_store()
+        s = store.compile_scanner(cache=False, backend="native")
+        if s.backend != "native":
+            pytest.skip("native kernels did not build")
+        return s, store.compile_scanner(cache=False, backend="str")
 
     def test_record_accounting(self, scanner):
         s, gen = self.native(scanner)
@@ -310,6 +446,26 @@ class TestScanRecords:
         assert math.isnan(scan.times[0])
 
     @settings(max_examples=300, deadline=None)
+    @given(stamp_blobs())
+    def test_fused_pass_follows_the_python_rule(self, small, blob):
+        # Runs of stamps in one minute take the minute cache; after a
+        # valid record, a same-minute stamp with a bad second, fraction
+        # or offset must still fail, and 2^53 us still binds.
+        assert_scan_follows_rule(*small, blob)
+
+    def test_backslash_in_node_hides_no_escaped_message(self, small):
+        # The record sweep notes a backslash anywhere in the record; the
+        # message is then searched on its own, so a literal backslash in
+        # the node neither flags a plain message nor hides an escaped
+        # one behind it.
+        blob = (record(5.0, "c1\\x0", "link failed \\ x") + b"\n"
+                + record(6.0, "c1\\x0", "link failed x") + b"\n"
+                + record(7.0, "c2", "link failed \n x") + b"\n")
+        scan = small[0].scan_records(blob)
+        assert [x[0] for x in scan.suspects] == [0, 2]
+        assert_scan_follows_rule(*small, blob)
+
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.datetimes(
         min_value=datetime(1900, 1, 1), max_value=datetime(2200, 12, 31)),
         min_size=1, max_size=40))
@@ -350,6 +506,117 @@ class TestScanRecords:
             assert [x[0] for x in scan.suspects] == [0] \
                 and scan.n_hits == 0
             assert parse_record_bytes(blob.rstrip())[0] == expected
+
+
+# A main() appended to the kernel source: it runs the three blob entry
+# points over length-prefixed blobs, each copied into a buffer of
+# exactly its size so a read past the end trips the address sanitizer,
+# and prints what each call returned.
+SANITIZER_MAIN = r"""
+#include <stdio.h>
+
+int main(int argc, char **argv) {
+    FILE *f = fopen(argv[1], "rb");
+    void *h = aarohi_new();
+    uint64_t blen;
+    if (!f || !h)
+        return 2;
+    while (fread(&blen, sizeof(blen), 1, f) == 1) {
+        char *blob = malloc(blen);
+        if (fread(blob, 1, blen, f) != blen)
+            return 2;
+        int64_t n = aarohi_count_lines(blob, blen);
+        double *times = malloc((size_t)n * sizeof(double));
+        int32_t *idx = malloc((size_t)n * sizeof(int32_t));
+        int32_t *tok = malloc((size_t)n * sizeof(int32_t));
+        aarohi_records r;
+        if (aarohi_scan_records(h, blob, blen, n, times, &r))
+            return 3;
+        printf("%lld %lld %lld %lld %lld %lld %lld\n", (long long)n,
+               (long long)r.records, (long long)r.ok, (long long)r.hits,
+               (long long)r.suspects,
+               (long long)aarohi_scan_blob(h, blob, blen, n, idx, tok),
+               (long long)aarohi_scan_blob(h, blob, blen, n + 1, idx, tok));
+        aarohi_records_free(&r);
+        free(blob);
+        free(times);
+        free(idx);
+        free(tok);
+    }
+    aarohi_free(h);
+    fclose(f);
+    return 0;
+}
+"""
+
+
+class TestStrictCompile:
+    """The generated C, built outside the artifact cache: with every
+    warning an error, and under the sanitizers."""
+
+    @pytest.fixture(scope="class")
+    def source(self):
+        sources = []
+        real = native.compile_kernel_library
+
+        def capture(source, **kwargs):
+            sources.append(source)
+            return real(source, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "compile_kernel_library", capture)
+            small_store().compile_scanner(cache=False, backend="native")
+        assert len(sources) == 1
+        return sources[0]
+
+    def cc(self, *args):
+        return subprocess.run([native.compiler_identity()[0], *args],
+                              capture_output=True, text=True, timeout=300)
+
+    def test_kernel_compiles_without_warnings(self, source, tmp_path):
+        (tmp_path / "kernel.c").write_text(source)
+        proc = self.cc("-O2", "-Wall", "-Wextra", "-Werror", "-shared",
+                       "-fPIC", "-o", str(tmp_path / "kernel.so"),
+                       str(tmp_path / "kernel.c"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_entry_points_run_clean_under_sanitizers(self, source, tmp_path):
+        # Prefixes of 0-300 bytes put the end of the blob at every offset
+        # of the 8-byte word reads and of the count's 240-byte blocks.
+        flags = ["-fsanitize=address,undefined",
+                 "-fno-sanitize-recover=all", "-g"]
+        probe = tmp_path / "probe"
+        (tmp_path / "probe.c").write_text("int main(void) { return 0; }\n")
+        built = self.cc(*flags, "-o", str(probe), str(tmp_path / "probe.c"))
+        if built.returncode or subprocess.run(
+                [str(probe)], timeout=60).returncode:
+            pytest.skip("the sanitizers do not link or run here")
+        (tmp_path / "entry_points.c").write_text(source + SANITIZER_MAIN)
+        proc = self.cc("-O2", *flags, "-o", str(tmp_path / "entry_points"),
+                       str(tmp_path / "entry_points.c"))
+        assert proc.returncode == 0, proc.stderr
+        corpus = stamp_corpus()
+        whole = b"".join(corpus)
+        corpus += [whole[:n] for n in range(301)]
+        with open(tmp_path / "corpus.bin", "wb") as fh:
+            for blob in corpus:
+                fh.write(struct.pack("=Q", len(blob)) + blob)
+        run = subprocess.run([str(tmp_path / "entry_points"),
+                              str(tmp_path / "corpus.bin")],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0 and not run.stderr, run.stderr
+        # What each call returned agrees with the same calls through
+        # ctypes on the cached build.
+        scanner = small_store().compile_scanner(cache=False, backend="native")
+        expected = []
+        for blob in corpus:
+            scan = scanner.scan_records(blob)
+            lines = blob.split(b"\n")
+            expected.append(" ".join(map(str, (
+                len(lines), scan.n_records, scan.n_ok, scan.n_hits,
+                len(scan.suspects),
+                sum(scanner.tokenize(x) is not None for x in lines), -1))))
+        assert run.stdout.splitlines() == expected
 
 
 def sort_buffer_replay(times, horizon):
