@@ -4,9 +4,12 @@ The obs subsystem's contract is that it is *optional and cheap*: the
 registry path accumulates per batch, the counting scanner derives its
 common-path funnel stages arithmetically, and the tracer touches only
 FC-related tokens.  This bench measures all three fleet configurations
-(off / metrics / metrics+full-sampling tracer) interleaved on the HPC1
-discard-heavy stream and asserts the ≥95% floor.  It leaves
-``BENCH_obs.json`` alone: ``benchmarks/obs_overhead.py`` writes it.
+(off / metrics / metrics+full-sampling tracer) on the HPC1
+discard-heavy stream, each ratio the median of alternating rounds with
+the garbage collector paused, and asserts the ≥95% floor; the fused
+whole-file pass ``aarohi predict --metrics`` runs rides the same
+floors.  It leaves ``BENCH_obs.json`` alone:
+``benchmarks/obs_overhead.py`` writes it.
 
 Before timing anything, a differential check confirms instrumentation
 never changes predictions.
@@ -21,14 +24,17 @@ from repro.reporting import render_table
 from emit_bench import discard_heavy_stream
 from obs_overhead import (
     OVERHEAD_FLOOR,
-    TRACED_FLOOR,
+    fused_gate_ok,
     history_gate_ok,
     live_gate_ok,
+    measure_chunk_overhead,
+    measure_fused_overhead,
     measure_history_overhead,
     measure_live_overhead,
     measure_obs_overhead,
     measure_spans_overhead,
     spans_gate_ok,
+    traced_gate_ok,
 )
 
 
@@ -62,6 +68,10 @@ def test_obs_overhead(benchmark, emit, generators):
     measured["live"] = live
     history = measure_history_overhead(gen)
     measured["history"] = history
+    fused = measure_fused_overhead(gen)
+    measured["fused"] = fused
+    chunk = measure_chunk_overhead(gen)
+    measured["chunk"] = chunk
 
     emit("obs_overhead", render_table(
         ["config", "events/s", "vs off"],
@@ -77,6 +87,13 @@ def test_obs_overhead(benchmark, emit, generators):
              f"{live['live_vs_off']:.4f}"),
             ("live+history+rules", f"{history['history_events_per_s']:,.0f}",
              f"{history['history_vs_live']:.4f} (vs live)"),
+            ("fused file, metrics", f"{fused['metrics_events_per_s']:,.0f}",
+             f"{fused['metrics_vs_off']:.4f}"),
+            ("fused file, spans", f"{fused['spans_events_per_s']:,.0f}",
+             f"{fused['spans_vs_off']:.4f}"),
+            ("256-line chunks + ack",
+             f"{chunk['metrics_us_per_chunk']:.1f} us/chunk",
+             f"{chunk['metrics_vs_off']:.4f} (recorded)"),
         ],
         title="Observability overhead on the HPC1 discard-heavy stream "
               f"(floor: {OVERHEAD_FLOOR:.0%})"))
@@ -85,7 +102,9 @@ def test_obs_overhead(benchmark, emit, generators):
     # Full-sampling tracing is the worst case (the production knob
     # samples a fraction of activations) and gets a looser floor.
     assert measured["metrics_vs_off"] >= OVERHEAD_FLOOR, measured
-    assert measured["traced_vs_off"] >= TRACED_FLOOR, measured
+    # Full-sampling tracing: the ratio, or its directly measured
+    # per-run cost (see traced_gate_ok).
+    assert traced_gate_ok(measured), measured
     # Live plane: end-to-end ratio on a quiet machine, or the directly
     # measured per-run plane cost on a noisy one (see live_gate_ok).
     assert live_gate_ok(live), measured
@@ -96,3 +115,6 @@ def test_obs_overhead(benchmark, emit, generators):
     # alert rules evaluated per capture) keeps ≥95% of the live plane —
     # same OR-gate: ratio, or the direct per-capture cost.
     assert history_gate_ok(history), history
+    # The fused whole-file pass keeps the same floors (metrics 95%,
+    # spans at sample 1.0 93%).
+    assert fused_gate_ok(fused), fused

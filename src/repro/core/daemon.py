@@ -104,7 +104,6 @@ from ..obs import (
     DAEMON_WORKER_START_SECONDS,
     Observability,
     SpanClock,
-    diff_snapshots,
 )
 from .events import Prediction
 from .predictor import PredictorStats
@@ -122,6 +121,30 @@ def route_key(line: str) -> str:
     line always lands on — and is quarantined by — the same worker)."""
     parts = line.split(" ", 2)
     return parts[1] if len(parts) == 3 else line
+
+
+# The service plane's series, bound once on the daemon's facade.
+_DAEMON_SERIES = (
+    ("gauge", DAEMON_UPTIME_SECONDS, "seconds since daemon start"),
+    ("gauge", DAEMON_SHARDS, "configured worker shards"),
+    ("gauge", DAEMON_SHARDS_UP, "worker shards currently serving"),
+    ("gauge", DAEMON_SHARDS_DOWN, "worker shards lost, takeover pending"),
+    ("gauge", DAEMON_QUEUE_CHUNKS, "chunks pending across shards"),
+    ("gauge", DAEMON_CONNECTIONS_ACTIVE, "open ingest connections"),
+    ("counter", DAEMON_CONNECTIONS_TOTAL, "ingest connections accepted"),
+    ("counter", DAEMON_LINES_RECEIVED, "lines accepted by the daemon"),
+    ("counter", DAEMON_BACKPRESSURE_STALLS,
+     "ingest stalls at the backpressure high-water mark"),
+    ("counter", DAEMON_WORKER_DEATHS, "worker processes lost"),
+    ("counter", DAEMON_HANDOFFS, "shard takeovers (state handoffs)"),
+    ("counter", DAEMON_CHAINS_RESTORED,
+     "per-node chain states restored on takeover"),
+    ("counter", DAEMON_TAIL_ROTATIONS, "tailed-file rotations detected"),
+)
+_WORKER_START_SERIES = (
+    ("histogram", DAEMON_WORKER_START_SECONDS,
+     "shard worker spawn to up, first starts and takeovers"),
+)
 
 
 class _ShardObservability(Observability):
@@ -198,7 +221,6 @@ def _daemon_worker_main(
         timeout=timeout, obs=obs, scanner=scanner)
     restored = fleet.restore_state(init_state) if init_state is not None else 0
     result_q.put(("up", shard, restored))
-    last_snap: Optional[dict] = None
     while True:
         item = work_q.get()
         if item is None:
@@ -209,13 +231,13 @@ def _daemon_worker_main(
             _time.sleep(throttle_s)
         predictions, stats, ingest, state = _run_chunk(
             fleet, payload, on_error)
-        # Registries are cumulative; ship only this chunk's delta so the
-        # parent-side merge never double-counts earlier chunks.
-        snap = obs.registry.snapshot()
-        obs_delta = diff_snapshots(snap, last_snap)
-        last_snap = snap
+        # Registries are cumulative; ship only the series this chunk
+        # changed, so the parent-side merge never double-counts earlier
+        # chunks.  A new worker's first delta ships every series, which
+        # republishes a replaced shard's gauges.
         result_q.put(
-            ("ack", shard, seq, predictions, stats, obs_delta, ingest, state))
+            ("ack", shard, seq, predictions, stats, obs.registry.delta(),
+             ingest, state))
 
 
 class _Shard:
@@ -527,18 +549,16 @@ class FleetDaemon:
         # facade lock nests obs→status-read, never obs→daemon-lock).
         if kind == "up":
             with obs.lock:
-                obs.registry.histogram(
-                    DAEMON_WORKER_START_SECONDS,
-                    "shard worker spawn to up, first starts and takeovers",
-                ).observe(start_s)
+                start_seconds, = obs.bound(
+                    "worker_start", _WORKER_START_SERIES)
+                start_seconds.observe(start_s)
             self._publish_metrics()
             return
         # One facade-locked block per chunk, so a scrape or a rule
         # capture never sees the registry, the funnel and the ring
         # disagree about which chunks have landed.
         with obs.lock:
-            if obs_delta:
-                obs.registry.merge(obs_delta)
+            obs.registry.merge(obs_delta)
             if chunk_ingest.lines_read:
                 obs.record_ingest(chunk_ingest)
             if obs.flight is not None:
@@ -634,48 +654,23 @@ class FleetDaemon:
             snap = self._status
         obs = self.obs
         with obs.lock:
-            registry = obs.registry
-            registry.gauge(
-                DAEMON_UPTIME_SECONDS, "seconds since daemon start",
-            ).set(snap["uptime_s"])
-            registry.gauge(
-                DAEMON_SHARDS, "configured worker shards",
-            ).set(snap["shards"])
-            registry.gauge(
-                DAEMON_SHARDS_UP, "worker shards currently serving",
-            ).set(snap["up"])
-            registry.gauge(
-                DAEMON_SHARDS_DOWN, "worker shards lost, takeover pending",
-            ).set(snap["down"])
-            registry.gauge(
-                DAEMON_QUEUE_CHUNKS, "chunks pending across shards",
-            ).set(snap["pending_chunks"])
-            registry.gauge(
-                DAEMON_CONNECTIONS_ACTIVE, "open ingest connections",
-            ).set(snap["connections"])
-            registry.counter(
-                DAEMON_CONNECTIONS_TOTAL, "ingest connections accepted",
-            ).set_total(self._connections_total)
-            registry.counter(
-                DAEMON_LINES_RECEIVED, "lines accepted by the daemon",
-            ).set_total(snap["lines_received"])
-            registry.counter(
-                DAEMON_BACKPRESSURE_STALLS,
-                "ingest stalls at the backpressure high-water mark",
-            ).set_total(snap["backpressure_stalls"])
-            registry.counter(
-                DAEMON_WORKER_DEATHS, "worker processes lost",
-            ).set_total(snap["worker_deaths"])
-            registry.counter(
-                DAEMON_HANDOFFS, "shard takeovers (state handoffs)",
-            ).set_total(snap["handoffs"])
-            registry.counter(
-                DAEMON_CHAINS_RESTORED,
-                "per-node chain states restored on takeover",
-            ).set_total(snap["chains_restored"])
-            registry.counter(
-                DAEMON_TAIL_ROTATIONS, "tailed-file rotations detected",
-            ).set_total(snap["tail_rotations"])
+            (uptime, shards, up, down, queue_chunks, connections_active,
+             connections_total, lines_received, stalls, deaths, handoffs,
+             chains_restored, rotations) = obs.bound(
+                 "daemon", _DAEMON_SERIES)
+            uptime.set(snap["uptime_s"])
+            shards.set(snap["shards"])
+            up.set(snap["up"])
+            down.set(snap["down"])
+            queue_chunks.set(snap["pending_chunks"])
+            connections_active.set(snap["connections"])
+            connections_total.set_total(self._connections_total)
+            lines_received.set_total(snap["lines_received"])
+            stalls.set_total(snap["backpressure_stalls"])
+            deaths.set_total(snap["worker_deaths"])
+            handoffs.set_total(snap["handoffs"])
+            chains_restored.set_total(snap["chains_restored"])
+            rotations.set_total(snap["tail_rotations"])
 
     # -- sources --------------------------------------------------------
     def listen_tcp(

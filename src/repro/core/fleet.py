@@ -597,21 +597,25 @@ class PredictorFleet:
                 # The scanner is shared by every predictor, so its funnel
                 # is resolved against the fleet's cumulative line count.
                 obs.record_scanner(self.scanner, lines_seen)
-            # Live/quality planes (no-ops unless configured on the
-            # facade).  Latencies already reached the live sketch through
-            # the predictors' emit hooks; this folds in rate, lag,
-            # predictions, and the batch's discard fraction.
-            obs.record_live_run(
-                n_events=report.lines_seen,
-                seconds=seconds,
-                last_event_time=last_event_time,
-            )
-            obs.record_quality_run(
-                predictions=report.predictions,
-                stats_delta=report.stats,
-                now=last_event_time,
-            )
-            obs.record_spans(span)
+            # The planes below are no-ops unless configured on the
+            # facade, so an unarmed one costs no call.  Latencies
+            # already reached the live sketch through the predictors'
+            # emit hooks; this folds in rate, lag, predictions, and the
+            # batch's discard fraction.
+            if obs.live is not None:
+                obs.record_live_run(
+                    n_events=report.lines_seen,
+                    seconds=seconds,
+                    last_event_time=last_event_time,
+                )
+            if obs.quality is not None:
+                obs.record_quality_run(
+                    predictions=report.predictions,
+                    stats_delta=report.stats,
+                    now=last_event_time,
+                )
+            if obs.spans is not None:
+                obs.record_spans(span)
             # With everything folded in, offer the settled snapshot to
             # the history ring (the cadence throttle makes this nearly
             # free when not due); an accepted capture also runs one
@@ -619,7 +623,8 @@ class PredictorFleet:
             # capsules.  The ring keeps its own (injectable) clock —
             # wall time, not event time, so paced replays and live
             # streams look alike.
-            obs.record_history()
+            if obs.history is not None:
+                obs.record_history()
 
     def _fold_engine_stats(self, report: FleetReport) -> MatcherStats:
         """The engine-stat totals over every predictor, brought up to

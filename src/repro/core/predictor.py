@@ -71,9 +71,19 @@ class PredictorStats:
 
     def add(self, other: "PredictorStats") -> None:
         """Accumulate another stats record in place (fleet aggregation,
-        worker→parent merging in :class:`~.daemon.FleetDaemon`)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        worker→parent merging in :class:`~.daemon.FleetDaemon`, once per
+        ack)."""
+        self.lines_seen += other.lines_seen
+        self.lines_tokenized += other.lines_tokenized
+        self.predictions += other.predictions
+        self.tokenize_seconds += other.tokenize_seconds
+        self.feed_seconds += other.feed_seconds
+
+
+_PREDICTION_SERIES = (
+    ("histogram", PREDICTION_SECONDS,
+     "per-prediction chain-check latency (seconds)"),
+)
 
 
 class AarohiPredictor:
@@ -119,11 +129,7 @@ class AarohiPredictor:
         """Build the per-prediction recording hook (latency histogram +
         prediction_fired trace).  Predictions are rare, so this hook may
         allocate; it never runs for discarded or skipped lines."""
-        hist = obs.registry.histogram(
-            PREDICTION_SECONDS,
-            "per-prediction chain-check latency (seconds)",
-            **obs.labels,
-        )
+        hist, = obs.bound("prediction", _PREDICTION_SERIES)
         tracer = obs.tracer
         live = obs.live
 

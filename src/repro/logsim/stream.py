@@ -32,7 +32,7 @@ import json
 import logging
 import mmap
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -83,14 +83,14 @@ class IngestStats:
     def add(self, other: "IngestStats") -> None:
         """Accumulate another stats record in place (chunk → fleet
         aggregation, mirroring :meth:`PredictorStats.add`)."""
-        for f in fields(self):
-            if f.name == "quarantined_by_reason":
-                for reason, n in other.quarantined_by_reason.items():
-                    self.quarantined_by_reason[reason] = (
-                        self.quarantined_by_reason.get(reason, 0) + n
-                    )
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.lines_read += other.lines_read
+        self.decoded += other.decoded
+        self.quarantined += other.quarantined
+        by_reason = self.quarantined_by_reason
+        for reason, n in other.quarantined_by_reason.items():
+            by_reason[reason] = by_reason.get(reason, 0) + n
+        self.reordered += other.reordered
+        self.late += other.late
 
     def as_dict(self) -> dict:
         return {

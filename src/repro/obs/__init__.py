@@ -208,7 +208,9 @@ _, __getattr__, __dir__ = lazy_exports(__name__, {
 def _locked(method):
     """Serialize a facade method under ``self.lock`` (reentrant, so
     callers holding the lock across multi-method fold-in sequences —
-    ``PredictorFleet._record_run`` — nest freely)."""
+    ``PredictorFleet._record_run`` — nest freely).  The per-run fold-ins
+    take the lock in their bodies instead: they run once per daemon
+    chunk, where this wrapper's extra call costs more than the lock."""
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
@@ -216,6 +218,66 @@ def _locked(method):
             return method(self, *args, **kwargs)
 
     return wrapper
+
+
+# The series each fold-in writes, as ``(kind, name, help)`` or
+# ``(kind, name, help, options)``; :meth:`Observability.bound` resolves
+# a group into handles the first time the fold-in writes it.
+_RUN_SERIES = (
+    ("counter", LINES_SEEN, "log lines offered to the scanner"),
+    ("counter", LINES_TOKENIZED, "FC-related phrases tokenized"),
+    ("counter", PREDICTIONS, "failure predictions flagged"),
+    ("counter", TOKENIZE_SECONDS, "cumulative scan time"),
+    ("counter", FEED_SECONDS, "cumulative rule-check time"),
+)
+_SCANNER_SERIES = (
+    ("counter", SCANNER_FIRST_CHAR_REJECTED,
+     "lines rejected by the first-char table (incl. empty lines)"),
+    ("counter", SCANNER_MEMO_HITS, "tokenize results served from the memo"),
+    ("counter", SCANNER_DFA_RUNS, "full DFA scans executed"),
+    ("counter", SCANNER_DFA_MATCHES,
+     "full DFA scans that matched a template"),
+    ("counter", SCANNER_TRANSLATE_EVICTIONS,
+     "codepoint classes evicted from the bounded translate memo"),
+)
+_BACKEND_SERIES = (
+    ("gauge", SCANNER_BACKEND_INFO,
+     "scan-kernel backend identity (value pinned to 1)"),
+)
+_FALLBACK_SERIES = (
+    ("counter", SCANNER_BACKEND_FALLBACK,
+     "scan-kernel backends degraded below the requested one"),
+)
+_INGEST_SERIES = (
+    ("counter", INGEST_LINES_READ, "log lines offered to the decoder"),
+    ("counter", INGEST_DECODED, "lines decoded into events"),
+    ("counter", INGEST_QUARANTINED, "undecodable lines quarantined"),
+    ("counter", INGEST_REORDERED,
+     "arrival inversions repaired by sort buffers"),
+    ("counter", INGEST_LATE, "events beyond the reorder horizon"),
+    ("gauge", INGEST_QUARANTINE_FRACTION, "quarantined lines / lines read"),
+    ("gauge", INGEST_QUARANTINE_BURN,
+     "quarantine fraction vs the allowed SLO fraction"),
+)
+_ENGINE_SERIES = (
+    ("counter", CHAIN_ACTIVATIONS, "chain checks started"),
+    ("counter", TOKENS_ADVANCED, "tokens that advanced a chain"),
+    ("counter", TOKENS_SKIPPED, "mid-chain tokens skipped"),
+    ("counter", CHAIN_TIMEOUTS, "ΔT timeouts (parser resets)"),
+    ("counter", CHAIN_MATCHES, "complete rule matches"),
+    ("counter", NEGATIVE_DELTA_T,
+     "backwards timestamps clamped (ΔT floor 0)"),
+)
+_FLEET_RUN_SERIES = (
+    ("counter", FLEET_RUNS, "fleet.run() invocations"),
+    ("gauge", FLEET_NODES, "predictor instances alive"),
+    ("histogram", FLEET_BATCH_EVENTS, "log lines per run",
+     {"lo_exp": 0, "hi_exp": 24}),
+)
+_FLEET_SPEED_SERIES = (
+    ("gauge", FLEET_RUN_SECONDS, "wall time of the last run"),
+    ("gauge", FLEET_EVENTS_PER_SECOND, "throughput of the last run"),
+)
 
 
 class Observability:
@@ -283,9 +345,9 @@ class Observability:
         from ..logsim.stream import IngestStats
 
         self.ingest = IngestStats()
-        # Scanner identity stash (backend, funnel totals) for
-        # /debug/vars and the ``predict --json`` scanner block.
-        self.scanner_info: dict = {}
+        # The last record_scanner fold-in's funnel counts, backend,
+        # requested backend and line total, behind scanner_info.
+        self._scanner_fold: Optional[tuple] = None
         # Pluggable surface extensions (the daemon mounts its service
         # plane through these instead of the facade hardcoding it):
         # health hooks contribute named /healthz blocks and can flip
@@ -293,6 +355,9 @@ class Observability:
         self._health_hooks: dict = {}
         self._debug_providers: dict = {}
         self.lock = threading.RLock()
+        # bound()'s handles, with the registry and labels they were
+        # resolved under.
+        self._held: tuple = (None, None, {})
 
     # -- surface extension hooks ---------------------------------------
     def add_health_hook(self, name: str, hook) -> None:
@@ -312,8 +377,32 @@ class Observability:
             raise TypeError("debug provider must be callable")
         self._debug_providers[name] = provider
 
+    def bound(self, key, specs, **extra: str) -> tuple:
+        """The handles of the series ``specs`` lists, each spec
+        ``(kind, name, help)`` or ``(kind, name, help, options)``.
+
+        They resolve through :attr:`registry` under :attr:`labels` plus
+        ``extra`` on the first call for ``key`` and are held after, so a
+        fold-in is plain ``inc``/``set`` calls on them; assigning a new
+        registry or labels dict resolves them afresh.  Resolving creates
+        a series, so bind a group only where every series in it is
+        written.  ``key`` names one group: the same specs under the same
+        labels on every call."""
+        registry = self.registry
+        held = self._held
+        if held[0] is not registry or held[1] is not self.labels:
+            held = self._held = (registry, self.labels, {})
+        handles = held[2].get(key)
+        if handles is None:
+            labels = {**extra, **self.labels}
+            handles = held[2][key] = tuple(
+                getattr(registry, spec[0])(
+                    spec[1], spec[2], **(spec[3] if len(spec) > 3 else {}),
+                    **labels)
+                for spec in specs)
+        return handles
+
     # -- fold-in paths (called per batch / run, never per event) -------
-    @_locked
     def record_run_stats(self, run_stats, lines_seen: int) -> None:
         """Fold one run's :class:`~repro.core.predictor.PredictorStats`
         delta (from ``snapshot()``/``diff()``) into the counters.
@@ -322,84 +411,66 @@ class Observability:
         :meth:`~repro.core.fleet.PredictorFleet.process` saw between
         runs — so ``LINES_SEEN`` stays equal to the scanner funnel's
         total."""
-        registry = self.registry
-        labels = self.labels
-        registry.counter(
-            LINES_SEEN, "log lines offered to the scanner", **labels).inc(
-            lines_seen)
-        registry.counter(
-            LINES_TOKENIZED, "FC-related phrases tokenized", **labels).inc(
-            run_stats.lines_tokenized)
-        registry.counter(
-            PREDICTIONS, "failure predictions flagged", **labels).inc(
-            run_stats.predictions)
-        registry.counter(
-            TOKENIZE_SECONDS, "cumulative scan time", **labels).inc(
-            run_stats.tokenize_seconds)
-        registry.counter(
-            FEED_SECONDS, "cumulative rule-check time", **labels).inc(
-            run_stats.feed_seconds)
+        with self.lock:
+            seen, tokenized, predictions, tokenize_s, feed_s = self.bound(
+                "run", _RUN_SERIES)
+            seen.inc(lines_seen)
+            tokenized.inc(run_stats.lines_tokenized)
+            predictions.inc(run_stats.predictions)
+            tokenize_s.inc(run_stats.tokenize_seconds)
+            feed_s.inc(run_stats.feed_seconds)
 
-    @_locked
     def record_scanner(self, scanner, lines_seen_total: int) -> None:
         """Mirror a counting scanner's cumulative funnel slots into the
         registry.  ``lines_seen_total`` is the total number of tokenize
         calls (the fleet's line count), from which the
         untracked common-path stage (first-char rejection) is derived —
         the hot path pays zero bookkeeping for rejected lines."""
-        funnel = getattr(scanner, "funnel", None)
-        if funnel is None:
-            return
-        counts = funnel(lines_seen_total)
-        registry = self.registry
-        labels = self.labels
-        registry.counter(
-            SCANNER_FIRST_CHAR_REJECTED,
-            "lines rejected by the first-char table (incl. empty lines)",
-            **labels,
-        ).set_total(counts["first_char_rejected"])
-        registry.counter(
-            SCANNER_MEMO_HITS, "tokenize results served from the memo",
-            **labels,
-        ).set_total(counts["memo_hits"])
-        registry.counter(
-            SCANNER_DFA_RUNS, "full DFA scans executed",
-            **labels,
-        ).set_total(counts["dfa_runs"])
-        registry.counter(
-            SCANNER_DFA_MATCHES, "full DFA scans that matched a template",
-            **labels,
-        ).set_total(counts["dfa_matches"])
-        registry.counter(
-            SCANNER_TRANSLATE_EVICTIONS,
-            "codepoint classes evicted from the bounded translate memo",
-            **labels,
-        ).set_total(counts.get("translate_evictions", 0))
-        backend = getattr(scanner, "backend", None) or "str"
-        requested = getattr(scanner, "requested_backend", None) or backend
-        registry.gauge(
-            SCANNER_BACKEND_INFO,
-            "scan-kernel backend identity (value pinned to 1)",
-            backend=backend, **labels,
-        ).set(1.0)
-        if requested != backend:
-            # Degradation is once per scanner build, not per run:
-            # set_total keeps the counter idempotent across run folds.
-            registry.counter(
-                SCANNER_BACKEND_FALLBACK,
-                "scan-kernel backends degraded below the requested one",
-                requested=requested, backend=backend, **labels,
-            ).set_total(1)
-        self.scanner_info = {
+        with self.lock:
+            funnel = getattr(scanner, "funnel", None)
+            if funnel is None:
+                return
+            counts = funnel(lines_seen_total)
+            first_char, memo, dfa_runs, dfa_matches, evictions = (
+                self.bound("scanner", _SCANNER_SERIES))
+            first_char.set_total(counts["first_char_rejected"])
+            memo.set_total(counts["memo_hits"])
+            dfa_runs.set_total(counts["dfa_runs"])
+            dfa_matches.set_total(counts["dfa_matches"])
+            evictions.set_total(counts.get("translate_evictions", 0))
+            backend = getattr(scanner, "backend", None) or "str"
+            requested = (getattr(scanner, "requested_backend", None)
+                         or backend)
+            info, = self.bound(("backend", backend), _BACKEND_SERIES,
+                               backend=backend)
+            info.set(1.0)
+            if requested != backend:
+                # Degradation is once per scanner build, not per run:
+                # set_total keeps the counter idempotent across run folds.
+                fallback, = self.bound(
+                    ("fallback", requested, backend), _FALLBACK_SERIES,
+                    requested=requested, backend=backend)
+                fallback.set_total(1)
+            self._scanner_fold = (
+                counts, backend, requested, lines_seen_total)
+
+    @property
+    def scanner_info(self) -> dict:
+        """Scanner identity and funnel totals as of the last
+        :meth:`record_scanner` fold-in (``{}`` before one), for
+        ``/debug/vars``."""
+        if self._scanner_fold is None:
+            return {}
+        counts, backend, requested, lines_seen = self._scanner_fold
+        return {
             "backend": backend,
             "requested_backend": requested,
             "fallback": requested != backend,
             "translate_evictions": counts.get("translate_evictions", 0),
             "funnel": dict(counts),
-            "lines_seen": lines_seen_total,
+            "lines_seen": lines_seen,
         }
 
-    @_locked
     def record_ingest(self, delta) -> None:
         """Fold one ingest pass's :class:`~repro.logsim.stream.IngestStats`
         delta into the cumulative decode-funnel counters.
@@ -409,69 +480,41 @@ class Observability:
         accumulate into :attr:`ingest`, whose totals back both the
         registry counters and the ``/healthz`` quarantine-burn gate.
         """
-        ingest = self.ingest
-        ingest.add(delta)
-        registry = self.registry
-        labels = self.labels
-        registry.counter(
-            INGEST_LINES_READ, "log lines offered to the decoder",
-            **labels).set_total(ingest.lines_read)
-        registry.counter(
-            INGEST_DECODED, "lines decoded into events",
-            **labels).set_total(ingest.decoded)
-        registry.counter(
-            INGEST_QUARANTINED, "undecodable lines quarantined",
-            **labels).set_total(ingest.quarantined)
-        registry.counter(
-            INGEST_REORDERED, "arrival inversions repaired by sort buffers",
-            **labels).set_total(ingest.reordered)
-        registry.counter(
-            INGEST_LATE, "events beyond the reorder horizon",
-            **labels).set_total(ingest.late)
-        registry.gauge(
-            INGEST_QUARANTINE_FRACTION,
-            "quarantined lines / lines read",
-            **labels).set(ingest.quarantine_fraction)
-        registry.gauge(
-            INGEST_QUARANTINE_BURN,
-            "quarantine fraction vs the allowed SLO fraction",
-            **labels).set(ingest.quarantine_fraction / self.quarantine_slo)
-        if self.flight is not None and (delta.lines_read or delta.late):
-            self.flight.note(
-                "ingest",
-                lines_read=delta.lines_read,
-                quarantined=delta.quarantined or None,
-                late=delta.late or None,
-                quarantine_fraction=ingest.quarantine_fraction,
-            )
+        with self.lock:
+            ingest = self.ingest
+            ingest.add(delta)
+            read, decoded, quarantined, reordered, late, fraction, burn = (
+                self.bound("ingest", _INGEST_SERIES))
+            read.set_total(ingest.lines_read)
+            decoded.set_total(ingest.decoded)
+            quarantined.set_total(ingest.quarantined)
+            reordered.set_total(ingest.reordered)
+            late.set_total(ingest.late)
+            fraction.set(ingest.quarantine_fraction)
+            burn.set(ingest.quarantine_fraction / self.quarantine_slo)
+            if self.flight is not None and (delta.lines_read or delta.late):
+                self.flight.note(
+                    "ingest",
+                    lines_read=delta.lines_read,
+                    quarantined=delta.quarantined or None,
+                    late=delta.late or None,
+                    quarantine_fraction=ingest.quarantine_fraction,
+                )
 
-    @_locked
     def record_engine_stats(self, totals) -> None:
         """Mirror a fleet's cumulative matcher transition totals (one
         :class:`~repro.core.matcher.MatcherStats` summed over its
         engines) into the registry."""
-        registry = self.registry
-        labels = self.labels
-        registry.counter(
-            CHAIN_ACTIVATIONS, "chain checks started",
-            **labels).set_total(totals.activations)
-        registry.counter(
-            TOKENS_ADVANCED, "tokens that advanced a chain",
-            **labels).set_total(totals.advanced)
-        registry.counter(
-            TOKENS_SKIPPED, "mid-chain tokens skipped",
-            **labels).set_total(totals.skipped)
-        registry.counter(
-            CHAIN_TIMEOUTS, "ΔT timeouts (parser resets)",
-            **labels).set_total(totals.resets_timeout)
-        registry.counter(
-            CHAIN_MATCHES, "complete rule matches",
-            **labels).set_total(totals.matches)
-        registry.counter(
-            NEGATIVE_DELTA_T, "backwards timestamps clamped (ΔT floor 0)",
-            **labels).set_total(totals.negative_dt)
+        with self.lock:
+            (activations, advanced, skipped, timeouts, matches,
+             negative_dt) = self.bound("engine", _ENGINE_SERIES)
+            activations.set_total(totals.activations)
+            advanced.set_total(totals.advanced)
+            skipped.set_total(totals.skipped)
+            timeouts.set_total(totals.resets_timeout)
+            matches.set_total(totals.matches)
+            negative_dt.set_total(totals.negative_dt)
 
-    @_locked
     def record_fleet_run(
         self,
         *,
@@ -479,28 +522,21 @@ class Observability:
         n_nodes: int,
         seconds: Optional[float],
     ) -> None:
-        if self.flight is not None:
-            self.flight.note(
-                "fleet_run", n_events=n_events, n_nodes=n_nodes,
-                seconds=seconds)
-        registry = self.registry
-        labels = self.labels
-        registry.counter(FLEET_RUNS, "fleet.run() invocations", **labels).inc()
-        registry.gauge(
-            FLEET_NODES, "predictor instances alive", **labels).set(n_nodes)
-        registry.histogram(
-            FLEET_BATCH_EVENTS, "log lines per run",
-            lo_exp=0, hi_exp=24, **labels,
-        ).observe(n_events)
-        if seconds is not None and seconds > 0:
-            registry.gauge(
-                FLEET_RUN_SECONDS, "wall time of the last run",
-                **labels).set(seconds)
-            registry.gauge(
-                FLEET_EVENTS_PER_SECOND,
-                "throughput of the last run",
-                **labels,
-            ).set(n_events / seconds)
+        with self.lock:
+            if self.flight is not None:
+                self.flight.note(
+                    "fleet_run", n_events=n_events, n_nodes=n_nodes,
+                    seconds=seconds)
+            runs, nodes, batch_events = self.bound(
+                "fleet", _FLEET_RUN_SERIES)
+            runs.inc()
+            nodes.set(n_nodes)
+            batch_events.observe(n_events)
+            if seconds is not None and seconds > 0:
+                run_seconds, events_per_second = self.bound(
+                    "fleet_speed", _FLEET_SPEED_SERIES)
+                run_seconds.set(seconds)
+                events_per_second.set(n_events / seconds)
 
     @_locked
     def record_window(self, n_events: int, injections) -> None:
@@ -797,7 +833,7 @@ class Observability:
             },
             "labels": dict(self.labels),
             "quarantine_slo": self.quarantine_slo,
-            "scanner": dict(self.scanner_info),
+            "scanner": self.scanner_info,
         }
         snapshot = self.registry.snapshot()
         if not payload["scanner"]:

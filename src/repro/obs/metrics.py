@@ -10,8 +10,10 @@ search, and no configuration beyond the exponent range.
 The :class:`Registry` is process-local.  :meth:`Registry.snapshot`
 returns a plain (picklable, JSON-able) dict, ``diff_snapshots`` turns
 two cumulative snapshots into a delta, and :meth:`Registry.merge` folds
-a snapshot (or delta) back into a registry — the worker→parent shipping
-path used by :class:`~repro.core.daemon.FleetDaemon`.
+a snapshot (or delta) back into a registry.  :meth:`Registry.delta`
+gives the same delta shape from the series changed since its previous
+call — the worker→parent shipping path used by
+:class:`~repro.core.daemon.FleetDaemon`, one delta per ack.
 
 When observability is disabled, callers either hold no registry at all
 (the instrumented branches are never wired) or use :data:`NULL_REGISTRY`
@@ -22,6 +24,7 @@ metrics.
 from __future__ import annotations
 
 from math import frexp
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -127,16 +130,20 @@ class Histogram:
 
 
 class _Family:
-    """One named metric family: shared type/help, children per label set."""
+    """One named metric family: shared type/help, children per label set.
 
-    __slots__ = ("name", "kind", "help", "children", "hist_args")
+    A new child is also appended to its registry's ``series`` list,
+    which :meth:`Registry.delta` walks."""
 
-    def __init__(self, name: str, kind: str, help: str, hist_args=None):
+    __slots__ = ("name", "kind", "help", "children", "hist_args", "series")
+
+    def __init__(self, name: str, kind: str, help: str, hist_args, series):
         self.name = name
         self.kind = kind
         self.help = help
         self.children: Dict[LabelKey, object] = {}
         self.hist_args = hist_args
+        self.series = series
 
     def child(self, labels: Dict[str, str]):
         key = _label_key(labels)
@@ -149,7 +156,25 @@ class _Family:
             else:
                 metric = Histogram(*self.hist_args)
             self.children[key] = metric
+            self.series.append(_Series(self, dict(key), metric))
         return metric
+
+
+class _Series:
+    """One series as :meth:`Registry.delta` tracks it: its family's
+    name, kind and help, its labels, and what the previous delta shipped
+    of it (``None`` before the first; a histogram's is a copy of its
+    counts and its sum)."""
+
+    __slots__ = ("name", "kind", "help", "labels", "metric", "shipped")
+
+    def __init__(self, family: _Family, labels: Dict[str, str], metric):
+        self.name = family.name
+        self.kind = family.kind
+        self.help = family.help
+        self.labels = labels
+        self.metric = metric
+        self.shipped = None
 
 
 class Registry:
@@ -163,11 +188,15 @@ class Registry:
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
+        # Every series in creation order, for delta(); and merge()'s
+        # handles by (name, label items as the sender ordered them).
+        self._series: List[_Series] = []
+        self._merged: Dict[tuple, object] = {}
 
     def _family(self, name: str, kind: str, help: str, hist_args=None) -> _Family:
         family = self._families.get(name)
         if family is None:
-            family = _Family(name, kind, help, hist_args)
+            family = _Family(name, kind, help, hist_args, self._series)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
@@ -216,31 +245,105 @@ class Registry:
             }
         return out
 
+    def delta(self) -> dict:
+        """The series changed since the previous ``delta()`` call, in
+        :func:`diff_snapshots`' shape, so :meth:`merge` reads it as is.
+
+        The first call ships every series whole, as
+        ``diff_snapshots(snapshot, None)`` does; after that a series
+        ships only when it moved: a counter's increase (a decrease ships
+        as a zero ``reset`` entry), a gauge's new value, a histogram's
+        added counts and sum (whole, marked ``reset``, if a count went
+        down).  Merged into one parent, successive deltas leave it equal
+        to merging ``diff_snapshots`` of successive snapshots, at the
+        cost of the series this registry holds, not of a snapshot and a
+        diff — the per-ack path of a daemon shard.  Entries hold the
+        registry's own label dicts: read them, do not change them."""
+        out: dict = {}
+        for series in self._series:
+            metric = series.metric
+            shipped = series.shipped
+            kind = series.kind
+            if kind == "histogram":
+                counts = metric.counts
+                if shipped is None:
+                    entry = {"labels": series.labels, "counts": list(counts),
+                             "sum": metric.sum, "lo_exp": metric.lo_exp,
+                             "hi_exp": metric.hi_exp}
+                else:
+                    last_counts, last_sum = shipped
+                    if counts == last_counts:
+                        continue
+                    added = list(map(sub, counts, last_counts))
+                    if min(added) < 0:
+                        entry = {"labels": series.labels,
+                                 "counts": list(counts), "sum": metric.sum,
+                                 "lo_exp": metric.lo_exp,
+                                 "hi_exp": metric.hi_exp, "reset": True}
+                    else:
+                        entry = {"labels": series.labels, "counts": added,
+                                 "sum": metric.sum - last_sum,
+                                 "lo_exp": metric.lo_exp,
+                                 "hi_exp": metric.hi_exp}
+                series.shipped = (list(counts), metric.sum)
+            else:
+                value = metric.value
+                if value == shipped:
+                    continue
+                if shipped is None or kind == "gauge":
+                    entry = {"labels": series.labels, "value": value}
+                elif value < shipped:
+                    entry = {"labels": series.labels, "value": 0.0,
+                             "reset": True}
+                else:
+                    entry = {"labels": series.labels,
+                             "value": value - shipped}
+                series.shipped = value
+            family = out.get(series.name)
+            if family is None:
+                out[series.name] = {"type": kind, "help": series.help,
+                                    "series": [entry]}
+            else:
+                family["series"].append(entry)
+        return out
+
     def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (or a delta from ``diff_snapshots``) into this
-        registry: counters and histograms accumulate, gauges last-write."""
+        """Fold a snapshot (or a delta from ``diff_snapshots`` or
+        :meth:`delta`) into this registry: counters and histograms
+        accumulate, gauges last-write.  Each series resolves once; later
+        merges find its handle by name and label items."""
+        handles = self._merged
         for name, family_data in snapshot.items():
             kind = family_data["type"]
-            help = family_data.get("help", "")
             for entry in family_data["series"]:
                 labels = entry.get("labels", {})
+                key = (name, *labels.items())
+                metric = handles.get(key)
+                if metric is None or metric.kind != kind:
+                    metric = handles[key] = self._merge_target(
+                        name, kind, family_data.get("help", ""), entry,
+                        labels)
                 if kind == "counter":
-                    self.counter(name, help, **labels).inc(entry["value"])
+                    metric.inc(entry["value"])
                 elif kind == "gauge":
-                    self.gauge(name, help, **labels).set(entry["value"])
+                    metric.set(entry["value"])
                 else:
-                    hist = self.histogram(
-                        name, help,
-                        lo_exp=entry["lo_exp"], hi_exp=entry["hi_exp"],
-                        **labels,
-                    )
-                    if len(hist.counts) != len(entry["counts"]):
+                    counts = metric.counts
+                    if len(counts) != len(entry["counts"]):
                         raise ValueError(
                             f"histogram {name!r} bucket layout mismatch"
                         )
-                    for i, c in enumerate(entry["counts"]):
-                        hist.counts[i] += c
-                    hist.sum += entry["sum"]
+                    counts[:] = map(add, counts, entry["counts"])
+                    metric.sum += entry["sum"]
+
+    def _merge_target(self, name, kind, help, entry, labels):
+        if kind == "counter":
+            return self.counter(name, help, **labels)
+        if kind == "gauge":
+            return self.gauge(name, help, **labels)
+        return self.histogram(
+            name, help, lo_exp=entry["lo_exp"], hi_exp=entry["hi_exp"],
+            **labels)
 
 
 def diff_snapshots(new: dict, old: Optional[dict]) -> dict:
@@ -423,6 +526,9 @@ class NullRegistry:
         return _NULL_METRIC
 
     def snapshot(self) -> dict:
+        return {}
+
+    def delta(self) -> dict:
         return {}
 
     def merge(self, snapshot: dict) -> None:

@@ -37,9 +37,10 @@ from repro.core.predictor import AarohiPredictor, _LalrEngine, _MatcherEngine
 from repro.obs import (
     INGEST_LINES_READ,
     LINES_SEEN,
+    PREDICTIONS,
     Observability,
     ObsServer,
-    diff_snapshots,
+    Registry,
 )
 from repro.persistence import PredictorBundle
 from repro.templates import TemplateStore
@@ -500,7 +501,7 @@ class TestShardChunk:
             fleet, obs = self.shard_fleet(bundle, backend, idle)
             visits.clear()
             _, stats, _, state = _run_chunk(fleet, blob, "quarantine")
-            diff_snapshots(obs.registry.snapshot(), None)  # the ack's delta
+            obs.registry.delta()  # the ack's obs delta
             assert stats.lines_tokenized == 10
             assert set(state) == {"n0", "n1"}
             assert 0 < len(visits) <= 2 * stats.lines_tokenized
@@ -921,6 +922,50 @@ class TestIngestSeries:
         (read,) = snap[INGEST_LINES_READ]["series"]
         assert read["value"] == report.ingest.lines_read == len(lines)
         assert report.ingest.quarantined == 1
+
+
+class TestMergePerAck:
+    def test_merge_override_sees_each_ack_once(self):
+        """Benchmarks subclass ``Registry`` and override ``merge`` to
+        stamp when a shard's predictions land: the parent must call it
+        exactly once per ack, and the shard's ``aarohi_predictions_total``
+        must count the ack's predictions when the call returns."""
+        seen = []
+
+        class Stamped(Registry):
+            def merge(self, snapshot):
+                super().merge(snapshot)
+                # No assert here: this runs on a collector thread.
+                (shard, *others) = {entry["labels"]["shard"]
+                                    for family in snapshot.values()
+                                    for entry in family["series"]}
+                landed = sum(
+                    1 for p in list(daemon.predictions)
+                    if daemon.shard_for(p.node) == int(shard))
+                total = self.counter(PREDICTIONS, shard=shard).value
+                seen.append((shard if not others else None, total, landed))
+
+        bundle = make_bundle()
+        nodes = [f"n{i}" for i in range(8)]
+        lines = make_lines(nodes, reps=3)
+        daemon = FleetDaemon(
+            bundle, n_shards=2, scan_backend="native", chunk_lines=4,
+            poll_interval=0.02, obs=Observability(registry=Stamped()),
+        ).start()
+        try:
+            for line in lines:
+                daemon.submit(line)
+            report = daemon.stop(drain=True)
+        finally:
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert len(report.predictions) == len(nodes) * 3
+        acks = {str(shard.index): shard.acked for shard in daemon._shards}
+        assert {label: sum(1 for s, _, _ in seen if s == label)
+                for label in acks} == acks
+        assert all(total == landed for _, total, landed in seen), seen
+        assert sum(max(t for s, t, _ in seen if s == label)
+                   for label in acks) == len(report.predictions)
 
 
 class TestSubmitPerLine:

@@ -120,3 +120,15 @@ class TestSnapshotDiffAdd:
         assert total.lines_seen == 9
         assert total.predictions == 3
         assert total.fc_related_fraction == pytest.approx(6 / 9)
+
+    def test_add_covers_every_field(self):
+        from dataclasses import fields
+
+        from repro.core.predictor import PredictorStats
+
+        one = PredictorStats(**{f.name: 1 for f in fields(PredictorStats)})
+        total = PredictorStats()
+        total.add(one)
+        total.add(one)
+        assert all(getattr(total, f.name) == 2
+                   for f in fields(PredictorStats))

@@ -129,6 +129,20 @@ class TestErrorPolicies:
         assert a.quarantined_by_reason == {"truncated": 2, "bad_timestamp": 2}
         assert a.funnel_ok
 
+    def test_stats_add_covers_every_field(self):
+        from dataclasses import fields
+
+        one = IngestStats(**{f.name: 1 for f in fields(IngestStats)
+                             if f.name != "quarantined_by_reason"},
+                          quarantined_by_reason={"truncated": 1})
+        total = IngestStats()
+        total.add(one)
+        total.add(one)
+        assert total.as_dict() == {
+            f.name: ({"truncated": 2} if f.name == "quarantined_by_reason"
+                     else 2)
+            for f in fields(IngestStats)}
+
 
 class TestSortBuffer:
     def test_repairs_within_horizon(self):

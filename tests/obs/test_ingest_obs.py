@@ -69,6 +69,33 @@ class TestNegativeDeltaTMetric:
         assert series_value(snap, NEGATIVE_DELTA_T) == 5
 
 
+class TestBoundHandles:
+    def test_handles_follow_registry_and_labels(self):
+        """Fold-ins write handles bound once, yet a new registry or
+        labels dict on the facade gets the next fold-in's series."""
+        from repro.obs import Registry
+
+        obs = Observability(labels={"shard": "0"})
+        obs.record_ingest(ingest_delta(10, 1))
+        first = obs.registry
+        obs.registry = Registry()
+        obs.record_ingest(ingest_delta(5, 0))
+        assert series_value(first.snapshot(), INGEST_LINES_READ) == 10
+        (entry,) = obs.registry.snapshot()[INGEST_LINES_READ]["series"]
+        assert entry == {"labels": {"shard": "0"}, "value": 15}
+        obs.labels = {"shard": "1"}
+        obs.record_ingest(ingest_delta(1, 0))
+        series = obs.registry.snapshot()[INGEST_LINES_READ]["series"]
+        assert [e["labels"]["shard"] for e in series] == ["0", "1"]
+
+    def test_series_appear_when_first_written(self):
+        obs = Observability()
+        obs.record_fleet_run(n_events=3, n_nodes=1, seconds=None)
+        assert "aarohi_fleet_run_seconds" not in obs.registry.snapshot()
+        obs.record_fleet_run(n_events=3, n_nodes=1, seconds=0.5)
+        assert "aarohi_fleet_run_seconds" in obs.registry.snapshot()
+
+
 class TestHealthzBurn:
     def fetch_healthz(self, obs):
         with ObsServer(obs) as server:

@@ -1,6 +1,8 @@
 """Tests for the allocation-free metric primitives and the registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -210,6 +212,138 @@ class TestDiffSnapshots:
         new = new_r.snapshot()
         delta = diff_snapshots(new, old_r.snapshot())
         assert delta["h"]["series"][0] == new["h"]["series"][0]
+
+
+class TestDelta:
+    """``Registry.delta``: the series changed since the previous call,
+    in ``diff_snapshots``' shape (a daemon shard's per-ack payload)."""
+
+    def test_first_delta_ships_every_series_whole(self):
+        r = Registry()
+        r.counter("c_total", "help!", shard="0").inc(2)
+        r.counter("zero_total", shard="0")
+        r.gauge("g").set(1.5)
+        r.histogram("h", lo_exp=0, hi_exp=4).observe(3.0)
+        assert r.delta() == diff_snapshots(r.snapshot(), None)
+
+    def test_only_changed_series_ship(self):
+        r = Registry()
+        r.counter("c_total").inc(2)
+        r.counter("idle_total").inc(1)
+        r.gauge("g").set(1.0)
+        r.gauge("same").set(4.0)
+        r.histogram("h", lo_exp=0, hi_exp=4).observe(1.0)
+        r.delta()
+        r.counter("c_total").inc(3)
+        r.gauge("g").set(9.0)
+        r.gauge("same").set(4.0)
+        r.histogram("h", lo_exp=0, hi_exp=4).observe(2.0)
+        delta = r.delta()
+        assert sorted(delta) == ["c_total", "g", "h"]
+        assert delta["c_total"]["series"] == [{"labels": {}, "value": 3}]
+        assert delta["g"]["series"] == [{"labels": {}, "value": 9.0}]
+        hist = delta["h"]["series"][0]
+        assert sum(hist["counts"]) == 1
+        assert hist["sum"] == pytest.approx(2.0)
+        assert r.delta() == {}
+
+    def test_counter_decrease_ships_a_zero_reset(self):
+        r = Registry()
+        r.counter("c_total").set_total(10)
+        r.delta()
+        r.counter("c_total").set_total(4)
+        assert r.delta()["c_total"]["series"] == [
+            {"labels": {}, "value": 0.0, "reset": True}]
+        r.counter("c_total").set_total(6)
+        assert r.delta()["c_total"]["series"] == [
+            {"labels": {}, "value": 2}]
+
+    def test_null_registry_delta_is_empty(self):
+        NULL_REGISTRY.counter("c").inc(5)
+        assert NULL_REGISTRY.delta() == {}
+
+    def test_repeated_merges_land_on_the_registry_handle(self):
+        """Later merges reach the series through the merge cache: the
+        handle ``counter()`` returns sees every merge."""
+        parent = Registry()
+        delta = {"c_total": {"type": "counter", "help": "",
+                             "series": [{"labels": {"shard": "0"},
+                                         "value": 2}]}}
+        parent.merge(delta)
+        handle = parent.counter("c_total", shard="0")
+        parent.merge(delta)
+        assert handle.value == 4
+
+    def test_merge_kind_conflict_still_rejected(self):
+        parent = Registry()
+        parent.merge({"x": {"type": "counter", "help": "",
+                            "series": [{"labels": {}, "value": 1}]}})
+        with pytest.raises(ValueError):
+            parent.merge({"x": {"type": "gauge", "help": "",
+                                "series": [{"labels": {}, "value": 1}]}})
+
+
+_LABELS = ({}, {"shard": "0"}, {"shard": "1", "stage": "scan"})
+_FLOATS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                    allow_infinity=False)
+_STEP = st.one_of(
+    st.tuples(st.just("inc"), st.sampled_from(("a_total", "b_total")),
+              st.sampled_from(_LABELS), st.integers(0, 5) | _FLOATS),
+    st.tuples(st.just("set_total"), st.sampled_from(("a_total", "b_total")),
+              st.sampled_from(_LABELS), st.integers(0, 50) | _FLOATS),
+    st.tuples(st.just("set"), st.just("g"), st.sampled_from(_LABELS),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("observe"), st.sampled_from(("h", "wide")),
+              st.sampled_from(_LABELS), _FLOATS),
+    st.tuples(st.just("ship")),
+    st.tuples(st.just("takeover")),
+)
+
+
+class TestDeltaEqualsSnapshotDiff:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_STEP, max_size=60))
+    def test_delta_path_equals_snapshot_diff_merge(self, steps):
+        """Merged into one parent, each delta leaves it equal to a
+        parent fed ``diff_snapshots`` of full snapshots — across a
+        takeover's fresh worker registry too — and a delta carries no
+        series untouched since the previous one."""
+        worker = Registry()
+        last_snap = None
+        via_delta, via_diff = Registry(), Registry()
+        touched = set()
+        for step in steps + [("ship",)]:
+            op = step[0]
+            if op == "takeover":
+                worker, last_snap, touched = Registry(), None, set()
+                continue
+            if op == "ship":
+                delta = worker.delta()
+                snap = worker.snapshot()
+                via_delta.merge(delta)
+                via_diff.merge(diff_snapshots(snap, last_snap))
+                last_snap = snap
+                assert via_delta.snapshot() == via_diff.snapshot()
+                shipped = {(name, tuple(sorted(entry["labels"].items())))
+                           for name, family in delta.items()
+                           for entry in family["series"]}
+                assert shipped <= touched
+                touched = set()
+                continue
+            _, name, labels, value = step
+            touched.add((name, tuple(sorted(labels.items()))))
+            if op == "inc":
+                worker.counter(name, "a counter", **labels).inc(value)
+            elif op == "set_total":
+                worker.counter(name, "a counter", **labels).set_total(value)
+            elif op == "set":
+                worker.gauge(name, "a gauge", **labels).set(value)
+            elif name == "h":
+                worker.histogram(name, "seconds", **labels).observe(value)
+            else:
+                worker.histogram(
+                    name, "events", lo_exp=0, hi_exp=24, **labels,
+                ).observe(value)
 
 
 class TestSnapshotAsymmetry:
