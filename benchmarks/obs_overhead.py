@@ -86,8 +86,9 @@ HISTORY_FLOOR = 0.95
 # Rounds per ratio: each ratio is the median of this many per-round
 # ratios, as in the decoder gate (emit_bench.measure_decoder).
 PAIRS = 101
-# The live row starts and stops an HTTP server every round, and each
-# stop waits out the server loop's 0.5 s poll, so it takes fewer.
+# The live row starts and stops an HTTP server every round (each stop
+# waits up to the server loop's poll, `repro.obs.server.POLL_INTERVAL`),
+# so it takes fewer.
 LIVE_PAIRS = 21
 
 

@@ -69,7 +69,9 @@ SIGTERM_EXIT = 143  # 128 + SIGTERM, the conventional termination code
 
 def ClusterLogGenerator(config, seed: int):
     """The log simulator's generator for ``config``, imported by the
-    commands that drive it.  This module's top level stays light: a
+    commands that generate logs (``generate``, ``pipeline``,
+    ``speedup``); the bundle-only commands take :func:`_trained_bundle`
+    and run without numpy.  This module's top level stays light: a
     ``serve`` started as ``aarohi serve`` or ``python -m repro.cli``
     re-imports it in every spawned shard worker (DESIGN.md §5.14)."""
     try:  # the simulator half of logsim needs numpy (the [fast] extra)
@@ -79,6 +81,16 @@ def ClusterLogGenerator(config, seed: int):
             "this command drives the log simulator, which requires numpy:"
             " install the [fast] extra (pip install 'repro[fast]')")
     return generator(config, seed=seed)
+
+
+def _trained_bundle(args: argparse.Namespace):
+    """The predictor bundle of ``args.system``: its catalog's template
+    store, Phase 1's trained chains and the parsing timeout, built from
+    committed tables without the simulator or numpy.  ``--seed`` seeds
+    only the simulator's windows, never the bundle."""
+    from .logsim.bundle import trained_bundle
+
+    return trained_bundle(system_by_name(args.system))
 
 
 class _Terminated(Exception):
@@ -321,8 +333,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
-    gen = ClusterLogGenerator(system_by_name(args.system), seed=args.seed)
-    rule_set = build_rules(gen.chains, factor=not args.flat)
+    rule_set = build_rules(_trained_bundle(args).chains, factor=not args.flat)
     print(rule_set.describe())
     return 0
 
@@ -406,12 +417,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _install_sigterm()
     config = system_by_name(args.system)
     obs = _make_obs(args, config)
-    gen = ClusterLogGenerator(config, seed=args.seed)
-    fleet = PredictorFleet.from_store(
-        gen.chains, gen.store, timeout=gen.recommended_timeout,
-        backend=args.backend, obs=obs,
-        scan_backend=args.scan_backend,
-    )
+    fleet = _trained_bundle(args).make_fleet(
+        backend=args.backend, obs=obs, scan_backend=args.scan_backend)
     try:
         if getattr(args, "watch", False):
             clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
@@ -588,15 +595,12 @@ def cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from .codegen import emit_predictor_source
-
-    gen = ClusterLogGenerator(system_by_name(args.system), seed=args.seed)
-    source = emit_predictor_source(
-        gen.chains, gen.store, timeout=gen.recommended_timeout)
+    bundle = _trained_bundle(args)
+    source = bundle.emit_standalone()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(source)
     print(f"wrote standalone predictor ({len(source.splitlines())} lines, "
-          f"{len(gen.chains)} chains) to {args.out}")
+          f"{len(bundle.chains)} chains) to {args.out}")
     return 0
 
 
@@ -801,15 +805,11 @@ def cmd_obs_serve(args: argparse.Namespace) -> int:
 
     _install_sigterm()
     config = system_by_name(args.system)
-    gen = ClusterLogGenerator(config, seed=args.seed)
     # The parser sets ``watch``: a serving fleet runs the live monitor
     # and self-monitors with history + the shipped ruleset by default.
     obs = _make_obs(args, config)
-    fleet = PredictorFleet.from_store(
-        gen.chains, gen.store, timeout=gen.recommended_timeout,
-        backend=args.backend, obs=obs,
-        scan_backend=args.scan_backend,
-    )
+    fleet = _trained_bundle(args).make_fleet(
+        backend=args.backend, obs=obs, scan_backend=args.scan_backend)
 
     def pace(done: int, total: int) -> None:
         if args.pace > 0:
@@ -882,7 +882,7 @@ def _parse_endpoint(value: str, default_host: str = "127.0.0.1"):
 
 def _serve_bundle(args: argparse.Namespace):
     """The daemon's predictor bundle: an explicit ``--bundle`` file, or
-    one derived from the simulator's trained chains (needs numpy)."""
+    ``--system``'s trained bundle (:func:`_trained_bundle`, no numpy)."""
     from .persistence import BundleError, PredictorBundle
 
     if args.bundle:
@@ -891,10 +891,7 @@ def _serve_bundle(args: argparse.Namespace):
         except (OSError, BundleError) as exc:
             raise SystemExit(f"serve: cannot load bundle "
                              f"{args.bundle!r}: {exc}")
-    gen = ClusterLogGenerator(system_by_name(args.system), seed=args.seed)
-    return PredictorBundle(
-        store=gen.store, chains=gen.chains,
-        timeout=gen.recommended_timeout, system=args.system)
+    return _trained_bundle(args)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1165,8 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_arg(p)
     p.add_argument("--bundle", default=None, metavar="BUNDLE.json",
                    help="serve this saved predictor bundle instead of "
-                        "deriving one from the simulator (no numpy "
-                        "needed)")
+                        "--system's trained one")
     p.add_argument("--shards", type=int, default=2,
                    help="worker shard processes (default 2)")
     p.add_argument("--tcp", default=None, metavar="HOST:PORT",

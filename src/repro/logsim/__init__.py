@@ -2,19 +2,24 @@
 
 * :mod:`.topology` — Cray node naming / cluster enumeration
 * :mod:`.catalogs` — per-family message vocabularies (benign + anomaly)
-* :mod:`.faults` — failure-chain definitions and ΔT / lead-gap models
+* :mod:`.faults` — failure-chain definitions, ΔT / lead-gap models and
+  the trained chains' ΔT means
 * :mod:`.systems` — HPC1–HPC4 configs (Table II)
+* :mod:`.bundle` — the predictor bundle (store, trained chains, timeout)
 * :mod:`.generator` — seeded workload generation with chain injection
 * :mod:`.stream` — framing / serialize / replay plumbing
 """
 
 from ..lazy import lazy_exports
 
-# The simulator half (catalogs/faults/generator/corruptions) needs
-# numpy; the stream/ingest half is pure stdlib.  Names resolve on first
-# read, so without numpy (the [fast] extra) the ingest layer imports
-# fine and reading a simulator name raises the usual ImportError there.
+# Only what samples needs numpy: the generator, the corruptions and
+# ``DeltaTModel``/``LeadGapModel.sample``, which import it where they
+# run.  Catalogs, chain definitions, systems, the predictor bundle and
+# the stream/ingest half are pure stdlib.  Names resolve on first read,
+# so without numpy (the [fast] extra) reading a simulator name raises
+# the usual ImportError there.
 __all__, _getattr, __dir__ = lazy_exports(__name__, {
+    "bundle": ("trained_bundle",),
     "catalogs": ("Catalog", "CatalogEntry", "catalog_for"),
     "corruptions": ("CorruptionReport", "CorruptionSpec", "corrupt_events",
                     "corrupt_lines", "corrupt_window"),

@@ -15,13 +15,14 @@ Families mirror Table I: ``xc30``, ``xc40`` (Aries, bcsysd, Slurm) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 from ..core.events import Severity
 
-Realizer = Callable[[np.random.Generator, str], str]
+if TYPE_CHECKING:
+    import numpy as np
+
+Realizer = Callable[["np.random.Generator", str], str]
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ toward ~2 minutes; ~93% of gaps fall under the parsing timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class DeltaTModel:
     minutes_high: float = 125.0
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        import numpy as np
+
         weights = np.array(
             [self.burst_weight, self.seconds_weight, self.minutes_weight]
         )
@@ -63,6 +66,8 @@ class LeadGapModel:
     maximum: float = 235.0  # just under 4 min (Fig. 13 range)
 
     def sample(self, rng: np.random.Generator) -> float:
+        import numpy as np
+
         return float(np.clip(rng.normal(self.mean, self.std), self.minimum, self.maximum))
 
 
@@ -124,6 +129,28 @@ _NOVEL_XE: List[ChainDef] = [
     ChainDef("NV_ecc", ("ecc_uncorr", "mce", "hb_fault"), "node_halt"),
     ChainDef("NV_volt", ("volt_fault", "kpanic"), "node_halt"),
 ]
+
+
+# Phase 1's trained ΔT stats: each trained chain's expected gaps, drawn
+# once as ``deltas.sample(default_rng(zlib.crc32(chain_id.encode())), n)``
+# (the CRC-32 seed keeps every process, whatever its PYTHONHASHSEED, on
+# the same chains).  They depend only on the chain id, so they are kept
+# here as repr-exact literals: the predictor bundle builds without numpy.
+TRAINED_DELTAS: Dict[str, Tuple[float, ...]] = {
+    "FC_dvs": (9.215599966756265, 7.395406394563124, 9.39561213769784,
+               8.000672942927048, 1.1790105459242548),
+    "FC_aries": (0.02544460248660877, 74.26445920671728, 5.185726924762787,
+                 106.09407157285708),
+    "FC_mce": (3.740657316845976, 0.049500799287613265, 60.162612040783664,
+               11.432861717394246),
+    "FC_oom": (122.68604523234313, 29.68916102331478),
+    "FC_hb": (0.03980793490862152, 0.06098466536530392),
+    "FC_lustre": (4.676886072782346, 0.04748730300554643,
+                  0.015398842217678968, 40.33115293069816),
+    "FC_gpu": (0.03368493946556269, 2.793850437867047, 0.009021382487121766),
+    "FC_gem": (106.36203607911732, 2.524212867125473, 34.93550520253293,
+               4.80100602686247),
+}
 
 
 def chain_defs_for(family: str) -> Tuple[List[ChainDef], List[ChainDef]]:

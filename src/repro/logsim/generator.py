@@ -3,9 +3,10 @@
 :class:`ClusterLogGenerator` owns, for one system config:
 
 * the node topology,
-* the message catalog and a :class:`TemplateStore` preloaded with every
-  template (what Phase-1 training would have produced),
-* the trained :class:`ChainSet` (precursor chains as token sequences),
+* the message catalog, with the :class:`TemplateStore` of every
+  template and the trained :class:`ChainSet` that
+  :func:`~.bundle.trained_bundle` builds from it (what Phase-1 training
+  would have produced),
 * and seeded RNG streams for reproducible workloads.
 
 ``generate_window`` produces a time-ordered stream for a window of the
@@ -21,15 +22,13 @@ cluster's life, with four ingredient kinds:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.chains import ChainSet, FailureChain
 from ..core.events import LogEvent, NodeFailure
-from ..templates.store import TemplateStore
+from .bundle import TIMEOUT, trained_bundle
 from .catalogs import Catalog, catalog_for
 from .faults import ChainDef, chain_defs_for
 from .systems import SystemConfig
@@ -80,46 +79,28 @@ class ClusterLogGenerator:
         self.catalog: Catalog = catalog_for(config.family)
         self.rng = np.random.default_rng(config.seed if seed is None else seed)
 
-        # Register every template: Phase 1's vocabulary.
-        self.store = TemplateStore()
-        self._token_of: Dict[str, int] = {}
-        for entry in (*self.catalog.benign, *self.catalog.anomalies):
-            template = self.store.add(entry.template, entry.severity)
-            self._token_of[entry.key] = template.token
-
+        # Phase 1's vocabulary and trained chains, built as the
+        # bundle-only commands build them.
+        bundle = trained_bundle(config)
+        self.store = bundle.store
+        self.chains = bundle.chains
+        self._token_of: Dict[str, int] = {
+            key: self.store.lookup(entry.template).token
+            for key, entry in self.catalog.by_key().items()
+        }
         trained, novel = chain_defs_for(config.family)
         self.trained_defs: List[ChainDef] = trained
         self.novel_defs: List[ChainDef] = novel
-        self.chains = ChainSet(
-            [self._to_failure_chain(d) for d in trained]
-        )
 
     # -- wiring helpers ------------------------------------------------
     @property
     def recommended_timeout(self) -> float:
-        """The parsing timeout for this workload: 4 minutes, per the
-        paper's example ("4 mins when 93% of the phrase inter-arrival
-        times are ≤ 4 mins").  It safely covers the ΔT model's
-        minutes-scale tail (≤125 s); tighter timeouts trade false
-        negatives for earlier resets — see the timeout ablation bench."""
-        return 240.0
+        """The parsing timeout for this workload (:data:`.bundle.TIMEOUT`,
+        4 minutes)."""
+        return TIMEOUT
 
     def token_of(self, key: str) -> int:
         return self._token_of[key]
-
-    def _to_failure_chain(self, chain_def: ChainDef) -> FailureChain:
-        tokens = tuple(self._token_of[k] for k in chain_def.phrase_keys)
-        # Trained ΔT stats: the model's expected gaps (used for timeouts),
-        # seeded by the chain id's CRC-32 so that every process (whatever
-        # its PYTHONHASHSEED) trains the same chains.
-        deltas = tuple(
-            float(m)
-            for m in chain_def.deltas.sample(
-                np.random.default_rng(zlib.crc32(chain_def.chain_id.encode())),
-                len(tokens) - 1,
-            )
-        )
-        return FailureChain(chain_def.chain_id, tokens, deltas)
 
     # -- generation ------------------------------------------------------
     def generate_window(

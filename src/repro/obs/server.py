@@ -44,6 +44,10 @@ from urllib.parse import parse_qs, urlsplit
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: How often ``serve_forever`` checks for a shutdown request, which bounds
+#: how long ``close()`` blocks (the stdlib's default poll is 0.5 s).
+POLL_INTERVAL = 0.05
+
 
 class _ReusableHTTPServer(ThreadingHTTPServer):
     """``SO_REUSEADDR`` pinned on explicitly.
@@ -79,8 +83,8 @@ class ObsServer:
     def start(self) -> "ObsServer":
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="obs-server",
-                daemon=True,
+                target=self._httpd.serve_forever, args=(POLL_INTERVAL,),
+                name="obs-server", daemon=True,
             )
             self._thread.start()
         return self

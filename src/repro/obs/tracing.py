@@ -46,6 +46,10 @@ EVENT_KINDS = (
     PREDICTION_FIRED,
 )
 
+# One compact encoder for every record: ``json.dumps`` with non-default
+# separators builds a new ``JSONEncoder`` on each call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class Tracer:
     """JSONL lifecycle tracer writing to a path or file-like sink."""
@@ -96,7 +100,7 @@ class Tracer:
             if value is not None:
                 record[key] = value
         record["wall"] = self._clock()
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._fh.write(_encode(record) + "\n")
         self.emitted += 1
         if self.mirror is not None:
             self.mirror(record)

@@ -2,6 +2,7 @@
 ``/quality``) against an ephemeral port."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -54,6 +55,16 @@ class TestMetricsEndpoint:
     def test_ephemeral_ports_do_not_collide(self, obs):
         with ObsServer(obs) as a, ObsServer(obs) as b:
             assert a.port != b.port
+
+    def test_close_returns_promptly(self, obs):
+        """``close`` waits only for the serve loop's short poll, not the
+        stdlib's 0.5 s default, on every start/close cycle."""
+        for _ in range(5):
+            server = ObsServer(obs).start()
+            fetch(server.url("/metrics"))
+            start = time.monotonic()
+            server.close()
+            assert time.monotonic() - start < 0.25
 
     def test_ephemeral_bind_publishes_chosen_port(self, obs):
         server = ObsServer(obs, port=0)

@@ -1,6 +1,7 @@
 """Tests for the prediction-lifecycle tracer and trace analytics."""
 
 import io
+import json
 
 import pytest
 
@@ -41,6 +42,28 @@ class TestEmitAndRead:
     def test_unknown_event_kind_rejected_on_read(self):
         with pytest.raises(ValueError):
             read_trace(io.StringIO('{"ev": "mystery", "node": "n"}\n'))
+
+    def test_lines_are_compact_json_dumps(self):
+        """Each line is byte-equal to ``json.dumps(record,
+        separators=(",", ":"))`` of the record the tracer keeps: ints,
+        floats, non-ASCII node names, ``None`` fields dropped."""
+        sink = io.StringIO()
+        records = []
+        walls = iter([1.5e9 + 0.125, 7, -0.0, 1e-7])
+        tracer = Tracer(sink, clock=lambda: next(walls),
+                        mirror=records.append)
+        tracer.emit(CHAIN_STARTED, "nœud-ü", chain="FC_é", token=7, t=3.5)
+        tracer.emit(TOKEN_ADVANCED, "c0-0c0s1n2", chain=None, token=176,
+                    t=1e300, index=None)
+        tracer.emit(PREDICTION_FIRED, "节点-1", chain="FC_x",
+                    t=1600000000.123456, lead=float("inf"))
+        tracer.emit(CHAIN_STARTED, "n\"q\\", t=0.1 + 0.2)
+        lines = sink.getvalue().split("\n")
+        assert lines[-1] == ""
+        assert lines[:-1] == [
+            json.dumps(record, separators=(",", ":")) for record in records]
+        assert "chain" not in records[1] and "index" not in records[1]
+        assert records[2]["node"] == "节点-1"
 
     def test_path_sink_owned_and_closed(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -212,10 +212,9 @@ class TestLargeAlphabetPredict:
                                             capsys):
         """A catalog past 254 byte classes runs the default predict on
         the str kernels, and the JSON says so."""
-        from types import SimpleNamespace
-
         from repro import cli
         from repro.core import ChainSet, FailureChain, LogEvent
+        from repro.persistence import PredictorBundle
         from repro.templates import TemplateStore
         from repro.templates.masking import MASK
 
@@ -224,10 +223,8 @@ class TestLargeAlphabetPredict:
                   for i in range(300)]
         chains = ChainSet([FailureChain(f"FC_{k}", tuple(tokens[k:k + 3]))
                            for k in range(0, 300, 3)])
-        bundle = SimpleNamespace(
-            chains=chains, store=store, recommended_timeout=600.0)
-        monkeypatch.setattr(cli, "ClusterLogGenerator",
-                            lambda config, seed: bundle)
+        bundle = PredictorBundle(store=store, chains=chains, timeout=600.0)
+        monkeypatch.setattr(cli, "_trained_bundle", lambda args: bundle)
         events = [LogEvent(1.0, "n0", "boot ok")]
         events += [LogEvent(2.0 + i, "n0", f"fault {chr(0x4E00 + i)} x")
                    for i in range(3)]

@@ -8,9 +8,10 @@ serve`` spawn also re-runs ``repro.cli`` in the worker as its
 a fresh interpreter, because this test process has long imported
 everything.
 
-The bundle is the handmade two-chain fixture of the daemon drills, so
-these checks also run on the no-numpy CI leg; the one that resolves
-the simulator's names skips there.
+The worker's bundle is the handmade two-chain fixture of the daemon
+drills, and ``predict``'s is the trained bundle, which builds without
+numpy, so these checks also run on the no-numpy CI leg; the one that
+resolves the simulator's names skips there.
 """
 
 import json
@@ -21,9 +22,11 @@ import sys
 import pytest
 
 import repro
+from repro.cli import build_parser
 from repro.codegen import resolve_backend
 from repro.core import ChainSet, FailureChain, LogEvent
 from repro.core.events import Severity
+from repro.logsim import system_by_name, trained_bundle
 from repro.persistence import (
     PredictorBundle,
     compile_scanner_cached,
@@ -72,14 +75,15 @@ else:
     HAVE_NUMPY = True
 
 
-def run_fresh(code: str, stdin: str = "") -> dict:
+def run_fresh(code: str, stdin: str = "", args=()) -> dict:
     """Run ``code`` in a fresh interpreter on this checkout's ``src``
-    and return the JSON document it prints last."""
+    (``args`` in its ``sys.argv[1:]``) and return the JSON document it
+    prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", code], input=stdin, capture_output=True,
-        text=True, env=env, timeout=120)
+        [sys.executable, "-c", code, *args], input=stdin,
+        capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -94,6 +98,23 @@ def loaded_after(imports: str) -> list:
 
 
 class TestClosures:
+    def test_predict_imports_no_unused_module(self, tmp_path):
+        """A fresh ``predict`` on an empty log, its scanner already in
+        the artifact cache, builds its bundle without the simulator."""
+        args = build_parser().parse_args(["predict", "--log", "-"])
+        bundle = trained_bundle(system_by_name(args.system))
+        bundle.store.compile_scanner(
+            keep=bundle.chains.token_set, backend=args.scan_backend)
+        empty = tmp_path / "empty.log"
+        empty.write_text("")
+        loaded = loaded_after(
+            "from repro import cli\n"
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main(['predict', '--log', {str(empty)!r}, '--json'])")
+        assert "repro.cli" in loaded
+        assert [m for m in UNUSED if m in loaded] == []
+
     def test_worker_imports_no_unused_module(self):
         loaded = loaded_after(
             "import repro.core.daemon, repro.persistence, "
@@ -227,29 +248,73 @@ class TestLazyPackages:
         assert out == {"unlisted": [], "unresolved": [], "unknown": False}
 
 
-#: Blocks numpy before anything imports it, then drives the CLI.
+#: Drives ``predict --json`` on the log given in a fresh interpreter and
+#: notes whether it loaded numpy; with numpy blocked before anything
+#: imports it, also ``generate``.
 NO_NUMPY_RUN = """
-import json, sys
+import contextlib, io, json, sys
 
-sys.modules["numpy"] = None
+block = sys.argv[2] == "block"
+if block:
+    sys.modules["numpy"] = None
 import repro.cli
 import repro.logsim
 
-try:
-    repro.cli.main(["predict", "--log", "missing.log"])
-except SystemExit as exc:
-    code = exc.code
-else:
-    code = None
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = repro.cli.main(["predict", "--log", sys.argv[1], "--json"])
+loaded = sys.modules.get("numpy") is not None
+generate = None
+if block:
+    try:
+        repro.cli.main(["generate", "--out", sys.argv[1] + ".gen"])
+    except SystemExit as exc:
+        generate = exc.code
 print(json.dumps({
+    "numpy": loaded,
     "available": repro.logsim.SIMULATOR_AVAILABLE,
-    "exit": code,
+    "predict": code,
+    "document": json.loads(out.getvalue()),
+    "generate": generate,
 }))
 """
 
 
+def without_clock(document: dict) -> dict:
+    """``document`` less each prediction's measured ``prediction_time``,
+    a clock reading that differs from run to run."""
+    return {**document, "predictions": [
+        {k: v for k, v in p.items() if k != "prediction_time"}
+        for p in document["predictions"]]}
+
+
 class TestWithoutNumpy:
-    def test_cli_imports_and_predict_says_why_it_exits(self):
-        out = run_fresh(NO_NUMPY_RUN)
-        assert out["available"] is False
-        assert "requires numpy" in out["exit"]
+    def test_predict_runs_and_generate_says_why_it_exits(self, tmp_path):
+        """``predict`` takes the trained bundle, so with numpy blocked it
+        still reads lines written from one trained chain's templates and
+        predicts that chain; ``generate`` drives the simulator and exits
+        saying it needs numpy."""
+        bundle = trained_bundle(system_by_name("HPC3"))
+        chain = max(bundle.chains, key=len)
+        lines = [
+            LogEvent(time=1000.0 + 3 * i, node="c0-0c0s1n2",
+                     message=bundle.store.get(token).text.replace("*", "x"),
+                     ).to_line()
+            for i, token in enumerate(chain.tokens)]
+        log = tmp_path / "chain.log"
+        log.write_text("\n".join(lines) + "\n")
+        out = run_fresh(NO_NUMPY_RUN, args=(str(log), "block"))
+        assert out["available"] is False and out["numpy"] is False
+        assert out["predict"] == 0
+        document = out["document"]
+        assert [(p["node"], p["chain"], p["flagged_at"])
+                for p in document["predictions"]] == [
+            ("c0-0c0s1n2", chain.chain_id, 1000.0 + 3 * (len(chain) - 1))]
+        assert document["ingest"]["decoded"] == len(lines)
+        assert "requires numpy" in out["generate"]
+        if HAVE_NUMPY:
+            unblocked = run_fresh(NO_NUMPY_RUN, args=(str(log), "allow"))
+            assert unblocked["available"] is True
+            assert unblocked["numpy"] is False
+            assert without_clock(unblocked["document"]) == without_clock(
+                document)
