@@ -1,8 +1,8 @@
 """Time a ``serve`` daemon's set-up and its kill -9 takeover, in process.
 
 The daemon is a default 2-shard :class:`~repro.core.daemon.FleetDaemon`
-over ``aarohi serve``'s own bundle, built in this process so each step
-is timed where it runs.
+over ``aarohi serve``'s own bundle (``cli._trained_bundle``), built in
+this process so each step is timed where it runs.
 
 * **set-up**: construct, ``start()`` (the shards are spawned) and
   ``wait_ready`` (every shard has reported up), per trial;
@@ -17,7 +17,9 @@ Each trial prints one JSON line::
 
     PYTHONPATH=src python benchmarks/daemon_takeover.py --trials 6
 
-Needs numpy (the bundle and the lines come from the simulator).
+The timings are printed, not gated; the exit status is 1 when any
+takeover trial's predictions are not exact.  Needs numpy (the streamed
+lines come from the simulator).
 """
 
 from __future__ import annotations
@@ -58,15 +60,9 @@ with socket.create_connection(("127.0.0.1", port)) as sock:
 
 def serve_bundle():
     """``aarohi serve``'s default bundle."""
-    from repro.cli import build_parser
-    from repro.logsim import ClusterLogGenerator, system_by_name
-    from repro.persistence import PredictorBundle
+    from repro.cli import _trained_bundle, build_parser
 
-    args = build_parser().parse_args(["serve"])
-    gen = ClusterLogGenerator(system_by_name(args.system), seed=args.seed)
-    return PredictorBundle(store=gen.store, chains=gen.chains,
-                           timeout=gen.recommended_timeout,
-                           system=args.system)
+    return _trained_bundle(build_parser().parse_args(["serve"]))
 
 
 def make_daemon(bundle):
@@ -166,10 +162,12 @@ def main(argv=None) -> int:
         log = os.path.join(tmp, "paced.log")
         with open(log, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines)
+        exact = True
         for _ in range(args.trials):
-            print(json.dumps({"takeover": takeover_trial(
-                bundle, log, expected)}), flush=True)
-    return 0
+            trial = takeover_trial(bundle, log, expected)
+            exact = exact and trial["exact"]
+            print(json.dumps({"takeover": trial}), flush=True)
+    return 0 if exact else 1
 
 
 if __name__ == "__main__":

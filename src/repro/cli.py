@@ -67,20 +67,11 @@ from .reporting import render_table
 SIGTERM_EXIT = 143  # 128 + SIGTERM, the conventional termination code
 
 
-def ClusterLogGenerator(config, seed: int):
-    """The log simulator's generator for ``config``, imported by the
-    commands that generate logs (``generate``, ``pipeline``,
-    ``speedup``); the bundle-only commands take :func:`_trained_bundle`
-    and run without numpy.  This module's top level stays light: a
-    ``serve`` started as ``aarohi serve`` or ``python -m repro.cli``
-    re-imports it in every spawned shard worker (DESIGN.md §5.14)."""
-    try:  # the simulator half of logsim needs numpy (the [fast] extra)
-        from .logsim.generator import ClusterLogGenerator as generator
-    except ImportError:
-        raise SystemExit(
-            "this command drives the log simulator, which requires numpy:"
-            " install the [fast] extra (pip install 'repro[fast]')")
-    return generator(config, seed=seed)
+#: The commands that drive the log simulator, which needs numpy (the
+#: [fast] extra): :func:`main` checks for it before one runs.  Each
+#: imports the simulator where it runs: spawn re-runs this module in
+#: every ``serve`` shard worker (DESIGN.md §5.14).
+SIMULATOR_COMMANDS = ("generate", "pipeline", "speedup", "fieldstudy")
 
 
 def _trained_bundle(args: argparse.Namespace):
@@ -304,6 +295,8 @@ def _finish_obs(args: argparse.Namespace, obs: Optional[Observability]) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .logsim.generator import ClusterLogGenerator
+
     gen = ClusterLogGenerator(system_by_name(args.system), seed=args.seed)
     window = gen.generate_window(
         duration=args.duration, n_nodes=args.nodes, n_failures=args.failures,
@@ -498,6 +491,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    from .logsim.generator import ClusterLogGenerator
     from .training import (
         EventLabeler, anomaly_sequences, confusion_from_predictions,
         mine_chains, terminal_tokens,
@@ -561,6 +555,7 @@ def cmd_speedup(args: argparse.Namespace) -> int:
         AarohiMessageDetector, CloudSeerMessageDetector, DeepLogDetector,
         DeshDetector, KeyedLSTMMessageDetector, repeat_message_checks,
     )
+    from .logsim.generator import ClusterLogGenerator
     from .templates.store import NaiveTemplateScanner
 
     import numpy as np
@@ -1228,6 +1223,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in SIMULATOR_COMMANDS:
+        from .logsim import SIMULATOR_AVAILABLE
+
+        if not SIMULATOR_AVAILABLE:
+            raise SystemExit(
+                f"{args.command} drives the log simulator, which requires"
+                " numpy: install the [fast] extra (pip install 'repro[fast]')")
     return args.func(args)
 
 

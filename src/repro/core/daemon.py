@@ -50,12 +50,13 @@ Exactly-once under ``kill -9`` (the handoff protocol):
    idle.  Merged into the shard's restore point, it keeps that equal
    to the worker's state after its last acked chunk.
 2. Chunks are submitted at-least-once, results applied exactly-once:
-   an ack from a stale worker generation is dropped, because its
+   the supervisor is the only reader of every worker's result pipe,
+   and a replaced worker's pipe is closed unread, because its unacked
    chunks will be replayed by the replacement.
 3. On worker death — seen at once on the process sentinel — the
-   supervisor bumps the shard generation, spawns a replacement seeded
-   with the **last acked** state snapshot, and re-dispatches the
-   pending chunks in sequence order.  The replayed
+   supervisor closes the dead worker's result pipe, spawns a
+   replacement seeded with the **last acked** state snapshot, and
+   re-dispatches the pending chunks in sequence order.  The replayed
    stream continues from precisely the state the acked prefix left
    behind, so predictions — and the ingest funnel identity
    ``decoded + quarantined == lines_read`` — are preserved across the
@@ -78,11 +79,14 @@ from __future__ import annotations
 import errno
 import multiprocessing as mp
 import os
+import pickle
 import socket
 import stat
+import struct
 import threading
 import time as _time
 import zlib
+from multiprocessing.connection import Pipe, wait
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -164,7 +168,7 @@ def _run_chunk(
     fused C pass on ``native``, byte ingest then decode on ``str``.  A
     malformed line is quarantined into the chunk's funnel instead of
     taking the shard's predictor state down.  Predictions come back as
-    plain tuples for the trip through the result queue, with the state
+    plain tuples for the trip through the result pipe, with the state
     delta: the chain state of each node the chunk fed, ``None`` for one
     now idle."""
     report = fleet.run_lines(blob, on_error=on_error, timing="off")
@@ -181,7 +185,7 @@ def _run_chunk(
 def _daemon_worker_main(
     shard: int,
     work_q,
-    result_q,
+    results,
     timeout: Optional[float],
     on_error: str,
     scan_backend: str,
@@ -191,17 +195,18 @@ def _daemon_worker_main(
     """One shard process: build the shard's fleet, then run chunks
     until the ``None`` sentinel.
 
-    The spawn arguments are scalars and the two queues, so the parent's
-    ``Process.start()`` never waits for this process to boot.  The
-    first work item is ``(bundle dict, scanner tables, restore point or
-    None)``; the scanner is rebuilt from those tables (no regex
-    compilation here, just kernel specialization).  The fleet reports
-    into a process-local registry whose ``shard`` label keeps
-    per-shard series distinct after the parent-side merge; a positive
-    ``spans_sample`` arms a span clock whose cumulative stage counters
-    ride the same deltas.  Every ack ships the registry delta since the
-    previous ack, plus the chunk's state delta, which keeps the parent's
-    restore point at the last acked chunk.
+    The spawn arguments are scalars, the work queue and the write end
+    of the shard's result pipe, so the parent's ``Process.start()``
+    never waits for this process to boot.  The first work item is
+    ``(bundle dict, scanner tables, restore point or None)``; the
+    scanner is rebuilt from those tables (no regex compilation here,
+    just kernel specialization).  The fleet reports into a
+    process-local registry whose ``shard`` label keeps per-shard series
+    distinct after the parent-side merge; a positive ``spans_sample``
+    arms a span clock whose cumulative stage counters ride the same
+    deltas.  The one thread sends "up", then an ack per chunk with the
+    registry delta since the previous ack and the chunk's state delta,
+    which keeps the parent's restore point at the last acked chunk.
 
     ``throttle_s`` is a drill knob (sleep per chunk) used by the
     backpressure tests to make a worker predictably slow; production
@@ -220,11 +225,10 @@ def _daemon_worker_main(
     fleet = PredictorBundle.from_dict(bundle_dict).make_fleet(
         timeout=timeout, obs=obs, scanner=scanner)
     restored = fleet.restore_state(init_state) if init_state is not None else 0
-    result_q.put(("up", shard, restored))
+    results.send(("up", restored))
     while True:
         item = work_q.get()
         if item is None:
-            result_q.put(("bye", shard))
             return
         seq, payload = item
         if throttle_s > 0.0:
@@ -235,26 +239,49 @@ def _daemon_worker_main(
         # changed, so the parent-side merge never double-counts earlier
         # chunks.  A new worker's first delta ships every series, which
         # republishes a replaced shard's gauges.
-        result_q.put(
-            ("ack", shard, seq, predictions, stats, obs.registry.delta(),
-             ingest, state))
+        results.send(("ack", seq, predictions, stats, obs.registry.delta(),
+                      ingest, state))
+
+
+def _read_frames(fd: int, inbox: bytearray) -> Optional[List[tuple]]:
+    """One ``os.read`` of a worker's result pipe into ``inbox``, then
+    the messages of its whole frames, in order; ``None`` at EOF (the
+    worker is gone, and a half frame with it).  A frame is what
+    ``Connection.send`` writes: a ``!i`` length, then the pickle, in two
+    writes past 16 KiB.  A partial frame waits in ``inbox``: the call
+    never blocks for the rest, so a worker stopped mid-message holds up
+    no other shard."""
+    data = os.read(fd, 1 << 16)
+    if not data:
+        return None
+    inbox += data
+    msgs, start = [], 0
+    while len(inbox) >= start + 4:
+        end = start + 4 + struct.unpack_from("!i", inbox, start)[0]
+        if end > len(inbox):
+            break
+        msgs.append(pickle.loads(inbox[start + 4:end]))
+        start = end
+    del inbox[:start]
+    return msgs
 
 
 class _Shard:
     """Parent-side bookkeeping for one worker shard."""
 
     __slots__ = (
-        "index", "proc", "work_q", "result_q", "generation", "pending",
-        "next_seq", "up", "was_up", "last_state", "acked", "collector",
-        "spawned_at", "start_s",
+        "index", "proc", "work_q", "results", "inbox", "pending",
+        "next_seq", "up", "was_up", "last_state", "acked", "spawned_at",
+        "start_s",
     )
 
     def __init__(self, index: int):
         self.index = index
         self.proc = None
         self.work_q = None
-        self.result_q = None
-        self.generation = 0
+        # The result pipe's read end; the part of a frame read so far.
+        self.results = None
+        self.inbox = bytearray()
         # seq → blob, insertion (== sequence) ordered; chunks leave
         # only on ack, so this is the at-least-once replay buffer.
         self.pending: Dict[int, bytes] = {}
@@ -268,7 +295,6 @@ class _Shard:
         # chunk, mid-chain nodes only (acks merge their state deltas).
         self.last_state: Dict[str, dict] = {}
         self.acked = 0
-        self.collector: Optional[threading.Thread] = None
         # Spawn → "up" of the last worker to report up: after a
         # takeover, lines routed here wait at least this long.
         self.spawned_at = 0.0
@@ -335,7 +361,8 @@ class FleetDaemon:
         self.timeout = timeout if timeout is not None else bundle.timeout
         self.obs = obs if obs is not None else Observability()
         # Parent-resolved backend (native degrades here, once) so
-        # every worker generation compiles the same kernel family.
+        # every worker, replacements included, compiles the same kernel
+        # family.
         self.scan_backend = resolve_backend(scan_backend)
         self._bundle_dict = bundle.to_dict()
         # One scanner compile (or cache hit) in the parent; workers —
@@ -347,8 +374,9 @@ class FleetDaemon:
         self._ctx = mp.get_context("spawn")
 
         self._lock = threading.RLock()
-        # Notified as each shard reports up (``wait_ready``'s wake-up).
-        self._up = threading.Condition(self._lock)
+        # Notified on each "up", each ack and in ``stop()``: what
+        # ``wait_ready``, ``drain`` and a stalled ``submit`` wait on.
+        self._progress = threading.Condition(self._lock)
         self._shards = [_Shard(i) for i in range(n_shards)]
         self._buffers: List[List[str]] = [[] for _ in range(n_shards)]
         self.predictions: List[Prediction] = []
@@ -399,70 +427,63 @@ class FleetDaemon:
 
     def wait_ready(self, timeout: float = 30.0) -> bool:
         """Block until every shard's worker has reported up."""
-        with self._up:
-            return self._up.wait_for(
+        with self._progress:
+            return self._progress.wait_for(
                 lambda: all(s.up for s in self._shards), timeout)
 
     def _spawn_worker(self, shard: _Shard, init_state: Optional[dict]) -> None:
         """(Re)spawn one shard worker; caller holds the lock.
 
-        The spawn pickle carries scalars and the queues only, so
-        ``start()`` returns without waiting for the child to boot: the
-        shards boot side by side, and a takeover holds the lock for a
-        fork, not a boot.  The bundle, the scanner tables (~100 KB for
-        ``serve``'s default bundle, more than a pipe holds) and the
-        restore point go first on the work queue, whose feeder thread
-        writes them as the child reads them."""
-        shard.generation += 1
+        The spawn pickle carries scalars, the work queue and a fresh
+        result pipe's write end (the parent's copy closed once the
+        child holds it), so ``start()`` returns without waiting for the
+        child to boot: the shards boot side by side, and a takeover
+        holds the lock for a fork, not a boot.  The bundle, the scanner
+        tables (~100 KB for ``serve``'s default bundle, more than a pipe
+        holds) and the restore point go first on the work queue, whose
+        feeder thread writes them as the child reads them."""
         shard.up = False
         shard.spawned_at = _time.monotonic()
         shard.work_q = self._ctx.Queue()
-        shard.result_q = self._ctx.Queue()
+        shard.results, results = Pipe(duplex=False)
+        shard.inbox = bytearray()
         shard.proc = self._ctx.Process(
             target=_daemon_worker_main,
-            args=(shard.index, shard.work_q, shard.result_q, self.timeout,
+            args=(shard.index, shard.work_q, results, self.timeout,
                   self.on_error, self.scan_backend, self.spans_sample,
                   self.throttle_s),
             daemon=True,
             name=f"aarohi-shard-{shard.index}",
         )
         shard.proc.start()
+        results.close()
         shard.work_q.put((self._bundle_dict, self._tables, init_state))
-        # Replay the unacked suffix in order; results for chunks the
-        # dead worker also processed are deduplicated by generation.
+        # Replay the unacked suffix in order.
         for item in shard.pending.items():
             shard.work_q.put(item)
-        shard.collector = threading.Thread(
-            target=self._collect_loop,
-            args=(shard.index, shard.generation, shard.result_q),
-            name=f"aarohi-collect-{shard.index}-g{shard.generation}",
-            daemon=True)
-        shard.collector.start()
 
     # -- ingest ---------------------------------------------------------
     def submit(self, line: str) -> None:
         """Route one serialized line to its shard (the programmatic
         ingest path; the socket and tail sources all land here).
         Blocks while the target shard is over its backpressure
-        high-water mark."""
+        high-water mark, until an ack (or ``stop()``) wakes it."""
         stalled = False
         shard_idx = shard_of(route_key(line), self.n_shards)
-        while True:
-            with self._lock:
-                if self._stopping:
-                    return
-                shard = self._shards[shard_idx]
-                if len(shard.pending) < self.high_water:
-                    buf = self._buffers[shard_idx]
-                    buf.append(line)
-                    self._lines_received += 1
-                    if len(buf) >= self.chunk_lines:
-                        self._dispatch(shard_idx)
-                    break
+        with self._progress:
+            shard = self._shards[shard_idx]
+            while len(shard.pending) >= self.high_water and not self._stopping:
                 if not stalled:
                     stalled = True
                     self._stalls += 1
-            _time.sleep(0.002)
+                self._progress.wait()
+            if self._stopping:
+                return
+            buf = self._buffers[shard_idx]
+            buf.append(line)
+            self._lines_received += 1
+            if len(buf) >= self.chunk_lines:
+                self._dispatch(shard_idx)
         if stalled:
             self._publish_metrics()
 
@@ -488,45 +509,18 @@ class FleetDaemon:
         shard.work_q.put((shard.next_seq, payload))
         shard.next_seq += 1
 
-    # -- result collection ---------------------------------------------
-    def _collect_loop(self, shard_idx: int, generation: int, result_q) -> None:
-        import queue as _queue
-
-        while True:
-            with self._lock:
-                shard = self._shards[shard_idx]
-                if shard.generation != generation or self._stopped:
-                    return
-            try:
-                msg = result_q.get(timeout=0.2)
-            except _queue.Empty:
-                continue
-            except Exception:
-                # A kill -9 mid-put can leave a torn pickle in the
-                # pipe; the supervisor replaces the whole queue, this
-                # thread just retires with its generation.
-                continue
-            self._handle_msg(shard_idx, generation, msg)
-
-    def _handle_msg(self, shard_idx: int, generation: int, msg: tuple) -> None:
+    # -- results and supervision ----------------------------------------
+    def _handle_msg(self, shard: _Shard, msg: tuple) -> None:
         kind = msg[0]
         obs = self.obs
         with self._lock:
-            shard = self._shards[shard_idx]
-            if shard.generation != generation:
-                # Stale ack: the replacement replays this chunk, so
-                # applying the old result too would double-count.
-                return
             if kind == "up":
-                _, _, restored = msg
-                shard.up = True
-                shard.was_up = True
+                shard.up = shard.was_up = True
                 start_s = shard.start_s = _time.monotonic() - shard.spawned_at
-                self._chains_restored += restored
+                self._chains_restored += msg[1]
                 self._refresh_status()
-                self._up.notify_all()
-            elif kind == "ack":
-                (_, _, seq, predictions, stats, obs_delta, chunk_ingest,
+            else:
+                (_, seq, predictions, stats, obs_delta, chunk_ingest,
                  state) = msg
                 shard.pending.pop(seq, None)
                 restore = shard.last_state
@@ -543,8 +537,7 @@ class FleetDaemon:
                 )
                 self.stats.add(stats)
                 self.ingest.add(chunk_ingest)
-            else:  # "bye" — clean worker exit during stop
-                return
+            self._progress.notify_all()
         # Obs fold-in strictly after the daemon lock is released (the
         # facade lock nests obs→status-read, never obs→daemon-lock).
         if kind == "up":
@@ -563,48 +556,60 @@ class FleetDaemon:
                 obs.record_ingest(chunk_ingest)
             if obs.flight is not None:
                 obs.flight.note(
-                    "chunk_done", shard=shard_idx, chunk=seq,
+                    "chunk_done", shard=shard.index, chunk=seq,
                     predictions=len(predictions),
                     quarantined=chunk_ingest.quarantined or None)
 
-    # -- supervision ----------------------------------------------------
     def _supervise_loop(self) -> None:
-        from multiprocessing.connection import wait
-
+        """The daemon's one waiter and the only reader of the result
+        pipes: it applies each ready pipe's whole frames (closing the
+        pipe at EOF), takes a worker over as its sentinel fires, and on
+        the ``poll_interval`` tick flushes partial buffers (so a trickle
+        below ``chunk_lines`` still reaches the workers), publishes
+        metrics and captures history."""
+        tick = _time.monotonic()
         while True:
             with self._lock:
                 if self._stopped:
-                    return
-                stopping = self._stopping
-                if not stopping:
                     for shard in self._shards:
-                        if not shard.proc.is_alive():
-                            self._takeover(shard)
-                # Time-based flush so a trickle of lines (below
-                # chunk_lines) still reaches the workers promptly.
-                for shard_idx in range(self.n_shards):
-                    if self._buffers[shard_idx]:
-                        self._dispatch(shard_idx)
-                # A worker's sentinel turns ready when it exits, so a
-                # death ends the wait below at once.  Workers exit on
-                # purpose while stopping: wait on none of them then
-                # (a plain sleep), or the loop would spin.
-                sentinels = ([] if stopping
-                             else [s.proc.sentinel for s in self._shards])
-            self._publish_metrics()
-            self.obs.record_history()
-            wait(sentinels, self.poll_interval)
+                        shard.results.close()
+                    return
+                pipes = {s.results: s for s in self._shards
+                         if not s.results.closed}
+                # Workers exit on purpose while stopping.
+                sentinels = ({} if self._stopping else
+                             {s.proc.sentinel: s for s in self._shards})
+            if _time.monotonic() >= tick:
+                tick = _time.monotonic() + self.poll_interval
+                self.flush()
+                self._publish_metrics()
+                self.obs.record_history()
+            ready = wait([*pipes, *sentinels],
+                         max(0.0, tick - _time.monotonic()))
+            # Pipes first: what a dead worker acked before it died
+            # still moves its restore point.
+            for shard in (pipes[conn] for conn in ready if conn in pipes):
+                msgs = _read_frames(shard.results.fileno(), shard.inbox)
+                if msgs is None:
+                    shard.results.close()
+                for msg in msgs or ():
+                    self._handle_msg(shard, msg)
+            for sentinel in ready:
+                if sentinel in sentinels:
+                    with self._lock:
+                        if not self._stopping:
+                            self._takeover(sentinels[sentinel])
 
     def _takeover(self, shard: _Shard) -> None:
         """Replace a dead worker; caller holds the lock.
 
-        The replacement inherits the restore point (the state as of the
-        last **acked** chunk) and replays the pending (unacked) chunks —
-        the exactly-once story documented in the module docstring."""
+        Its result pipe is closed unread; the replacement inherits the
+        restore point (the state as of the last applied ack) and
+        replays the pending chunks — the exactly-once story documented
+        in the module docstring."""
         self._deaths += 1
         self._handoffs += 1
-        shard.up = False
-        self._refresh_status()
+        shard.results.close()
         old_work = shard.work_q
         try:
             # The dead worker may have left the queue mid-write; never
@@ -615,6 +620,7 @@ class FleetDaemon:
             pass
         # A copy: the queue pickles it later, on its feeder thread.
         self._spawn_worker(shard, init_state={"nodes": dict(shard.last_state)})
+        self._refresh_status()
 
     # -- status / metrics ----------------------------------------------
     def status(self) -> dict:
@@ -767,17 +773,12 @@ class FleetDaemon:
             self._publish_metrics()
 
     def _recv_chunks(self, conn: socket.socket) -> Iterator[bytes]:
-        """A connection's bytes as they arrive, until EOF, a socket
-        error or ``stop()``."""
-        conn.settimeout(0.5)
+        """A connection's bytes as they arrive, until EOF or a socket
+        error; ``stop()`` shuts the read side, which a blocked ``recv``
+        reads as EOF."""
         while True:
-            with self._lock:
-                if self._stopping:
-                    return
             try:
                 data = conn.recv(65536)
-            except socket.timeout:
-                continue
             except OSError:
                 return
             if not data:
@@ -877,12 +878,9 @@ class FleetDaemon:
         """Flush buffers and block until every dispatched chunk has
         been acked (surviving worker takeovers along the way)."""
         self.flush()
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            if self.pending_chunks() == 0:
-                return True
-            _time.sleep(0.01)
-        return False
+        with self._progress:
+            return self._progress.wait_for(
+                lambda: self.pending_chunks() == 0, timeout)
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> DaemonReport:
         """Graceful shutdown: close sources, optionally drain, retire
@@ -896,9 +894,10 @@ class FleetDaemon:
         ``submit`` start refusing lines.  ``drain=False`` refuses them
         at once."""
         deadline = _time.monotonic() + timeout
-        with self._lock:
+        with self._progress:
             self._accepting = False
             self._stopping = not drain
+            self._progress.notify_all()
         for server in self._tcp_servers:
             try:
                 server.close()
@@ -918,8 +917,9 @@ class FleetDaemon:
             thread.join(timeout=max(0.0, deadline - _time.monotonic()))
         drained = (self.drain(max(0.0, deadline - _time.monotonic()))
                    if drain else True)
-        with self._lock:
+        with self._progress:
             self._stopping = True
+            self._progress.notify_all()
             for shard in self._shards:
                 if shard.proc is not None and shard.proc.is_alive():
                     try:
@@ -936,9 +936,6 @@ class FleetDaemon:
             self._stopped = True
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
-        for shard in self._shards:
-            if shard.collector is not None:
-                shard.collector.join(timeout=5.0)
         for path in self._unix_paths:
             try:
                 os.unlink(path)

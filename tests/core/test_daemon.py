@@ -26,12 +26,20 @@ import time
 import urllib.request
 from multiprocessing import context as mp_context
 from multiprocessing import popen_spawn_posix, reduction, spawn
+from multiprocessing.connection import Connection
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ChainSet, FailureChain, LogEvent
-from repro.core.daemon import FleetDaemon, _run_chunk, _ShardObservability
+from repro.core.daemon import (
+    FleetDaemon,
+    _read_frames,
+    _run_chunk,
+    _ShardObservability,
+)
 from repro.core.events import Severity
 from repro.core.predictor import AarohiPredictor, _LalrEngine, _MatcherEngine
 from repro.obs import (
@@ -345,11 +353,12 @@ class TestKillBetweenDeltaAcks:
 
 
 class TestSpawnHandOff:
-    """A worker's spawn arguments are scalars and its two queues; the
-    bundle, the scanner tables and the restore point reach it first on
-    its work queue.  So ``Process.start()`` never waits for a child to
-    boot, and a takeover, which spawns under the daemon lock, stalls no
-    other shard's ingest."""
+    """A worker's spawn arguments are scalars, its work queue and its
+    result pipe's write end; the bundle, the scanner tables and the
+    restore point reach it first on its work queue.  So
+    ``Process.start()`` never waits for a child to boot, and a
+    takeover, which spawns under the daemon lock, stalls no other
+    shard's ingest."""
 
     def test_spawn_pickle_stays_far_below_the_pipe(self):
         bundle = make_wide_bundle()
@@ -451,6 +460,145 @@ class TestSpawnHandOff:
         assert pred_keys(report.predictions) == batch_predictions(
             bundle, head + fed + tail)
         assert len(report.predictions) >= len(dead)
+
+
+def sent_bytes(msgs) -> bytes:
+    """The bytes ``Connection.send`` writes for ``msgs``, as a worker
+    writes its result pipe, taken off an ``os.pipe()`` after each send
+    (every frame here fits a pipe)."""
+    r, w = os.pipe()
+    os.set_blocking(r, False)
+    conn = Connection(w, readable=False)
+    wire = bytearray()
+    try:
+        for msg in msgs:
+            conn.send(msg)
+            while True:
+                try:
+                    wire += os.read(r, 1 << 16)
+                except BlockingIOError:
+                    break
+    finally:
+        conn.close()
+        os.close(r)
+    return bytes(wire)
+
+
+class TestFrameReader:
+    """The supervisor's one read of a ready result pipe.  The read end
+    is non-blocking here, so a reader that waited for the rest of a
+    frame would raise instead of hang."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 40_000), min_size=1, max_size=5),
+           data=st.data())
+    def test_frames_cut_anywhere_come_out_whole_and_in_order(
+            self, sizes, data):
+        msgs = [("ack", i, bytes([i]) * size) for i, size in enumerate(sizes)]
+        wire = sent_bytes(msgs)
+        ends = []
+        for msg in msgs:
+            ends.append((ends[-1] if ends else 0) + len(sent_bytes([msg])))
+        assert ends[-1] == len(wire)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(wire)), max_size=12)))
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        inbox = bytearray()
+        got = []
+        try:
+            for lo, hi in zip([0, *cuts], [*cuts, len(wire)]):
+                # A write never outgrows the pipe; every read drains it.
+                for at in range(lo, hi, 32 * 1024):
+                    written = min(hi, at + 32 * 1024)
+                    os.write(w, wire[at:written])
+                    got += _read_frames(r, inbox)
+                    whole = sum(1 for end in ends if end <= written)
+                    assert got == msgs[:whole]
+                    assert len(inbox) == written - ([0, *ends][whole])
+        finally:
+            os.close(r)
+            os.close(w)
+        assert got == msgs
+        assert inbox == b""
+
+    def test_eof_with_half_a_frame_reads_as_worker_gone(self):
+        msgs = [("up", 0), ("ack", 1, b"x" * 20_000)]
+        wire = sent_bytes(msgs)
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        inbox = bytearray()
+        try:
+            os.write(w, wire[:-100])
+            assert _read_frames(r, inbox) == msgs[:1]
+            assert len(inbox) == len(wire) - 100 - len(sent_bytes(msgs[:1]))
+            os.close(w)
+            w = None
+            assert _read_frames(r, inbox) is None
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+
+
+class TestStoppedWorker:
+    """One supervisor loop reads every shard's results: a worker that
+    stops (SIGSTOP, with chunks pending) holds up neither the other
+    shard's acks nor the tick, and its chunks run once it resumes."""
+
+    def test_stopped_worker_blocks_no_other_shard(self):
+        bundle = make_bundle()
+        before = set(threading.enumerate())
+        daemon = FleetDaemon(
+            bundle, n_shards=2, chunk_lines=4, poll_interval=0.02,
+        ).start()
+        names = [f"node{i:02d}" for i in range(64)]
+        stopped = [n for n in names if daemon.shard_for(n) == 0][:4]
+        live = [n for n in names if daemon.shard_for(n) == 1][:4]
+        # Shard 0's nodes stand 3 phrases into FC5 when it stops.
+        walk = make_lines(stopped, reps=1)
+        head, tail = walk[:3 * len(stopped)], walk[3 * len(stopped):]
+        feed = make_lines(live, reps=1, t0=2000.0)
+        pid = None
+        try:
+            assert daemon.wait_ready(30.0)
+            # The parent runs the supervisor and one work-queue feeder
+            # per shard; no thread collects results.
+            assert sorted(t.name for t in threading.enumerate()
+                          if t not in before) == [
+                "QueueFeederThread", "QueueFeederThread",
+                "aarohi-daemon-supervisor"]
+            for line in head:
+                daemon.submit(line)
+            assert daemon.drain(30.0)
+            pid = daemon.worker_pid(0)
+            os.kill(pid, signal.SIGSTOP)
+            for line in tail + feed:
+                daemon.submit(line)
+            daemon.flush()
+            deadline = time.monotonic() + 30.0
+            while (len(daemon.predictions) < len(live)
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            with daemon._lock:
+                assert sorted(p.node for p in daemon.predictions) == live
+                assert daemon._shards[0].pending
+            uptime = daemon.status()["uptime_s"]
+            time.sleep(0.1)
+            assert daemon.status()["uptime_s"] > uptime
+            os.kill(pid, signal.SIGCONT)
+            pid = None
+            report = daemon.stop(drain=True)
+        finally:
+            if pid is not None:
+                os.kill(pid, signal.SIGCONT)
+            if not daemon._stopped:
+                daemon.stop(drain=False)
+        assert report.drained
+        assert daemon.status()["handoffs"] == 0
+        assert pred_keys(report.predictions) == batch_predictions(
+            bundle, head + tail + feed)
+        assert len(report.predictions) == len(stopped) + len(live)
 
 
 class TestShardChunk:
@@ -812,10 +960,12 @@ class TestReorderRepair:
         assert report.ingest.late == 0
         assert report.ingest.quarantined == 1
 
-    def test_stop_flushes_an_open_connection(self):
+    @pytest.mark.parametrize("transport", ["tcp", "unix"])
+    def test_stop_flushes_an_open_connection(self, tmp_path, transport):
         # A forwarder that never hangs up: stop() ends the connection's
-        # read side, so the lines still inside the horizon reach the
-        # workers, and it does not wait for the sender's own EOF.
+        # read side, which wakes its blocked reader, so the lines still
+        # inside the horizon reach the workers, and it does not wait
+        # for the sender's own EOF.
         bundle = make_bundle()
         lines = make_lines(["n0", "n1", "n2"], reps=2, dt=1.0)
         assert len(lines) == 30
@@ -825,7 +975,12 @@ class TestReorderRepair:
         ).start()
         try:
             assert daemon.wait_ready(30.0)
-            with socket.create_connection(daemon.listen_tcp()) as sock:
+            if transport == "tcp":
+                sock = socket.create_connection(daemon.listen_tcp())
+            else:
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.connect(daemon.listen_unix(tmp_path / "aarohi.sock"))
+            with sock:
                 sock.sendall(("\n".join(lines) + "\n").encode())
                 # The last 10 s of lines wait in the connection's buffer.
                 assert wait_lines(daemon, 20)
@@ -935,7 +1090,7 @@ class TestMergePerAck:
         class Stamped(Registry):
             def merge(self, snapshot):
                 super().merge(snapshot)
-                # No assert here: this runs on a collector thread.
+                # No assert here: this runs on the supervisor thread.
                 (shard, *others) = {entry["labels"]["shard"]
                                     for family in snapshot.values()
                                     for entry in family["series"]}

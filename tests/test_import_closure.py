@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser
+from repro.cli import SIMULATOR_COMMANDS, build_parser
 from repro.codegen import resolve_backend
 from repro.core import ChainSet, FailureChain, LogEvent
 from repro.core.events import Severity
@@ -149,27 +149,32 @@ WORDS = {
     180: "echo x", 137: "foxtrot x", 172: "golf x", 193: "hotel x",
 }
 
-#: Runs the real shard entry point on in-process queues, noting which
-#: modules are loaded when the worker reports up.  The parent's init
-#: item (bundle, scanner tables, no restore point) comes first on the
-#: work queue, as ``FleetDaemon`` hands it over.
+#: Runs the real shard entry point on an in-process work queue and a
+#: result pipe, noting which modules are loaded when the worker reports
+#: up and how many threads run at each message.  The parent's init item
+#: (bundle, scanner tables, no restore point) comes first on the work
+#: queue, as ``FleetDaemon`` hands it over; the messages are read back
+#: off the pipe by the supervisor's frame reader.
 WORKER_RUN = """
-import json, queue, sys
+import json, queue, sys, threading
+from multiprocessing.connection import Pipe
 
-from repro.core.daemon import _daemon_worker_main
+from repro.core.daemon import _daemon_worker_main, _read_frames
 
 job = json.loads(sys.stdin.read())
+reader, writer = Pipe(duplex=False)
 
 
 class Results:
     def __init__(self):
-        self.msgs = []
+        self.threads = []
         self.at_up = None
 
-    def put(self, msg):
+    def send(self, msg):
         if msg[0] == "up":
             self.at_up = set(sys.modules)
-        self.msgs.append(msg)
+        self.threads.append(threading.active_count())
+        writer.send(msg)
 
 
 work = queue.Queue()
@@ -179,13 +184,18 @@ work.put(None)
 results = Results()
 _daemon_worker_main(
     0, work, results, 120.0, "quarantine", job["backend"], 0.0, 0.0)
-ack = results.msgs[1]
+writer.close()
+msgs, inbox = [], bytearray()
+while (frames := _read_frames(reader.fileno(), inbox)) is not None:
+    msgs.extend(frames)
+ack = msgs[1]
 print(json.dumps({
-    "kinds": [msg[0] for msg in results.msgs],
+    "kinds": [msg[0] for msg in msgs],
+    "threads": results.threads,
     "after_up": sorted(set(sys.modules) - results.at_up),
     "loaded": sorted(results.at_up),
-    "predictions": [[p[0], p[1]] for p in ack[3]],
-    "quarantined": ack[6].quarantined,
+    "predictions": [[p[0], p[1]] for p in ack[2]],
+    "quarantined": ack[5].quarantined,
 }))
 """
 
@@ -194,7 +204,9 @@ class TestWorkerChunk:
     def test_chunk_after_up_imports_nothing(self):
         """What a shard needs is loaded before it reports up: a chunk
         that quarantines a record and completes a chain imports no
-        further ``repro`` module afterwards."""
+        further ``repro`` module afterwards.  The worker runs on one
+        thread and writes its messages to its result pipe, "up" then
+        one ack; it says nothing on its way out."""
         chains = ChainSet([
             FailureChain("FC1", (176, 177, 178, 179, 180, 137)),
             FailureChain("FC5", (172, 177, 178, 193, 137)),
@@ -223,7 +235,8 @@ class TestWorkerChunk:
             "blob": "\n".join(lines),
         }
         out = run_fresh(WORKER_RUN, json.dumps(job))
-        assert out["kinds"] == ["up", "ack", "bye"]
+        assert out["kinds"] == ["up", "ack"]
+        assert out["threads"] == [1, 1]
         assert out["predictions"] == [["n0", "FC5"]]
         assert out["quarantined"] == 1
         assert [m for m in out["after_up"] if m.startswith("repro")] == []
@@ -250,7 +263,7 @@ class TestLazyPackages:
 
 #: Drives ``predict --json`` on the log given in a fresh interpreter and
 #: notes whether it loaded numpy; with numpy blocked before anything
-#: imports it, also ``generate``.
+#: imports it, also each simulator command, noting how each ended.
 NO_NUMPY_RUN = """
 import contextlib, io, json, sys
 
@@ -264,18 +277,23 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = repro.cli.main(["predict", "--log", sys.argv[1], "--json"])
 loaded = sys.modules.get("numpy") is not None
-generate = None
-if block:
+simulator = {}
+for argv in ([] if not block else [
+        ["generate", "--out", sys.argv[1] + ".gen"], ["pipeline"],
+        ["speedup"], ["fieldstudy", "--windows", "1"]]):
     try:
-        repro.cli.main(["generate", "--out", sys.argv[1] + ".gen"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            repro.cli.main(argv)
     except SystemExit as exc:
-        generate = exc.code
+        simulator[argv[0]] = str(exc.code)
+    except Exception as exc:
+        simulator[argv[0]] = repr(exc)
 print(json.dumps({
     "numpy": loaded,
     "available": repro.logsim.SIMULATOR_AVAILABLE,
     "predict": code,
     "document": json.loads(out.getvalue()),
-    "generate": generate,
+    "simulator": simulator,
 }))
 """
 
@@ -289,11 +307,12 @@ def without_clock(document: dict) -> dict:
 
 
 class TestWithoutNumpy:
-    def test_predict_runs_and_generate_says_why_it_exits(self, tmp_path):
+    def test_predict_runs_and_simulator_commands_say_why_they_exit(
+            self, tmp_path):
         """``predict`` takes the trained bundle, so with numpy blocked it
         still reads lines written from one trained chain's templates and
-        predicts that chain; ``generate`` drives the simulator and exits
-        saying it needs numpy."""
+        predicts that chain; each command that drives the simulator
+        exits before it runs, saying it needs numpy."""
         bundle = trained_bundle(system_by_name("HPC3"))
         chain = max(bundle.chains, key=len)
         lines = [
@@ -311,7 +330,10 @@ class TestWithoutNumpy:
                 for p in document["predictions"]] == [
             ("c0-0c0s1n2", chain.chain_id, 1000.0 + 3 * (len(chain) - 1))]
         assert document["ingest"]["decoded"] == len(lines)
-        assert "requires numpy" in out["generate"]
+        simulator = out["simulator"]
+        assert sorted(simulator) == sorted(SIMULATOR_COMMANDS)
+        assert all("requires numpy" in why for why in simulator.values()), (
+            simulator)
         if HAVE_NUMPY:
             unblocked = run_fresh(NO_NUMPY_RUN, args=(str(log), "allow"))
             assert unblocked["available"] is True
